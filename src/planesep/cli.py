@@ -360,10 +360,15 @@ def cmd_stats(args) -> int:
     base = repo.mapping.base
     n = state.n
     c = state.counters
-    hard_bound = (base - 1) * n + state.q0
+    # (base-1)*n axis-threshold planes alone separate every digit point; q is
+    # compared with that plus q0, which the algorithm does not promise to meet
+    baseline = (base - 1) * n + state.q0
     quoted_bound = 10 * n
     expected_nf = base**n / n
-    ov_floor = state.count * n * state.q
+    # every stored point met every plane at least once, at the first width
+    # or a later, wider one
+    n_first = repo.meta.dims_history[0] if repo.meta.dims_history else n
+    ov_floor = state.count * n_first * state.q
 
     lines = [
         f"n {n}",
@@ -379,8 +384,7 @@ def cmd_stats(args) -> int:
     lines += [f"{k} {v}" for k, v in c.as_dict().items()]
     lines += [
         f"bound_quoted_q_le_10n {quoted_bound} ({'ok' if state.q <= quoted_bound else 'exceeded'})",
-        f"bound_hard_q_le_thresholds_plus_q0 {hard_bound} "
-        f"({'ok' if state.q <= hard_bound else 'VIOLATION'})",
+        f"baseline_thresholds_plus_q0 {baseline}",
         f"expected_N_f_base^n/n {expected_nf:.1f}",
         f"ov_mult_floor_N.n.q {ov_floor} "
         f"({'ok' if c.multiplications >= ov_floor else 'VIOLATION'})",
@@ -397,8 +401,7 @@ def cmd_stats(args) -> int:
         "recycle_events": state.recycle_events,
         **c.as_dict(),
         "bound_quoted_q_le_10n": quoted_bound,
-        "bound_hard": hard_bound,
-        "bound_hard_ok": state.q <= hard_bound,
+        "baseline_thresholds_plus_q0": baseline,
         "expected_N_f": expected_nf,
         "ov_mult_floor": ov_floor,
         "ov_mult_floor_ok": c.multiplications >= ov_floor,

@@ -70,6 +70,27 @@ def map_to_point(v: int, mapping: IntegerMapping) -> np.ndarray:
     return out
 
 
+def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
+    """Rows of :func:`map_to_point` for many values, in one vectorised expansion.
+
+    Digits are peeled with int64 arithmetic when every value of the mapping
+    fits, and with Python integers (an object array) otherwise.
+    """
+    vals = [int(v) for v in values]
+    if vals and (min(vals) < 0 or max(vals) >= mapping.capacity):
+        v = next(v for v in vals if not 0 <= v < mapping.capacity)
+        raise DigitOverflowError(
+            f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
+        )
+    wide = mapping.capacity > np.iinfo(np.int64).max
+    rem = np.array(vals, dtype=object if wide else np.int64)
+    out = np.zeros((len(vals), mapping.n))
+    for i in range(mapping.n):
+        out[:, i] = rem % mapping.base
+        rem = rem // mapping.base
+    return out
+
+
 def point_to_integer(p: np.ndarray, mapping: IntegerMapping) -> int:
     """Exact inverse of map_to_point; rejects non-digit coordinates."""
     p = np.asarray(p, dtype=np.float64)
@@ -160,12 +181,7 @@ def build(values, n: int, seed: int, config: RunConfig | None = None) -> Reposit
     vals = [int(v) for v in values]
     if len(set(vals)) != len(vals):
         raise DuplicatePointError("input values are not pairwise distinct")
-    pts = (
-        np.stack([map_to_point(v, mapping) for v in vals])
-        if vals
-        else np.empty((0, n))
-    )
-    state = separator.run(pts, n, seed, config)
+    state = separator.run(map_to_points(vals, mapping), n, seed, config)
     meta = BuildMeta(
         seed=seed,
         epsilon=config.epsilon,
@@ -406,27 +422,34 @@ def load(source) -> Repository:
         state._append_plane(alpha, saturated)
 
     values: list[int] = []
+    keys: list[int] = []
     prev_packed = -1
+    capacity = mapping.capacity
+    key_limit = 1 << max(q, 1)
     for _ in range(count):
         parts = rd.next("entry")
         v = _int_field(parts, 1, rd.pos)
-        if not 0 <= v < mapping.capacity:
+        if not 0 <= v < capacity:
             raise RepositoryFormatError(f"value {v} out of range", line=rd.pos)
         try:
             packed = int(parts[2], 16)
         except (ValueError, IndexError) as exc:
             raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
-        if packed >= (1 << max(q, 1)):
+        if packed >= key_limit:
             raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
         if packed <= prev_packed:
             raise RepositoryFormatError("entries not in strict dictionary order", line=rd.pos)
         prev_packed = packed
-        pid = state._add_point(map_to_point(v, mapping), packed)
         values.append(v)
-        assert pid == len(values) - 1
+        keys.append(packed)
     rd.next("end")
-    # index rebuilding above tallied into a scratch counter; the persisted
-    # totals are authoritative
+    # entries arrive in strict dictionary order, so point id i is entry i
+    # and the index is the key list as read; an empty store keeps the
+    # default point buffer, which later inserts grow by doubling
+    if count:
+        state._pts_buf = map_to_points(values, mapping)
+        state.count = count
+    state.index = separator.OvIndex.from_sorted(keys)
     state.counters = OpCounters.from_dict(counter_map)
 
     meta = BuildMeta(

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .geometry import (
     INCIDENT,
-    OrientationVector,
     Plane,
     fit_plane_through,
     pack_sign_bits,
@@ -57,7 +56,9 @@ class OvIndex:
     """Sorted map from packed sign vectors to point ids.
 
     Keys are kept in dictionary order so membership is a binary search;
-    every key comparison is tallied as the number of bits it examines.
+    every key comparison is tallied as the number of bits it examines
+    (:func:`_cmp_bits`, inlined in the search loops).  This is the only
+    place a stored point's sign vector is held.
     """
 
     __slots__ = ("_keys", "_ids")
@@ -66,41 +67,57 @@ class OvIndex:
         self._keys: list[int] = []
         self._ids: list[int] = []
 
+    @classmethod
+    def from_sorted(cls, keys: list[int]) -> "OvIndex":
+        """Index over strictly increasing keys, key i belonging to point id i."""
+        index = cls()
+        index._keys = keys
+        index._ids = list(range(len(keys)))
+        return index
+
     def __len__(self) -> int:
         return len(self._keys)
 
     def lookup(self, packed: int, q: int, counters: OpCounters) -> int | None:
-        lo, hi = 0, len(self._keys)
+        keys = self._keys
+        lo, hi = 0, len(keys)
+        bits = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            key = self._keys[mid]
-            counters.bit_comparisons += _cmp_bits(key, packed, q)
+            key = keys[mid]
+            if key == packed:
+                counters.bit_comparisons += bits + q
+                return self._ids[mid]
+            bits += q + 1 - (key ^ packed).bit_length()
             if key < packed:
                 lo = mid + 1
-            elif key > packed:
-                hi = mid
             else:
-                return self._ids[mid]
+                hi = mid
+        counters.bit_comparisons += bits
         return None
 
     def insert(self, packed: int, pid: int, q: int, counters: OpCounters) -> None:
-        lo, hi = 0, len(self._keys)
+        keys = self._keys
+        lo, hi = 0, len(keys)
+        bits = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            key = self._keys[mid]
-            counters.bit_comparisons += _cmp_bits(key, packed, q)
+            key = keys[mid]
+            if key == packed:
+                raise AssertionError("duplicate sign vector in index")
+            bits += q + 1 - (key ^ packed).bit_length()
             if key < packed:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(self._keys) and self._keys[lo] == packed:
-            raise AssertionError("duplicate sign vector in index")
-        self._keys.insert(lo, packed)
+        counters.bit_comparisons += bits
+        keys.insert(lo, packed)
         self._ids.insert(lo, pid)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key; relative order is preserved."""
-        self._keys = [(k << 1) | int(bit_by_id[i]) for k, i in zip(self._keys, self._ids)]
+        bits = bit_by_id.tolist()
+        self._keys = [(k << 1) | bits[i] for k, i in zip(self._keys, self._ids)]
 
     def items(self):
         return zip(self._keys, self._ids)
@@ -111,6 +128,7 @@ class PendingChain:
     """A stored anchor plus up to three unplaced points sharing its quadrant."""
 
     anchor_id: int
+    anchor_key: int  # the anchor's packed sign vector at the current q
     b: np.ndarray
     midpoint_ab: np.ndarray
     c: np.ndarray | None = None
@@ -166,7 +184,6 @@ class SeparationState:
 
         self._pts_buf = np.empty((16, n))
         self.count = 0
-        self.packed: list[int] = []
         self.index = OvIndex()
 
         self.chains: list[PendingChain] = []
@@ -194,13 +211,21 @@ class SeparationState:
     def q_emitted(self) -> int:
         return self.q - self.q0
 
+    @property
+    def packed(self) -> list[int]:
+        """Each stored point's packed sign vector, by point id.
+
+        An O(N) copy out of the index, for tests and inspection only.
+        """
+        out = [0] * self.count
+        for key, pid in self.index.items():
+            out[pid] = key
+        return out
+
     def planes(self) -> list[Plane]:
         return [
             Plane(self._alpha_buf[j].copy(), self._saturated[j]) for j in range(self.q)
         ]
-
-    def orientation_of(self, pid: int) -> OrientationVector:
-        return OrientationVector(self.q, self.packed[pid])
 
     # -- mutation helpers ---------------------------------------------------
 
@@ -220,7 +245,6 @@ class SeparationState:
             grown[: self.count] = self._pts_buf
             self._pts_buf = grown
         self._pts_buf[self.count] = p
-        self.packed.append(packed)
         self.index.insert(packed, self.count, self.q, self.counters)
         self.count += 1
         return self.count - 1
@@ -463,7 +487,10 @@ def offer(state: SeparationState, p) -> OfferResult:
     chain = state._chain_by_anchor.get(anchor)
     if chain is None:
         chain = PendingChain(
-            anchor_id=anchor, b=p, midpoint_ab=state._midpoint(state.points[anchor], p)
+            anchor_id=anchor,
+            anchor_key=packed,
+            b=p,
+            midpoint_ab=state._midpoint(state.points[anchor], p),
         )
         state.chains.append(chain)
         state._chain_by_anchor[anchor] = chain
@@ -501,9 +528,9 @@ def _dedupe_chain_quadrants(state: SeparationState) -> tuple[list[np.ndarray], i
         host = None
         for kept in survivors:
             state.counters.bit_comparisons += _cmp_bits(
-                state.packed[kept.anchor_id], state.packed[ch.anchor_id], state.q
+                kept.anchor_key, ch.anchor_key, state.q
             )
-            if state.packed[kept.anchor_id] == state.packed[ch.anchor_id]:
+            if kept.anchor_key == ch.anchor_key:
                 host = kept
                 break
         if host is None:
@@ -614,11 +641,8 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     all_chains = state.chains
 
     # commit: append the plane and extend every stored sign vector by one bit
-    old_anchor_packed = {ch.anchor_id: state.packed[ch.anchor_id] for ch in all_chains}
     bit_s = r_s > 0
     plane_index = state._append_plane(alpha, saturated=(k == n))
-    for i in range(state.count):
-        state.packed[i] = (state.packed[i] << 1) | int(bit_s[i])
     state.index.extend_all(bit_s)
 
     # every chain is re-validated against the new plane.  Batch chains had
@@ -631,7 +655,7 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     rehomed = 0
     for ci, ch in enumerate(all_chains):
         state._chain_by_anchor.pop(ch.anchor_id, None)
-        prefix = old_anchor_packed[ch.anchor_id]
+        prefix = ch.anchor_key
         a_bit = bool(bit_s[ch.anchor_id])
         hosts: dict[bool, int] = {a_bit: ch.anchor_id}
         members = [(ri, pt) for ri, pt in enumerate((ch.b, ch.c, ch.d)) if pt is not None]
@@ -657,7 +681,12 @@ def emit_plane(state: SeparationState) -> PlaneReport:
                 else:
                     rehomed += 1
                     mid = state._midpoint(state.points[host], pt)
-                sc = PendingChain(anchor_id=host, b=pt, midpoint_ab=mid)
+                sc = PendingChain(
+                    anchor_id=host,
+                    anchor_key=(prefix << 1) | int(pt_bit),
+                    b=pt,
+                    midpoint_ab=mid,
+                )
                 side_chain[host] = sc
                 new_chains.append(sc)
                 state._chain_by_anchor[host] = sc

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from planesep import cli, repository
+from planesep import cli, oracle, repository
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -141,8 +141,30 @@ class TestStats:
 
     def test_counters_self_consistent(self, primes_repo_path):
         repo = repository.load(primes_repo_path)
-        floor = repo.count * repo.state.n * repo.q
+        floor = repo.count * repo.meta.dims_history[0] * repo.q
         assert repo.counters.multiplications >= floor
+
+    def test_threshold_baseline_is_not_a_bound(self, tmp_path, capsys):
+        out = tmp_path / "repo.txt"
+        assert run_cli("build", "--source", "primes:100000", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("stats", str(out)) == 0
+        text = capsys.readouterr().out
+        assert "q_total 105" in text
+        assert "baseline_thresholds_plus_q0 49\n" in text
+        assert "VIOLATION" not in text
+
+    def test_ov_floor_uses_first_width_after_growth(self, tmp_path, capsys):
+        repo = repository.build(list(oracle.sieve(1000).primes()), 3, 0)
+        repository.grow_dimension(repo, 6)
+        out = tmp_path / "grown.txt"
+        repository.save(repo, out)
+        assert run_cli("stats", str(out), "--format", "jsonl") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dims_history"] == [3, 6]
+        assert payload["ov_mult_floor"] == repo.count * 3 * repo.q
+        assert payload["multiplications"] >= payload["ov_mult_floor"]
+        assert payload["ov_mult_floor_ok"] is True
 
 
 class TestBench:

@@ -22,6 +22,7 @@ from planesep.repository import (
     insert,
     load,
     map_to_point,
+    map_to_points,
     point_to_integer,
     query,
     save,
@@ -82,6 +83,29 @@ class TestDigitMapping:
         m = IntegerMapping(n=4, base=2)
         assert list(map_to_point(0b1011, m)) == [1.0, 1.0, 0.0, 1.0]
         assert point_to_integer(map_to_point(13, m), m) == 13
+
+    @pytest.mark.parametrize(
+        "mapping, values",
+        [
+            (IntegerMapping(n=6), [0, 7, 37, 1729, 80917, 999999, 100000]),
+            (IntegerMapping(n=8, base=2), list(range(256))),
+            (IntegerMapping(n=25), [0, 2**63 - 1, 2**63, 2**64 + 12345, 10**25 - 1]),
+        ],
+    )
+    def test_batched_expansion_matches_per_value(self, mapping, values):
+        expected = np.stack([map_to_point(v, mapping) for v in values])
+        got = map_to_points(values, mapping)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    def test_batched_expansion_of_nothing(self):
+        assert map_to_points([], self.M4).shape == (0, 4)
+
+    def test_batched_expansion_overflow(self):
+        with pytest.raises(DigitOverflowError, match="^100 "):
+            map_to_points([5, 100, 7], self.M2)
+        with pytest.raises(DigitOverflowError, match="^-1 "):
+            map_to_points([-1], self.M2)
 
 
 class TestBuild:

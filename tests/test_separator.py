@@ -68,6 +68,25 @@ class TestCmpBits:
         assert _cmp_bits(0b1010, 0b1011, 4) == 4
 
 
+def replay_search(keys, packed, q, stop_on_hit):
+    """Bits a binary search over sorted keys examines, one _cmp_bits per probe.
+
+    The lookup loop stops on an exact hit; the insert loop narrows to the
+    leftmost position whatever it meets.
+    """
+    lo, hi, bits = 0, len(keys), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bits += _cmp_bits(keys[mid], packed, q)
+        if keys[mid] < packed:
+            lo = mid + 1
+        elif keys[mid] > packed or not stop_on_hit:
+            hi = mid
+        else:
+            break
+    return bits
+
+
 class TestOvIndex:
     def test_lookup_and_insert_count_comparisons(self):
         idx = OvIndex()
@@ -79,6 +98,38 @@ class TestOvIndex:
         assert idx.lookup(0b111, 3, hits) == 2
         assert idx.lookup(0b101, 3, hits) is None
         assert hits.bit_comparisons > 0
+
+    def test_comparison_counts_equal_a_replay_of_the_search(self):
+        q = 12
+        rng = np.random.default_rng(3)
+        keys = [int(k) for k in rng.choice(1 << q, size=300, replace=False)]
+        idx = OvIndex()
+        for pid, key in enumerate(keys):
+            c = OpCounters()
+            before = sorted(keys[:pid])
+            idx.insert(key, pid, q, c)
+            assert c.bit_comparisons == replay_search(before, key, q, stop_on_hit=False)
+        stored = sorted(keys)
+        for probe in [*keys[:50], *(int(k) for k in rng.integers(0, 1 << q, size=50))]:
+            c = OpCounters()
+            pid = idx.lookup(probe, q, c)
+            assert pid == (keys.index(probe) if probe in keys else None)
+            assert c.bit_comparisons == replay_search(stored, probe, q, stop_on_hit=True)
+
+    def test_bulk_build_matches_one_built_by_insert(self):
+        q = 10
+        rng = np.random.default_rng(4)
+        keys = sorted(int(k) for k in rng.choice(1 << q, size=200, replace=False))
+        inserted = OvIndex()
+        c = OpCounters()
+        for pos in rng.permutation(len(keys)):
+            inserted.insert(keys[pos], int(pos), q, c)
+        bulk = OvIndex.from_sorted(list(keys))
+        assert list(bulk.items()) == list(inserted.items())
+        for probe in range(1 << q):
+            a, b = OpCounters(), OpCounters()
+            assert bulk.lookup(probe, q, a) == inserted.lookup(probe, q, b)
+            assert a.bit_comparisons == b.bit_comparisons
 
     def test_keys_stay_sorted_and_extend_preserves_order(self):
         idx = OvIndex()
@@ -217,7 +268,7 @@ class TestEmitPlane:
             except AssertionError:
                 continue
             state.chains.append(
-                PendingChain(anchor_id=anchor, b=b,
+                PendingChain(anchor_id=anchor, anchor_key=state.packed[anchor], b=b,
                              midpoint_ab=0.5 * (state.points[anchor] + b))
             )
             state._chain_by_anchor[anchor] = state.chains[-1]
@@ -266,8 +317,8 @@ class TestEmitPlane:
         ch0 = state.chains[0]
         # forge a second chain claiming the same quadrant address
         fake_anchor = ch0.anchor_id
-        twin = PendingChain(anchor_id=fake_anchor, b=ch0.b + 1e-3,
-                            midpoint_ab=ch0.midpoint_ab)
+        twin = PendingChain(anchor_id=fake_anchor, anchor_key=ch0.anchor_key,
+                            b=ch0.b + 1e-3, midpoint_ab=ch0.midpoint_ab)
         state.chains.insert(1, twin)
         merged_away = emit_plane(state)
         assert merged_away.demotions == 1
@@ -296,7 +347,7 @@ class TestFinalize:
             except AssertionError:
                 continue
             state.chains.append(
-                PendingChain(anchor_id=anchor, b=b,
+                PendingChain(anchor_id=anchor, anchor_key=state.packed[anchor], b=b,
                              midpoint_ab=0.5 * (state.points[anchor] + b))
             )
             state._chain_by_anchor[anchor] = state.chains[-1]
