@@ -113,8 +113,7 @@ def pack_sign_bits(positive: np.ndarray) -> int:
     q = positive.shape[0]
     if q == 0:
         return 0
-    padded = np.packbits(positive.astype(np.uint8), bitorder="big")
-    return int.from_bytes(padded.tobytes(), "big") >> (8 * padded.shape[0] - q)
+    return int.from_bytes(np.packbits(positive).tobytes(), "big") >> (-q % 8)
 
 
 def signs_from_residuals(residuals: np.ndarray, epsilon: float) -> np.ndarray:

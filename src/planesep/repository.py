@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,12 @@ from .errors import (
     NotADigitPointError,
     RepositoryFormatError,
 )
-from .geometry import INCIDENT, OrientationVector, pack_sign_bits, signs_from_residuals
+from .geometry import OrientationVector, pack_sign_bits
+from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name
 
 FORMAT_MAGIC = "planesep-repository"
 FORMAT_VERSION = 1
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class IntegerMapping:
         if self.base < 2:
             raise ValueError("base must be at least 2")
 
-    @property
+    @cached_property
     def capacity(self) -> int:
         return self.base**self.n
 
@@ -82,7 +85,7 @@ def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
-    wide = mapping.capacity > np.iinfo(np.int64).max
+    wide = mapping.capacity > _INT64_MAX
     rem = np.array(vals, dtype=object if wide else np.int64)
     out = np.zeros((len(vals), mapping.n))
     for i in range(mapping.n):
@@ -168,10 +171,21 @@ class Repository:
             )
 
     def _register_new_points(self) -> None:
-        for pid in range(len(self.values), self.state.count):
-            v = point_to_integer(self.state.points[pid], self.mapping)
-            self.values.append(v)
-            self.value_ids[v] = pid
+        """Record the value of every point the state gained since the last call."""
+        start = len(self.values)
+        new = self.state.points[start:]
+        mapping = self.mapping
+        if mapping.capacity <= _INT64_MAX:
+            is_digit = (new >= 0) & (new < mapping.base) & (new == np.floor(new))
+            if not is_digit.all():
+                bad = int(np.nonzero(~is_digit.all(axis=1))[0][0])
+                point_to_integer(new[bad], mapping)  # raises NotADigitPointError
+            powers = mapping.base ** np.arange(mapping.n, dtype=np.int64)
+            vals = (new.astype(np.int64) @ powers).tolist()
+        else:
+            vals = [point_to_integer(p, mapping) for p in new]
+        self.values.extend(vals)
+        self.value_ids.update(zip(vals, range(start, start + len(vals))))
 
 
 def build(values, n: int, seed: int, config: RunConfig | None = None) -> Repository:
@@ -203,12 +217,8 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
     """
     if counters is None:
         counters = OpCounters()
-    if not 0 <= v < repo.mapping.capacity:
-        raise DigitOverflowError(
-            f"{v} does not fit in {repo.mapping.n} base-{repo.mapping.base} digits"
-        )
     state = repo.state
-    p = map_to_point(v, repo.mapping)
+    p = map_to_point(v, repo.mapping)  # raises DigitOverflowError out of range
     r = kernels.residuals_point(state.plane_matrix, p)
     nq = state.n * state.q
     counters.multiplications += nq
@@ -216,11 +226,11 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
     counters.ov_multiplications += nq
     counters.sign_evals += state.q
 
-    signs = signs_from_residuals(r, state.config.epsilon)
-    if np.any(signs == INCIDENT):
+    eps = state.config.epsilon
+    if np.count_nonzero(np.abs(r) <= eps):
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
-    packed = pack_sign_bits(signs > 0)
-    pid = state.index.lookup(packed, state.q, counters)
+    # outside the band, r > eps is exactly the positive side
+    pid = state.index.lookup(pack_sign_bits(r > eps), state.q, counters)
     if pid is None:
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
     if repo.values[pid] == v:

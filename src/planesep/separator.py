@@ -33,13 +33,12 @@ from .errors import (
     InconsistentSystemError,
 )
 from .geometry import (
-    INCIDENT,
     Plane,
     fit_plane_through,
     pack_sign_bits,
     shift_midpoints,
-    signs_from_residuals,
 )
+from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name
 
 _INIT_DRAW_BUDGET = 512
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
@@ -286,7 +285,7 @@ class SeparationState:
         p = np.asarray(p, dtype=np.float64)
         if p.shape != (self.n,):
             raise DimensionMismatchError(f"point shape {p.shape} does not match n={self.n}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("point coordinates must be finite")
         return p
 
@@ -473,12 +472,14 @@ def offer(state: SeparationState, p) -> OfferResult:
     state.offers += 1
     state.offered_nq += n * state.q
 
-    signs = signs_from_residuals(r, state.config.epsilon)
-    for j in np.nonzero(signs == INCIDENT)[0]:
-        new_r = _nudge_plane(state, int(j), p, float(r[j]))
-        signs[j] = 1 if new_r > 0 else -1
+    eps = state.config.epsilon
+    incident = np.abs(r) <= eps
+    if np.count_nonzero(incident):
+        # a nudged residual leaves the band, so r > eps below reads its side
+        for j in np.nonzero(incident)[0]:
+            r[j] = _nudge_plane(state, int(j), p, float(r[j]))
 
-    packed = pack_sign_bits(signs > 0)
+    packed = pack_sign_bits(r > eps)
     anchor = state.index.lookup(packed, state.q, state.counters)
     if anchor is None:
         pid = state._add_point(p, packed)

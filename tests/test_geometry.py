@@ -136,6 +136,16 @@ class TestPackedSignVectors:
         assert pack_sign_bits(np.array([True, False, True])) == 0b101
         assert pack_sign_bits(np.array([], dtype=bool)) == 0
 
+    @pytest.mark.parametrize("q", [1, 7, 8, 9, 63, 64, 65, 166])
+    def test_pack_matches_string_reference(self, q):
+        rng = np.random.default_rng(q)
+        cases = [np.ones(q, dtype=bool), np.zeros(q, dtype=bool)]
+        cases += [rng.random(q) < 0.5 for _ in range(20)]
+        for bits in cases:
+            expect = int("".join("1" if b else "0" for b in bits), 2)
+            assert pack_sign_bits(bits) == expect
+            assert pack_sign_bits(bits.astype(np.uint8)) == expect
+
     def test_signs_round_trip(self):
         ov = OrientationVector.from_signs(np.array([1, -1, 1, 1, -1]))
         assert list(ov.signs()) == [1, -1, 1, 1, -1]

@@ -13,10 +13,15 @@ from planesep import (
     RepositoryFormatError,
     RunConfig,
     oracle,
+    separator,
 )
+from planesep.geometry import INCIDENT, pack_sign_bits, signs_from_residuals
 from planesep.repository import (
     AbsenceReason,
+    BuildMeta,
     IntegerMapping,
+    QueryResult,
+    Repository,
     build,
     grow_dimension,
     insert,
@@ -43,6 +48,17 @@ class TestDigitMapping:
     M2 = IntegerMapping(n=2)
     M4 = IntegerMapping(n=4)
     M5 = IntegerMapping(n=5)
+
+    @staticmethod
+    def repo_over(points, mapping):
+        """A repository whose state holds ``points`` and no registered values."""
+        config = RunConfig(seed=0, base=mapping.base)
+        state = separator.SeparationState(mapping.n, config, np.random.default_rng(0))
+        state._pts_buf = points
+        state.count = len(points)
+        meta = BuildMeta(seed=0, epsilon=config.epsilon, delta0=config.delta0,
+                         max_retries=config.max_retries)
+        return Repository(mapping, state, [], meta)
 
     def test_two_digit_example(self):
         assert list(map_to_point(37, self.M2)) == [7.0, 3.0]
@@ -90,6 +106,7 @@ class TestDigitMapping:
             (IntegerMapping(n=6), [0, 7, 37, 1729, 80917, 999999, 100000]),
             (IntegerMapping(n=8, base=2), list(range(256))),
             (IntegerMapping(n=25), [0, 2**63 - 1, 2**63, 2**64 + 12345, 10**25 - 1]),
+            (IntegerMapping(n=18), [0, 10**18 - 1, 2**59 + 3]),
         ],
     )
     def test_batched_expansion_matches_per_value(self, mapping, values):
@@ -97,6 +114,12 @@ class TestDigitMapping:
         got = map_to_points(values, mapping)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
+        # and back: registration recovers the values as Python ints
+        repo = self.repo_over(got, mapping)
+        repo._register_new_points()
+        assert repo.values == values
+        assert all(type(v) is int for v in repo.values)
+        assert repo.value_ids == {v: i for i, v in enumerate(values)}
 
     def test_batched_expansion_of_nothing(self):
         assert map_to_points([], self.M4).shape == (0, 4)
@@ -106,6 +129,18 @@ class TestDigitMapping:
             map_to_points([5, 100, 7], self.M2)
         with pytest.raises(DigitOverflowError, match="^-1 "):
             map_to_points([-1], self.M2)
+
+    @pytest.mark.parametrize("mapping", [IntegerMapping(n=3), IntegerMapping(n=25)])
+    @pytest.mark.parametrize("bad", [1.5, 10.0, -1.0, -0.5])
+    def test_registering_a_non_digit_point_raises(self, mapping, bad):
+        points = map_to_points([12, 345, 6], mapping)
+        points[1, 0] = bad
+        with pytest.raises(NotADigitPointError) as per_point:
+            point_to_integer(points[1], mapping)
+        repo = self.repo_over(points, mapping)
+        with pytest.raises(NotADigitPointError) as registered:
+            repo._register_new_points()
+        assert str(registered.value) == str(per_point.value)
 
 
 class TestBuild:
@@ -196,6 +231,67 @@ class TestQuery:
         before = primes_repo.counters.snapshot()
         query(primes_repo, 500)
         assert primes_repo.counters.as_dict() == before.as_dict()
+
+
+def reference_query(repo, v, counters):
+    """The query path as first written: int8 signs, an incidence pass, then pack."""
+    state = repo.state
+    p = map_to_point(v, repo.mapping)
+    r = 1.0 + state.plane_matrix @ p
+    nq = state.n * state.q
+    counters.multiplications += nq
+    counters.additions += nq
+    counters.ov_multiplications += nq
+    counters.sign_evals += state.q
+    signs = signs_from_residuals(r, state.config.epsilon)
+    if np.any(signs == INCIDENT):
+        return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
+    pid = state.index.lookup(pack_sign_bits(signs > 0), state.q, counters)
+    if pid is None:
+        return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
+    if repo.values[pid] == v:
+        return QueryResult(found=True, value=v)
+    return QueryResult(found=False, value=v, reason=AbsenceReason.COORDINATE_MISMATCH)
+
+
+class TestQueryAgainstReference:
+    """``query`` answers and counts exactly as the reference formulation."""
+
+    @staticmethod
+    def assert_same(repo, candidates):
+        got, want = OpCounters(), OpCounters()
+        outcomes = set()
+        for v in candidates:
+            res = query(repo, v, got)
+            assert res == reference_query(repo, v, want), v
+            assert got == want, v
+            outcomes.add(res.reason)
+        return outcomes
+
+    def test_every_value_below_1e4(self):
+        repo = build(primes_below(10**4), 4, 0)
+        outcomes = self.assert_same(repo, range(10**4))
+        assert outcomes == {None, *AbsenceReason}
+
+    def test_wide_store(self):
+        rng = np.random.default_rng(25)
+        stored = rng.choice(10**6, 500, replace=False).tolist()
+        repo = build(stored, 25, 0)
+        candidates = stored + rng.integers(0, 10**6, 1500).tolist()
+        outcomes = self.assert_same(repo, candidates)
+        assert None in outcomes and AbsenceReason.NEW_QUADRANT in outcomes
+
+    def test_plane_incident_value_is_absent_without_a_search(self):
+        # with this seed the digit point of 98 lies exactly on a stored plane
+        repo = build(primes_below(100), 2, 2)
+        r = 1.0 + repo.state.plane_matrix @ map_to_point(98, repo.mapping)
+        assert np.abs(r).min() <= repo.state.config.epsilon
+        c = OpCounters()
+        res = query(repo, 98, c)
+        assert not res.found
+        assert res.reason is AbsenceReason.NEW_QUADRANT
+        assert c.multiplications == repo.q * 2
+        assert c.bit_comparisons == 0
 
 
 class TestInsert:
