@@ -56,6 +56,13 @@ class IntegerMapping:
     def capacity(self) -> int:
         return self.base**self.n
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """base**i per coordinate: int64 when every value fits, else Python integers."""
+        wide = self.capacity > _INT64_MAX
+        return np.array([self.base**i for i in range(self.n)],
+                        dtype=object if wide else np.int64)
+
 
 def map_to_point(v: int, mapping: IntegerMapping) -> np.ndarray:
     """Digits of v, least significant first, zero-padded to n coordinates."""
@@ -175,15 +182,11 @@ class Repository:
         start = len(self.values)
         new = self.state.points[start:]
         mapping = self.mapping
-        if mapping.capacity <= _INT64_MAX:
-            is_digit = (new >= 0) & (new < mapping.base) & (new == np.floor(new))
-            if not is_digit.all():
-                bad = int(np.nonzero(~is_digit.all(axis=1))[0][0])
-                point_to_integer(new[bad], mapping)  # raises NotADigitPointError
-            powers = mapping.base ** np.arange(mapping.n, dtype=np.int64)
-            vals = (new.astype(np.int64) @ powers).tolist()
-        else:
-            vals = [point_to_integer(p, mapping) for p in new]
+        is_digit = (new >= 0) & (new < mapping.base) & (new == np.floor(new))
+        if not is_digit.all():
+            bad = int(np.nonzero(~is_digit.all(axis=1))[0][0])
+            point_to_integer(new[bad], mapping)  # raises NotADigitPointError
+        vals = (new.astype(np.int64) @ mapping.powers).tolist()
         self.values.extend(vals)
         self.value_ids.update(zip(vals, range(start, start + len(vals))))
 

@@ -473,11 +473,9 @@ def offer(state: SeparationState, p) -> OfferResult:
     state.offered_nq += n * state.q
 
     eps = state.config.epsilon
-    incident = np.abs(r) <= eps
-    if np.count_nonzero(incident):
-        # a nudged residual leaves the band, so r > eps below reads its side
-        for j in np.nonzero(incident)[0]:
-            r[j] = _nudge_plane(state, int(j), p, float(r[j]))
+    # a nudged residual leaves the band, so r > eps below reads its side
+    for j in np.nonzero(np.abs(r) <= eps)[0]:
+        r[j] = _nudge_plane(state, int(j), p, float(r[j]))
 
     packed = pack_sign_bits(r > eps)
     anchor = state.index.lookup(packed, state.q, state.counters)
