@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, oracle, repository, separator, svgplot
+from . import oracle, repository, separator, svgplot
 from .config import RunConfig
 from .counters import OpCounters
 from .errors import (
@@ -42,7 +41,6 @@ EXIT_DIMENSION = 4
 @dataclass
 class BenchReport:
     scenario: str
-    backend: str
     seed: int
     N_f: int
     n: int
@@ -56,31 +54,9 @@ class BenchReport:
     verified: bool
     mult_bound: int | None = None   # n * base^(n+1) when the scenario is digit data
 
-    def lines(self) -> list[str]:
-        out = [
-            f"scenario {self.scenario}",
-            f"backend {self.backend}",
-            f"seed {self.seed}",
-            f"N_f {self.N_f}",
-            f"n {self.n}",
-            f"q_total {self.q_total}",
-            f"q_emitted {self.q_emitted}",
-            f"multiplications {self.multiplications}",
-            f"additions {self.additions}",
-            f"sign_evals {self.sign_evals}",
-            f"bit_comparisons {self.bit_comparisons}",
-            f"wall_time_s {self.wall_time:.3f}",
-            f"verified {'yes' if self.verified else 'NO'}",
-        ]
-        if self.mult_bound is not None:
-            out.append(f"mult_bound {self.mult_bound}")
-            out.append(f"mult_ratio {self.multiplications / self.mult_bound:.6f}")
-        return out
-
     def as_dict(self) -> dict:
         d = {
             "scenario": self.scenario,
-            "backend": self.backend,
             "seed": self.seed,
             "N_f": self.N_f,
             "n": self.n,
@@ -97,6 +73,17 @@ class BenchReport:
             d["mult_bound"] = self.mult_bound
             d["mult_ratio"] = self.multiplications / self.mult_bound
         return d
+
+    def lines(self) -> list[str]:
+        """The :meth:`as_dict` fields as ``key value`` text lines."""
+        d = self.as_dict()
+        text = {
+            "wall_time_s": f"{self.wall_time:.3f}",
+            "verified": "yes" if self.verified else "NO",
+        }
+        if "mult_ratio" in d:
+            text["mult_ratio"] = f"{d['mult_ratio']:.6f}"
+        return [f"{key} {text.get(key, value)}" for key, value in d.items()]
 
 
 def _emit(report_format: str, lines: list[str], payload: dict) -> None:
@@ -115,7 +102,6 @@ def _report_from_state(state, scenario: str, seed: int, wall: float, verified: b
         bound = state.n * base ** (state.n + 1)
     return BenchReport(
         scenario=scenario,
-        backend=kernels.backend_name(),
         seed=seed,
         N_f=state.count,
         n=state.n,
@@ -223,7 +209,6 @@ def _config_from_args(args) -> RunConfig:
         delta0=args.delta0,
         max_retries=args.max_retries,
         base=args.base,
-        report_format=args.format,
     )
 
 
@@ -410,17 +395,8 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _warm_kernels() -> None:
-    a = np.ones((2, 2))
-    p = np.ones(2)
-    kernels.residuals_point(a, p)
-    kernels.residuals_plane(a, p)
-    kernels.gauss_solve(a + np.eye(2), np.full(2, -1.0), np.zeros(2))
-
-
 def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> BenchReport:
     parts = scenario.split(":")
-    _warm_kernels()
     if parts[0] == "cube":
         if len(parts) not in (3, 4):
             raise ValueError("cube scenario must be cube:<N>:<dims>[:<seed>]")
@@ -450,40 +426,19 @@ def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> Be
 
 def cmd_bench(args) -> int:
     config = _config_from_args(args)
-    if args.backend:
-        backends = [args.backend]
-    elif args.compare_backends:
-        backends = list(kernels.available_backends())
-    else:
-        backends = [kernels.backend_name()]
-    previous = kernels.backend_name()
-    walls: dict[str, float] = {}
     exit_code = EXIT_OK
-    try:
-        for backend in backends:
-            kernels.set_backend(backend)
-            for rep in range(args.repeat):
-                try:
-                    report = _bench_once(args.scenario, args.seed + rep, config, rep)
-                except (GeometryExhaustedError, IncidentPointError) as exc:
-                    print(f"algorithm failure: {exc}", file=sys.stderr)
-                    return EXIT_ALGORITHM
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_IO
-                walls[backend] = walls.get(backend, 0.0) + report.wall_time
-                if not report.verified:
-                    exit_code = EXIT_ALGORITHM
-                _emit(args.format, report.lines() + [""], report.as_dict())
-    finally:
-        kernels.set_backend(previous)
-    if args.compare_backends and len(walls) > 1 and "numba" in walls and "numpy" in walls:
-        ratio = walls["numpy"] / walls["numba"] if walls["numba"] > 0 else math.inf
-        summary = f"numpy/numba wall-time ratio {ratio:.2f}"
-        if args.format == "jsonl":
-            print(json.dumps({"compare": summary, "walls": walls}, sort_keys=True))
-        else:
-            print(summary)
+    for rep in range(args.repeat):
+        try:
+            report = _bench_once(args.scenario, args.seed + rep, config, rep)
+        except (GeometryExhaustedError, IncidentPointError) as exc:
+            print(f"algorithm failure: {exc}", file=sys.stderr)
+            return EXIT_ALGORITHM
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        if not report.verified:
+            exit_code = EXIT_ALGORITHM
+        _emit(args.format, report.lines() + [""], report.as_dict())
     return exit_code
 
 
@@ -562,9 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("bench", help="run a separation scenario and report counters")
     sp.add_argument("scenario", help="cube:<N>:<dims>[:<seed>] or primes:<limit>:<dims>")
     sp.add_argument("--repeat", type=int, default=1)
-    sp.add_argument("--backend", choices=kernels.available_backends(), default=None)
-    sp.add_argument("--compare-backends", action="store_true",
-                    help="run every available kernel backend and report the speedup")
     _add_config_args(sp)
     sp.set_defaults(func=cmd_bench)
 

@@ -12,7 +12,6 @@ class RunConfig:
     delta0: float = 1e-4           # midpoint shift, as a fraction of mean segment length
     max_retries: int = 8           # shift-and-refit budget per plane
     base: int = 10                 # radix of the digit mapping
-    report_format: str = "text"    # "text" | "jsonl"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -23,5 +22,3 @@ class RunConfig:
             raise ValueError("max_retries must be at least 1")
         if self.base < 2:
             raise ValueError("base must be at least 2")
-        if self.report_format not in ("text", "jsonl"):
-            raise ValueError(f"unknown report format {self.report_format!r}")

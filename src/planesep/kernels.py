@@ -1,15 +1,8 @@
-"""Numeric kernels with interchangeable numba and numpy backends.
+"""Numeric kernels: residual sweeps and pivoted elimination, in numpy.
 
 The hot loops of the engine live here: residual evaluation of points
 against plane families, and the pivoted elimination that fits a plane
-through a batch of midpoints.  Each kernel has a numba ``@njit`` build and
-a vectorised pure-numpy build.  The active backend is chosen at import
-time from the ``PLANESEP_BACKEND`` environment variable (``numba`` or
-``numpy``; default is numba when importable) and can be switched at
-runtime with :func:`set_backend`.  Both builds follow the same pivoting
-and arithmetic structure, so operation counts are identical; floating
-point results may differ in the last bits because numpy reduces sums in a
-different order.
+through a batch of midpoints.  There is one path, vectorised numpy.
 
 Kernels are pure: counting multiplications and additions is the caller's
 job (the counts are determined by the shapes involved, and by the tallies
@@ -18,31 +11,36 @@ the elimination kernel returns).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_VAR = "PLANESEP_BACKEND"
 
 GAUSS_OK = 0
 GAUSS_INCONSISTENT = 1
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _np_residuals_point(planes: np.ndarray, p: np.ndarray) -> np.ndarray:
+def residuals_point(planes: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Residuals 1 + alpha_j . p of one point against q planes; shape (q,)."""
     return 1.0 + planes @ p
 
 
-def _np_residuals_plane(points: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def residuals_plane(points: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Residuals 1 + alpha . x_i of N points against one plane; shape (N,)."""
     return 1.0 + points @ alpha
 
 
-def _np_gauss_solve(m, rhs, free_vals, rank_rtol, consistency_tol):
+def gauss_solve(
+    m: np.ndarray,
+    rhs: np.ndarray,
+    free_vals: np.ndarray,
+    rank_rtol: float = 1e-10,
+    consistency_tol: float = 1e-8,
+):
+    """Solve m @ alpha = rhs by elimination with full pivoting.
+
+    Rank-deficient directions take their values from ``free_vals`` (indexed
+    by original column).  Returns ``(alpha, status, rank, mults, adds)``
+    where status is GAUSS_OK or GAUSS_INCONSISTENT and mults/adds tally the
+    arithmetic actually performed.
+    """
     a = m.astype(np.float64).copy()
     b = rhs.astype(np.float64).copy()
     k, n = a.shape
@@ -100,176 +98,3 @@ def _np_gauss_solve(m, rhs, free_vals, rank_rtol, consistency_tol):
     alpha = np.empty(n)
     alpha[col_order] = xv
     return alpha, status, rank, mults, adds
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_residuals_point(planes, p):
-        q, n = planes.shape
-        out = np.empty(q)
-        for j in range(q):
-            acc = 1.0
-            for kk in range(n):
-                acc += planes[j, kk] * p[kk]
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_residuals_plane(points, alpha):
-        nn, n = points.shape
-        out = np.empty(nn)
-        for i in range(nn):
-            acc = 1.0
-            for kk in range(n):
-                acc += points[i, kk] * alpha[kk]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_gauss_solve(m, rhs, free_vals, rank_rtol, consistency_tol):
-        k, n = m.shape
-        a = m.copy()
-        b = rhs.copy()
-        col_order = np.arange(n)
-        mults = 0
-        adds = 0
-
-        rank = 0
-        pivot0 = 0.0
-        for t in range(min(k, n)):
-            piv = -1.0
-            pi = t
-            pj = t
-            for i in range(t, k):
-                for j in range(t, n):
-                    v = abs(a[i, j])
-                    if v > piv:
-                        piv = v
-                        pi = i
-                        pj = j
-            if t == 0:
-                pivot0 = piv
-                if piv == 0.0:
-                    break
-            elif piv <= rank_rtol * pivot0:
-                break
-            if pi != t:
-                for j in range(n):
-                    a[t, j], a[pi, j] = a[pi, j], a[t, j]
-                b[t], b[pi] = b[pi], b[t]
-            if pj != t:
-                for i in range(k):
-                    a[i, t], a[i, pj] = a[i, pj], a[i, t]
-                col_order[t], col_order[pj] = col_order[pj], col_order[t]
-            for i in range(t + 1, k):
-                lam = a[i, t] / a[t, t]
-                for j in range(t + 1, n):
-                    a[i, j] -= lam * a[t, j]
-                b[i] -= lam * b[t]
-                a[i, t] = 0.0
-                mults += 1 + (n - t - 1) + 1
-                adds += (n - t - 1) + 1
-            rank = t + 1
-
-        status = GAUSS_OK
-        for i in range(rank, k):
-            if abs(b[i]) > consistency_tol:
-                status = GAUSS_INCONSISTENT
-                break
-
-        xv = np.empty(n)
-        for j in range(rank, n):
-            xv[j] = free_vals[col_order[j]]
-        for t in range(rank - 1, -1, -1):
-            acc = b[t]
-            for j in range(t + 1, n):
-                acc -= a[t, j] * xv[j]
-                mults += 1
-                adds += 1
-            xv[t] = acc / a[t, t]
-            mults += 1
-        alpha = np.empty(n)
-        for j in range(n):
-            alpha[col_order[j]] = xv[j]
-        return alpha, status, rank, mults, adds
-
-
-_BACKENDS: dict[str, dict] = {
-    "numpy": {
-        "residuals_point": _np_residuals_point,
-        "residuals_plane": _np_residuals_plane,
-        "gauss_solve": _np_gauss_solve,
-    }
-}
-if _HAVE_NUMBA:
-    _BACKENDS["numba"] = {
-        "residuals_point": _nb_residuals_point,
-        "residuals_plane": _nb_residuals_plane,
-        "gauss_solve": _nb_gauss_solve,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def _default_backend() -> str:
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in _BACKENDS:
-            raise ValueError(
-                f"{_ENV_VAR}={env!r} is not available; choose from {available_backends()}"
-            )
-        return env
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_active = _default_backend()
-
-
-def backend_name() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    _active = name
-
-
-def residuals_point(planes: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return _BACKENDS[_active]["residuals_point"](planes, p)
-
-
-def residuals_plane(points: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return _BACKENDS[_active]["residuals_plane"](points, alpha)
-
-
-def gauss_solve(
-    m: np.ndarray,
-    rhs: np.ndarray,
-    free_vals: np.ndarray,
-    rank_rtol: float = 1e-10,
-    consistency_tol: float = 1e-8,
-):
-    """Solve m @ alpha = rhs by elimination with full pivoting.
-
-    Rank-deficient directions take their values from ``free_vals`` (indexed
-    by original column).  Returns ``(alpha, status, rank, mults, adds)``
-    where status is GAUSS_OK or GAUSS_INCONSISTENT and mults/adds tally the
-    arithmetic actually performed.
-    """
-    return _BACKENDS[_active]["gauss_solve"](m, rhs, free_vals, rank_rtol, consistency_tol)

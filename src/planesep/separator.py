@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -147,8 +147,6 @@ class PlaneReport:
     delta: float
     promoted_ids: list[int]
     rehomed: int
-    recycled: list[np.ndarray] = field(default_factory=list)
-    demotions: int = 0
 
 
 class OfferKind(Enum):
@@ -513,41 +511,6 @@ def offer(state: SeparationState, p) -> OfferResult:
 # plane emission
 # ---------------------------------------------------------------------------
 
-def _dedupe_chain_quadrants(state: SeparationState) -> tuple[list[np.ndarray], int]:
-    """Guard pass: chains whose anchors share a quadrant get merged.
-
-    Attach-time bookkeeping keys chains by anchor, and anchors hold
-    pairwise-distinct sign vectors, so this never fires on the normal path;
-    it is kept as the documented demotion rule for defence in depth.
-    """
-    recycled: list[np.ndarray] = []
-    demotions = 0
-    survivors: list[PendingChain] = []
-    for ch in state.chains:
-        host = None
-        for kept in survivors:
-            state.counters.bit_comparisons += _cmp_bits(
-                kept.anchor_key, ch.anchor_key, state.q
-            )
-            if kept.anchor_key == ch.anchor_key:
-                host = kept
-                break
-        if host is None:
-            survivors.append(ch)
-            continue
-        demotions += 1
-        state._chain_by_anchor.pop(ch.anchor_id, None)
-        for pt in ch.members():
-            if host.c is None:
-                host.c = pt
-            elif host.d is None:
-                host.d = pt
-            else:
-                recycled.append(pt)
-    state.chains = survivors
-    return recycled, demotions
-
-
 def _try_separating_plane(state, batch, pend_mat, pend_pos):
     """Fit a plane through the batch midpoints that clears every live point
     and splits every batch segment; None when the shift budget runs out.
@@ -607,13 +570,15 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     through all the midpoints are parallel to the segments); narrowing the
     batch frees coefficients and restores transversality, and the dropped
     chains simply wait for a later plane.
+
+    Chains are keyed by anchor and anchors hold distinct sign vectors, so
+    no two chains share a quadrant: nothing is merged before the fit, and
+    every pending point ends up stored or still pending, never recycled.
     """
     if not state.chains:
         raise ValueError("no pending chains to separate")
     n = state.n
     cfg = state.config
-
-    recycled, demotions = _dedupe_chain_quadrants(state)
 
     pend_rows: list[np.ndarray] = []
     pend_pos: dict[tuple[int, int], int] = {}
@@ -652,8 +617,8 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     promoted: list[int] = []
     new_chains: list[PendingChain] = []
     rehomed = 0
+    state._chain_by_anchor.clear()
     for ci, ch in enumerate(all_chains):
-        state._chain_by_anchor.pop(ch.anchor_id, None)
         prefix = ch.anchor_key
         a_bit = bool(bit_s[ch.anchor_id])
         hosts: dict[bool, int] = {a_bit: ch.anchor_id}
@@ -705,8 +670,6 @@ def emit_plane(state: SeparationState) -> PlaneReport:
         delta=delta,
         promoted_ids=promoted,
         rehomed=rehomed,
-        recycled=recycled,
-        demotions=demotions,
     )
 
 
@@ -715,29 +678,13 @@ def emit_plane(state: SeparationState) -> PlaneReport:
 # ---------------------------------------------------------------------------
 
 def finalize(state: SeparationState) -> SeparationState:
-    """Flush pending chains with planes through however many midpoints remain."""
-    queue: deque[np.ndarray] = deque()
-    while state.chains or queue:
-        if state.chains:
-            report = emit_plane(state)
-            queue.extend(report.recycled)
-            still: deque[np.ndarray] = deque()
-            while queue:
-                p = queue.popleft()
-                res = offer(state, p)
-                if res.kind is OfferKind.RECYCLED:
-                    still.append(p)
-                for rep in res.reports:
-                    still.extend(rep.recycled)
-            queue = still
-        else:
-            # no chains are open, so this offer can only accept or start one
-            p = queue.popleft()
-            res = offer(state, p)
-            if res.kind is OfferKind.RECYCLED:
-                queue.append(p)
-            for rep in res.reports:
-                queue.extend(rep.recycled)
+    """Flush pending chains with planes through however many midpoints remain.
+
+    Each emission may leave re-homed chains behind, so planes are emitted
+    until none is pending.
+    """
+    while state.chains:
+        emit_plane(state)
     return state
 
 
@@ -755,8 +702,7 @@ def stream_points(state: SeparationState, pts) -> None:
         if not queue:
             # only recycled points remain; force a plane to open new quadrants
             if state.chains:
-                report = emit_plane(state)
-                bucket.extend(report.recycled)
+                emit_plane(state)
             queue.extend(bucket)
             bucket.clear()
             continue
@@ -765,8 +711,6 @@ def stream_points(state: SeparationState, pts) -> None:
         if res.kind is OfferKind.RECYCLED:
             bucket.append(p)
         elif res.kind is OfferKind.PLANE_EMITTED:
-            for rep in res.reports:
-                bucket.extend(rep.recycled)
             queue.extend(bucket)
             bucket.clear()
 

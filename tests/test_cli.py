@@ -180,11 +180,6 @@ class TestBench:
         assert payload["mult_bound"] == 2 * 10**3
         assert payload["verified"] is True
 
-    def test_compare_backends(self, capsys):
-        assert run_cli("bench", "cube:100:5:2", "--compare-backends") == 0
-        out = capsys.readouterr().out
-        assert out.count("scenario cube:100:5:2") >= 2
-
     def test_unknown_scenario_exit_2(self):
         assert run_cli("bench", "torus:1:2:3") == 2
 

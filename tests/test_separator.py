@@ -312,17 +312,6 @@ class TestEmitPlane:
         assert packed_of(state, nxt.b) == state.packed[host]
         assert_state_separated(state)
 
-    def test_demotion_guard_merges_duplicate_quadrant_chains(self):
-        state = self.build_two_chain_state(seed=12)
-        ch0 = state.chains[0]
-        # forge a second chain claiming the same quadrant address
-        fake_anchor = ch0.anchor_id
-        twin = PendingChain(anchor_id=fake_anchor, anchor_key=ch0.anchor_key,
-                            b=ch0.b + 1e-3, midpoint_ab=ch0.midpoint_ab)
-        state.chains.insert(1, twin)
-        merged_away = emit_plane(state)
-        assert merged_away.demotions == 1
-
     def test_requires_pending_chains(self):
         state = init(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
         with pytest.raises(ValueError):
