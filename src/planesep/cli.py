@@ -1,5 +1,10 @@
 """Command-line front end: build, query, insert, stats, bench, plot.
 
+Each report is one dict, printed either as one JSON object
+(``--format jsonl``) or as one ``key value`` line per field, so both
+formats carry the same keys.  Text renders booleans as yes/NO, lists
+comma-joined and a missing value as ``-``.
+
 Exit codes: 0 success (query: found), 1 query absent, 2 input/output or
 load failure, 3 algorithm failure, 4 wrong plotting dimension.  Output
 files are written to a temporary sibling and renamed into place, so a
@@ -14,7 +19,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,83 +42,52 @@ EXIT_ALGORITHM = 3
 EXIT_DIMENSION = 4
 
 
-@dataclass
-class BenchReport:
-    scenario: str
-    seed: int
-    N_f: int
-    n: int
-    q_total: int
-    q_emitted: int
-    multiplications: int
-    additions: int
-    sign_evals: int
-    bit_comparisons: int
-    wall_time: float
-    verified: bool
-    mult_bound: int | None = None   # n * base^(n+1) when the scenario is digit data
-
-    def as_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "N_f": self.N_f,
-            "n": self.n,
-            "q_total": self.q_total,
-            "q_emitted": self.q_emitted,
-            "multiplications": self.multiplications,
-            "additions": self.additions,
-            "sign_evals": self.sign_evals,
-            "bit_comparisons": self.bit_comparisons,
-            "wall_time_s": round(self.wall_time, 6),
-            "verified": self.verified,
-        }
-        if self.mult_bound is not None:
-            d["mult_bound"] = self.mult_bound
-            d["mult_ratio"] = self.multiplications / self.mult_bound
-        return d
-
-    def lines(self) -> list[str]:
-        """The :meth:`as_dict` fields as ``key value`` text lines."""
-        d = self.as_dict()
-        text = {
-            "wall_time_s": f"{self.wall_time:.3f}",
-            "verified": "yes" if self.verified else "NO",
-        }
-        if "mult_ratio" in d:
-            text["mult_ratio"] = f"{d['mult_ratio']:.6f}"
-        return [f"{key} {text.get(key, value)}" for key, value in d.items()]
+def _text_value(value) -> str:
+    """A report value as text: yes/NO, comma-joined lists, - for None."""
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if value is None:
+        return "-"
+    return str(value)
 
 
-def _emit(report_format: str, lines: list[str], payload: dict) -> None:
+def _emit(report_format: str, report: dict) -> None:
+    """Print a report as one JSON object or as one ``key value`` line per field."""
     if report_format == "jsonl":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        for key, value in report.items():
+            print(f"{key} {_text_value(value)}")
 
 
-def _report_from_state(state, scenario: str, seed: int, wall: float, verified: bool,
-                       base: int | None = None) -> BenchReport:
+def _run_report(state, scenario: str, seed: int, wall: float, verified: bool,
+                base: int | None = None) -> dict:
+    """The build/bench report of a finished separation state.
+
+    ``mult_bound`` (n * base^(n+1)) and its ratio are added for digit data.
+    """
     c = state.counters
-    bound = None
+    report = {
+        "scenario": scenario,
+        "seed": seed,
+        "N_f": state.count,
+        "n": state.n,
+        "q_total": state.q,
+        "q_emitted": state.q_emitted,
+        "multiplications": c.multiplications,
+        "additions": c.additions,
+        "sign_evals": c.sign_evals,
+        "bit_comparisons": c.bit_comparisons,
+        "wall_time_s": round(wall, 6),
+        "verified": verified,
+    }
     if base is not None:
         bound = state.n * base ** (state.n + 1)
-    return BenchReport(
-        scenario=scenario,
-        seed=seed,
-        N_f=state.count,
-        n=state.n,
-        q_total=state.q,
-        q_emitted=state.q_emitted,
-        multiplications=c.multiplications,
-        additions=c.additions,
-        sign_evals=c.sign_evals,
-        bit_comparisons=c.bit_comparisons,
-        wall_time=wall,
-        verified=verified,
-        mult_bound=bound,
-    )
+        report["mult_bound"] = bound
+        report["mult_ratio"] = c.multiplications / bound
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +177,6 @@ def _save_repo_atomic(repo, path: str) -> None:
 
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
-        seed=args.seed,
         epsilon=args.epsilon,
         delta0=args.delta0,
         max_retries=args.max_retries,
@@ -226,7 +198,7 @@ def cmd_build(args) -> int:
     n = args.dims or infer_dims(values, config.base)
     try:
         t0 = time.perf_counter()
-        repo = repository.build(values, n, config.seed, config)
+        repo = repository.build(values, n, args.seed, config)
         wall = time.perf_counter() - t0
     except (GeometryExhaustedError, IncidentPointError) as exc:
         print(f"algorithm failure: {exc}", file=sys.stderr)
@@ -242,17 +214,13 @@ def cmd_build(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    report = _report_from_state(
-        repo.state, f"build:{args.source}", config.seed, wall, verdict.ok, base=config.base
+    report = _run_report(
+        repo.state, f"build:{args.source}", args.seed, wall, verdict.ok, base=config.base
     )
-    lines = report.lines()
-    payload = report.as_dict()
     if duplicates:
-        lines.append(f"duplicates_skipped {duplicates}")
-        payload["duplicates_skipped"] = duplicates
-    lines.append(f"out {args.out}")
-    payload["out"] = args.out
-    _emit(args.format, lines, payload)
+        report["duplicates_skipped"] = duplicates
+    report["out"] = args.out
+    _emit(args.format, report)
     return EXIT_OK if verdict.ok else EXIT_ALGORITHM
 
 
@@ -274,22 +242,12 @@ def cmd_query(args) -> int:
     except DigitOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    status = "found" if result.found else f"absent ({result.reason.value})"
-    lines = [
-        f"value {args.value}",
-        f"result {status}",
-        f"multiplications {counters.multiplications}",
-        f"additions {counters.additions}",
-        f"sign_evals {counters.sign_evals}",
-        f"bit_comparisons {counters.bit_comparisons}",
-    ]
-    payload = {
+    _emit(args.format, {
         "value": args.value,
         "found": result.found,
         "reason": None if result.found else result.reason.value,
         **counters.as_dict(),
-    }
-    _emit(args.format, lines, payload)
+    })
     return EXIT_OK if result.found else EXIT_ABSENT
 
 
@@ -318,22 +276,14 @@ def cmd_insert(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.repo}: {exc}", file=sys.stderr)
         return EXIT_IO
-    lines = [
-        f"added {report.added}",
-        f"skipped_duplicates {len(report.skipped_duplicates) + duplicates}",
-        f"planes_added {report.planes_added}",
-        f"q_total {repo.q}",
-        f"wall_time_s {wall:.3f}",
-    ]
-    payload = {
+    _emit(args.format, {
         "added": report.added,
         "skipped_duplicates": len(report.skipped_duplicates) + duplicates,
         "planes_added": report.planes_added,
         "q_before": q_before,
         "q_total": repo.q,
         "wall_time_s": round(wall, 6),
-    }
-    _emit(args.format, lines, payload)
+    })
     return EXIT_OK
 
 
@@ -352,31 +302,12 @@ def cmd_stats(args) -> int:
     expected_nf = base**n / n
     # every stored point met every plane at least once, at the first width
     # or a later, wider one
-    n_first = repo.meta.dims_history[0] if repo.meta.dims_history else n
+    n_first = repo.dims_history[0] if repo.dims_history else n
     ov_floor = state.count * n_first * state.q
 
-    lines = [
-        f"n {n}",
-        f"dims_history {','.join(str(d) for d in repo.meta.dims_history)}",
-        f"base {base}",
-        f"N_f {state.count}",
-        f"q_total {state.q}",
-        f"q0 {state.q0}",
-        f"q_emitted {state.q_emitted}",
-        f"offers {state.offers}",
-        f"recycle_events {state.recycle_events}",
-    ]
-    lines += [f"{k} {v}" for k, v in c.as_dict().items()]
-    lines += [
-        f"bound_quoted_q_le_10n {quoted_bound} ({'ok' if state.q <= quoted_bound else 'exceeded'})",
-        f"baseline_thresholds_plus_q0 {baseline}",
-        f"expected_N_f_base^n/n {expected_nf:.1f}",
-        f"ov_mult_floor_N.n.q {ov_floor} "
-        f"({'ok' if c.multiplications >= ov_floor else 'VIOLATION'})",
-    ]
-    payload = {
+    _emit(args.format, {
         "n": n,
-        "dims_history": list(repo.meta.dims_history),
+        "dims_history": list(repo.dims_history),
         "base": base,
         "N_f": state.count,
         "q_total": state.q,
@@ -386,16 +317,16 @@ def cmd_stats(args) -> int:
         "recycle_events": state.recycle_events,
         **c.as_dict(),
         "bound_quoted_q_le_10n": quoted_bound,
+        "bound_quoted_q_le_10n_ok": state.q <= quoted_bound,
         "baseline_thresholds_plus_q0": baseline,
         "expected_N_f": expected_nf,
         "ov_mult_floor": ov_floor,
         "ov_mult_floor_ok": c.multiplications >= ov_floor,
-    }
-    _emit(args.format, lines, payload)
+    })
     return EXIT_OK
 
 
-def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> BenchReport:
+def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> dict:
     parts = scenario.split(":")
     if parts[0] == "cube":
         if len(parts) not in (3, 4):
@@ -408,7 +339,7 @@ def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> Be
         state = separator.run(pts, dims, seed, config)
         wall = time.perf_counter() - t0
         verdict = oracle.verify_separation(state.points, state.plane_matrix, config.epsilon)
-        return _report_from_state(state, scenario, seed, wall, verdict.ok)
+        return _run_report(state, scenario, seed, wall, verdict.ok)
     if parts[0] == "primes":
         if len(parts) != 3:
             raise ValueError("primes scenario must be primes:<limit>:<dims>")
@@ -420,7 +351,7 @@ def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> Be
         verdict = oracle.verify_separation(
             repo.state.points, repo.state.plane_matrix, config.epsilon
         )
-        return _report_from_state(repo.state, scenario, seed, wall, verdict.ok, base=config.base)
+        return _run_report(repo.state, scenario, seed, wall, verdict.ok, base=config.base)
     raise ValueError(f"unknown scenario {parts[0]!r}")
 
 
@@ -436,9 +367,11 @@ def cmd_bench(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        if not report.verified:
+        if not report["verified"]:
             exit_code = EXIT_ALGORITHM
-        _emit(args.format, report.lines() + [""], report.as_dict())
+        _emit(args.format, report)
+        if args.format == "text":
+            print()  # a blank line between repeats
     return exit_code
 
 

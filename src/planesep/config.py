@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     epsilon: float = 1e-9          # incidence tolerance on residuals
     delta0: float = 1e-4           # midpoint shift, as a fraction of mean segment length
     max_retries: int = 8           # shift-and-refit budget per plane

@@ -240,10 +240,6 @@ def fit_plane_through(
     scale = 1.0 + np.abs(mids) @ np.abs(alpha)
     if np.any(np.abs(resid) > FIT_VERIFY_RTOL * scale):
         raise InconsistentSystemError("solve residual exceeded verification tolerance")
-    if not np.any(alpha != 0.0):
-        # all constraints vanished and every free draw was zero; cannot occur
-        # with a continuous rng, guarded for completeness
-        raise InconsistentSystemError("degenerate all-zero plane")
     return Plane(alpha=alpha, saturated=(k == dimension))
 
 

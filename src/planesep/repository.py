@@ -135,26 +135,21 @@ class InsertReport:
     planes_added: int
 
 
-@dataclass
-class BuildMeta:
-    seed: int
-    epsilon: float
-    delta0: float
-    max_retries: int
-    format_version: int = FORMAT_VERSION
-    dims_history: tuple[int, ...] = ()
-
-
 class Repository:
-    """A frozen separation state plus the value stored at each point id."""
+    """A frozen separation state plus the value stored at each point id.
+
+    ``seed`` is the build seed that later inserts derive their randomness
+    from; ``dims_history`` lists every digit width the store has had.
+    """
 
     def __init__(self, mapping: IntegerMapping, state: separator.SeparationState,
-                 values: list[int], meta: BuildMeta):
+                 values: list[int], seed: int, dims_history: tuple[int, ...]):
         self.mapping = mapping
         self.state = state
         self.values = values
         self.value_ids = {v: i for i, v in enumerate(values)}
-        self.meta = meta
+        self.seed = seed
+        self.dims_history = dims_history
 
     @property
     def count(self) -> int:
@@ -193,20 +188,13 @@ class Repository:
 
 def build(values, n: int, seed: int, config: RunConfig | None = None) -> Repository:
     """Map values to digit points, separate them, and index the result."""
-    config = config or RunConfig(seed=seed)
+    config = config or RunConfig()
     mapping = IntegerMapping(n=n, base=config.base)
     vals = [int(v) for v in values]
     if len(set(vals)) != len(vals):
         raise DuplicatePointError("input values are not pairwise distinct")
     state = separator.run(map_to_points(vals, mapping), n, seed, config)
-    meta = BuildMeta(
-        seed=seed,
-        epsilon=config.epsilon,
-        delta0=config.delta0,
-        max_retries=config.max_retries,
-        dims_history=(n,),
-    )
-    repo = Repository(mapping, state, [], meta)
+    repo = Repository(mapping, state, [], seed, (n,))
     repo._register_new_points()
     return repo
 
@@ -263,7 +251,7 @@ def insert(repo: Repository, values) -> InsertReport:
     if fresh:
         # deterministic resume: the stream order and any new free plane
         # coefficients depend only on the build seed and the store shape
-        rng = np.random.default_rng([repo.meta.seed, state.count, state.q, len(fresh)])
+        rng = np.random.default_rng([repo.seed, state.count, state.q, len(fresh)])
         state.rng = rng
         pts = np.stack([map_to_point(v, repo.mapping) for v in fresh])
         order = rng.permutation(len(fresh))
@@ -302,7 +290,7 @@ def grow_dimension(repo: Repository, n_new: int) -> Repository:
     state.n = n_new
 
     repo.mapping = IntegerMapping(n=n_new, base=repo.mapping.base)
-    repo.meta.dims_history = repo.meta.dims_history + (n_new,)
+    repo.dims_history = repo.dims_history + (n_new,)
     return repo
 
 
@@ -323,14 +311,15 @@ def save(repo: Repository, sink) -> None:
     w(f"base {repo.mapping.base}\n")
     w(f"q {state.q}\n")
     w(f"count {state.count}\n")
-    w(f"seed {repo.meta.seed}\n")
+    w(f"seed {repo.seed}\n")
     w(f"epsilon {state.config.epsilon!r}\n")
     w(f"delta0 {state.config.delta0!r}\n")
     w(f"max-retries {state.config.max_retries}\n")
-    w(f"dims-history {','.join(str(d) for d in repo.meta.dims_history)}\n")
+    w(f"dims-history {','.join(str(d) for d in repo.dims_history)}\n")
     w(f"q0 {state.q0}\n")
-    w(f"offers {state.offers} {state.offered_nq} {state.recycle_events}\n")
+    # the middle field, the offers' sign-vector work, is the OV counter
     c = state.counters.as_dict()
+    w(f"offers {state.offers} {c['ov_multiplications']} {state.recycle_events}\n")
     w("counters " + " ".join(f"{k}={v}" for k, v in c.items()) + "\n")
     for j in range(state.q):
         coeffs = " ".join(repr(float(x)) for x in state._alpha_buf[j])
@@ -411,14 +400,19 @@ def load(source) -> Repository:
     except ValueError as exc:
         raise RepositoryFormatError("bad counters field", line=rd.pos) from exc
 
-    config = RunConfig(
-        seed=seed, epsilon=epsilon, delta0=delta0, max_retries=max_retries, base=base
-    )
+    counters = OpCounters.from_dict(counter_map)
+    if offered_nq != counters.ov_multiplications:
+        raise RepositoryFormatError(
+            f"offers line records {offered_nq} OV multiplications, "
+            f"counters record {counters.ov_multiplications}",
+            line=rd.pos - 1,
+        )
+
+    config = RunConfig(epsilon=epsilon, delta0=delta0, max_retries=max_retries, base=base)
     mapping = IntegerMapping(n=n, base=base)
     state = separator.SeparationState(n=n, config=config, rng=np.random.default_rng(seed))
     state.q0 = q0
     state.offers = offers
-    state.offered_nq = offered_nq
     state.recycle_events = recycles
 
     for _ in range(q):
@@ -463,14 +457,5 @@ def load(source) -> Repository:
         state._pts_buf = map_to_points(values, mapping)
         state.count = count
     state.index = separator.OvIndex.from_sorted(keys)
-    state.counters = OpCounters.from_dict(counter_map)
-
-    meta = BuildMeta(
-        seed=seed,
-        epsilon=epsilon,
-        delta0=delta0,
-        max_retries=max_retries,
-        format_version=version,
-        dims_history=dims_history,
-    )
-    return Repository(mapping, state, values, meta)
+    state.counters = counters
+    return Repository(mapping, state, values, seed, dims_history)

@@ -32,12 +32,7 @@ from .errors import (
     IncidentPointError,
     InconsistentSystemError,
 )
-from .geometry import (
-    Plane,
-    fit_plane_through,
-    pack_sign_bits,
-    shift_midpoints,
-)
+from .geometry import fit_plane_through, pack_sign_bits, shift_midpoints
 from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name
 
 _INIT_DRAW_BUDGET = 512
@@ -187,7 +182,6 @@ class SeparationState:
         self._chain_by_anchor: dict[int, PendingChain] = {}
 
         self.offers = 0
-        self.offered_nq = 0
         self.recycle_events = 0
 
     # -- views ------------------------------------------------------------
@@ -218,11 +212,6 @@ class SeparationState:
         for key, pid in self.index.items():
             out[pid] = key
         return out
-
-    def planes(self) -> list[Plane]:
-        return [
-            Plane(self._alpha_buf[j].copy(), self._saturated[j]) for j in range(self.q)
-        ]
 
     # -- mutation helpers ---------------------------------------------------
 
@@ -394,7 +383,7 @@ def _require_distinct(pts: np.ndarray) -> None:
 
 def init(points0, n: int, seed, config: RunConfig | None = None) -> SeparationState:
     """Fresh state seeded with enough random planes to tell the first batch apart."""
-    config = config or RunConfig(seed=seed if isinstance(seed, int) else 0)
+    config = config or RunConfig()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     state = SeparationState(n=n, config=config, rng=rng)
     pts = np.asarray(points0, dtype=np.float64)
@@ -468,7 +457,6 @@ def offer(state: SeparationState, p) -> OfferResult:
 
     r = state._ov_residuals(p)
     state.offers += 1
-    state.offered_nq += n * state.q
 
     eps = state.config.epsilon
     # a nudged residual leaves the band, so r > eps below reads its side
@@ -721,7 +709,7 @@ def run(points, n: int, seed, config: RunConfig | None = None) -> SeparationStat
     Returns a state in which every input point is stored under a unique
     sign vector.
     """
-    config = config or RunConfig(seed=seed if isinstance(seed, int) else 0)
+    config = config or RunConfig()
     pts = np.asarray(points, dtype=np.float64)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if pts.size == 0:

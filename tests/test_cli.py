@@ -93,7 +93,9 @@ class TestQuery:
 
     def test_absent_exit_1(self, primes_repo_path, capsys):
         assert run_cli("query", str(primes_repo_path), "91") == 1
-        assert "absent" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "found NO" in lines
+        assert "reason coordinate_mismatch" in lines  # 91 shares a prime's quadrant
 
     def test_malformed_repo_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -141,7 +143,7 @@ class TestStats:
 
     def test_counters_self_consistent(self, primes_repo_path):
         repo = repository.load(primes_repo_path)
-        floor = repo.count * repo.meta.dims_history[0] * repo.q
+        floor = repo.count * repo.dims_history[0] * repo.q
         assert repo.counters.multiplications >= floor
 
     def test_threshold_baseline_is_not_a_bound(self, tmp_path, capsys):
@@ -152,7 +154,7 @@ class TestStats:
         text = capsys.readouterr().out
         assert "q_total 105" in text
         assert "baseline_thresholds_plus_q0 49\n" in text
-        assert "VIOLATION" not in text
+        assert "ov_mult_floor_ok yes\n" in text
 
     def test_ov_floor_uses_first_width_after_growth(self, tmp_path, capsys):
         repo = repository.build(list(oracle.sieve(1000).primes()), 3, 0)
@@ -182,6 +184,49 @@ class TestBench:
 
     def test_unknown_scenario_exit_2(self):
         assert run_cli("bench", "torus:1:2:3") == 2
+
+
+class TestReportFormats:
+    """Every report prints the same keys as text lines and as JSON."""
+
+    @staticmethod
+    def keys_in_both_formats(capsys, *argv):
+        run_cli("--format", "text", *argv)
+        lines = capsys.readouterr().out.splitlines()
+        run_cli("--format", "jsonl", *argv)
+        payload = json.loads(capsys.readouterr().out)
+        return sorted(line.split(" ", 1)[0] for line in lines if line), sorted(payload)
+
+    def test_build(self, tmp_path, capsys):
+        src = tmp_path / "vals.txt"
+        src.write_text("7\n11\n7\n13\n")  # one duplicate, so duplicates_skipped appears
+        text, js = self.keys_in_both_formats(
+            capsys, "build", "--source", str(src), "--out", str(tmp_path / "r.txt"))
+        assert "duplicates_skipped" in js
+        assert text == js
+
+    @pytest.mark.parametrize("value", ["97", "91"])
+    def test_query_found_and_absent(self, primes_repo_path, capsys, value):
+        text, js = self.keys_in_both_formats(capsys, "query", str(primes_repo_path), value)
+        assert text == js
+
+    def test_insert(self, primes_repo_path, capsys):
+        src = primes_repo_path.parent / "more.txt"
+        src.write_text("97\n")
+        text, js = self.keys_in_both_formats(
+            capsys, "insert", str(primes_repo_path), "--source", str(src))
+        assert text == js
+
+    def test_stats(self, primes_repo_path, capsys):
+        text, js = self.keys_in_both_formats(capsys, "stats", str(primes_repo_path))
+        assert "bound_quoted_q_le_10n_ok" in js
+        assert text == js
+
+    @pytest.mark.parametrize("scenario", ["cube:50:3:1", "primes:100:2"])
+    def test_bench(self, capsys, scenario):
+        text, js = self.keys_in_both_formats(capsys, "bench", scenario)
+        assert "verified" in js
+        assert text == js
 
 
 class TestPlot:

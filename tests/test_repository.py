@@ -18,7 +18,6 @@ from planesep import (
 from planesep.geometry import INCIDENT, pack_sign_bits, signs_from_residuals
 from planesep.repository import (
     AbsenceReason,
-    BuildMeta,
     IntegerMapping,
     QueryResult,
     Repository,
@@ -52,13 +51,11 @@ class TestDigitMapping:
     @staticmethod
     def repo_over(points, mapping):
         """A repository whose state holds ``points`` and no registered values."""
-        config = RunConfig(seed=0, base=mapping.base)
+        config = RunConfig(base=mapping.base)
         state = separator.SeparationState(mapping.n, config, np.random.default_rng(0))
         state._pts_buf = points
         state.count = len(points)
-        meta = BuildMeta(seed=0, epsilon=config.epsilon, delta0=config.delta0,
-                         max_retries=config.max_retries)
-        return Repository(mapping, state, [], meta)
+        return Repository(mapping, state, [], 0, (mapping.n,))
 
     def test_two_digit_example(self):
         assert list(map_to_point(37, self.M2)) == [7.0, 3.0]
@@ -184,7 +181,7 @@ class TestBuild:
         assert repo.count == len(values)
 
     def test_binary_base_build(self):
-        cfg = RunConfig(seed=1, base=2)
+        cfg = RunConfig(base=2)
         repo = build(list(range(16)), 4, 1, cfg)
         assert repo.count == 16
         assert all(query(repo, v).found for v in range(16))
@@ -452,6 +449,15 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match="order"):
             load(io.StringIO("".join(lines)))
 
+    def test_offers_line_disagreeing_with_counters_rejected(self):
+        text = saved_text(build(primes_below(100), 2, 13))
+        lines = text.splitlines(keepends=True)
+        i = next(i for i, l in enumerate(lines) if l.startswith("offers "))
+        _, offers, ov, recycles = lines[i].split()
+        lines[i] = f"offers {offers} {int(ov) + 1} {recycles}\n"
+        with pytest.raises(RepositoryFormatError, match="OV multiplications"):
+            load(io.StringIO("".join(lines)))
+
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"
@@ -464,4 +470,5 @@ class TestPersistence:
         loaded = load(io.StringIO(saved_text(repo)))
         assert loaded.counters.as_dict() == repo.counters.as_dict()
         assert loaded.state.offers == repo.state.offers
-        assert loaded.state.offered_nq == repo.state.offered_nq
+        assert (loaded.state.counters.ov_multiplications
+                == repo.state.counters.ov_multiplications)
