@@ -5,7 +5,6 @@ of hyperplanes gives every stored point a unique packed sign vector, and
 membership queries reduce to one residual sweep plus a binary search.
 """
 
-from .config import RunConfig
 from .counters import OpCounters
 from .errors import (
     DigitOverflowError,
@@ -46,7 +45,6 @@ from .separator import SeparationState, emit_plane, finalize, init, offer, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig",
     "OpCounters",
     "PlanesepError",
     "DimensionMismatchError",

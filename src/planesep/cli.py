@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, repository, separator, svgplot
-from .config import RunConfig
 from .counters import OpCounters
 from .errors import (
     DigitOverflowError,
@@ -175,15 +174,6 @@ def _save_repo_atomic(repo, path: str) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        epsilon=args.epsilon,
-        delta0=args.delta0,
-        max_retries=args.max_retries,
-        base=args.base,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -194,11 +184,10 @@ def cmd_build(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    config = _config_from_args(args)
-    n = args.dims or infer_dims(values, config.base)
+    n = args.dims or infer_dims(values, args.base)
     try:
         t0 = time.perf_counter()
-        repo = repository.build(values, n, args.seed, config)
+        repo = repository.build(values, n, args.seed, base=args.base)
         wall = time.perf_counter() - t0
     except (GeometryExhaustedError, IncidentPointError) as exc:
         print(f"algorithm failure: {exc}", file=sys.stderr)
@@ -207,7 +196,7 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     verdict = oracle.verify_separation(
-        repo.state.points, repo.state.plane_matrix, config.epsilon
+        repo.state.points, repo.state.plane_matrix, repo.state.config.epsilon
     )
     try:
         _save_repo_atomic(repo, args.out)
@@ -215,7 +204,7 @@ def cmd_build(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     report = _run_report(
-        repo.state, f"build:{args.source}", args.seed, wall, verdict.ok, base=config.base
+        repo.state, f"build:{args.source}", args.seed, wall, verdict.ok, base=args.base
     )
     if duplicates:
         report["duplicates_skipped"] = duplicates
@@ -296,9 +285,9 @@ def cmd_stats(args) -> int:
     n = state.n
     c = state.counters
     # (base-1)*n axis-threshold planes alone separate every digit point; q is
-    # compared with that plus q0, which the algorithm does not promise to meet
+    # compared with that plus q0, and with the quoted 10n, neither of which
+    # the algorithm promises to meet
     baseline = (base - 1) * n + state.q0
-    quoted_bound = 10 * n
     expected_nf = base**n / n
     # every stored point met every plane at least once, at the first width
     # or a later, wider one
@@ -316,8 +305,7 @@ def cmd_stats(args) -> int:
         "offers": state.offers,
         "recycle_events": state.recycle_events,
         **c.as_dict(),
-        "bound_quoted_q_le_10n": quoted_bound,
-        "bound_quoted_q_le_10n_ok": state.q <= quoted_bound,
+        "quoted_q_10n": 10 * n,
         "baseline_thresholds_plus_q0": baseline,
         "expected_N_f": expected_nf,
         "ov_mult_floor": ov_floor,
@@ -326,19 +314,19 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> dict:
+def _bench_once(scenario: str, seed: int, base: int) -> dict:
     parts = scenario.split(":")
     if parts[0] == "cube":
-        if len(parts) not in (3, 4):
-            raise ValueError("cube scenario must be cube:<N>:<dims>[:<seed>]")
+        if len(parts) != 3:
+            raise ValueError("cube scenario must be cube:<N>:<dims>")
         count, dims = int(parts[1]), int(parts[2])
-        if len(parts) == 4:
-            seed = int(parts[3]) + rep  # the caller's seed already advances per rep
         pts = np.random.default_rng(seed).random((count, dims))
         t0 = time.perf_counter()
-        state = separator.run(pts, dims, seed, config)
+        state = separator.run(pts, dims, seed)
         wall = time.perf_counter() - t0
-        verdict = oracle.verify_separation(state.points, state.plane_matrix, config.epsilon)
+        verdict = oracle.verify_separation(
+            state.points, state.plane_matrix, state.config.epsilon
+        )
         return _run_report(state, scenario, seed, wall, verdict.ok)
     if parts[0] == "primes":
         if len(parts) != 3:
@@ -346,21 +334,20 @@ def _bench_once(scenario: str, seed: int, config: RunConfig, rep: int = 0) -> di
         limit, dims = int(parts[1]), int(parts[2])
         values, _ = read_values_source(f"primes:{limit}")
         t0 = time.perf_counter()
-        repo = repository.build(values, dims, seed, config)
+        repo = repository.build(values, dims, seed, base=base)
         wall = time.perf_counter() - t0
         verdict = oracle.verify_separation(
-            repo.state.points, repo.state.plane_matrix, config.epsilon
+            repo.state.points, repo.state.plane_matrix, repo.state.config.epsilon
         )
-        return _run_report(repo.state, scenario, seed, wall, verdict.ok, base=config.base)
+        return _run_report(repo.state, scenario, seed, wall, verdict.ok, base=base)
     raise ValueError(f"unknown scenario {parts[0]!r}")
 
 
 def cmd_bench(args) -> int:
-    config = _config_from_args(args)
     exit_code = EXIT_OK
     for rep in range(args.repeat):
         try:
-            report = _bench_once(args.scenario, args.seed + rep, config, rep)
+            report = _bench_once(args.scenario, args.seed + rep, args.base)
         except (GeometryExhaustedError, IncidentPointError) as exc:
             print(f"algorithm failure: {exc}", file=sys.stderr)
             return EXIT_ALGORITHM
@@ -397,12 +384,16 @@ def cmd_plot(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_args(sp) -> None:
+def _radix(text: str) -> int:
+    base = int(text)
+    if base < 2:
+        raise argparse.ArgumentTypeError("base must be at least 2")
+    return base
+
+
+def _add_seed_and_base(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epsilon", type=float, default=1e-9)
-    sp.add_argument("--delta0", type=float, default=1e-4)
-    sp.add_argument("--max-retries", type=int, default=8)
-    sp.add_argument("--base", type=int, default=10)
+    sp.add_argument("--base", type=_radix, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="file of integers, primes:<limit>, or random:<N>:<limit>:<seed>")
     sp.add_argument("--out", required=True, help="repository file to write")
     sp.add_argument("--dims", type=int, default=0, help="digit width (default: inferred)")
-    _add_config_args(sp)
+    _add_seed_and_base(sp)
     sp.set_defaults(func=cmd_build)
 
     sp = add_parser("query", help="exact membership test for one value")
@@ -448,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_stats)
 
     sp = add_parser("bench", help="run a separation scenario and report counters")
-    sp.add_argument("scenario", help="cube:<N>:<dims>[:<seed>] or primes:<limit>:<dims>")
+    sp.add_argument("scenario", help="cube:<N>:<dims> or primes:<limit>:<dims>")
     sp.add_argument("--repeat", type=int, default=1)
-    _add_config_args(sp)
+    _add_seed_and_base(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = add_parser("plot", help="render a 2-digit repository as SVG")

@@ -1,23 +1,15 @@
-"""Run configuration shared by the separator, repository and CLI."""
+"""The separator's fixed tolerances.
 
-from __future__ import annotations
+They cannot be set: every store is built and served with these values,
+``save`` records them, and ``load`` rejects a file that names others.
+Each :class:`~planesep.separator.SeparationState` holds an instance as
+``state.config``.
+"""
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class RunConfig:
-    epsilon: float = 1e-9          # incidence tolerance on residuals
-    delta0: float = 1e-4           # midpoint shift, as a fraction of mean segment length
-    max_retries: int = 8           # shift-and-refit budget per plane
-    base: int = 10                 # radix of the digit mapping
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        if self.base < 2:
-            raise ValueError("base must be at least 2")
+    epsilon = 1e-9          # incidence tolerance on residuals
+    delta0 = 1e-4           # midpoint shift, as a fraction of mean segment length
+    max_retries = 8         # shift-and-refit budget per plane

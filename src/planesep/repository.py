@@ -186,14 +186,13 @@ class Repository:
         self.value_ids.update(zip(vals, range(start, start + len(vals))))
 
 
-def build(values, n: int, seed: int, config: RunConfig | None = None) -> Repository:
-    """Map values to digit points, separate them, and index the result."""
-    config = config or RunConfig()
-    mapping = IntegerMapping(n=n, base=config.base)
+def build(values, n: int, seed: int, *, base: int = 10) -> Repository:
+    """Map values to base-``base`` digit points, separate them, and index the result."""
+    mapping = IntegerMapping(n=n, base=base)
     vals = [int(v) for v in values]
     if len(set(vals)) != len(vals):
         raise DuplicatePointError("input values are not pairwise distinct")
-    state = separator.run(map_to_points(vals, mapping), n, seed, config)
+    state = separator.run(map_to_points(vals, mapping), n, seed)
     repo = Repository(mapping, state, [], seed, (n,))
     repo._register_new_points()
     return repo
@@ -377,12 +376,13 @@ def load(source) -> Repository:
     q = _int_field(rd.next("q"), 1, rd.pos)
     count = _int_field(rd.next("count"), 1, rd.pos)
     seed = _int_field(rd.next("seed"), 1, rd.pos)
-    try:
-        epsilon = float(rd.next("epsilon")[1])
-        delta0 = float(rd.next("delta0")[1])
-    except (ValueError, IndexError) as exc:
-        raise RepositoryFormatError("bad float field", line=rd.pos) from exc
-    max_retries = _int_field(rd.next("max-retries"), 1, rd.pos)
+    # the tolerances are fixed and a file naming others is not served: one
+    # built with a narrower band may hold points inside this one, and
+    # queries would answer them absent
+    for key, want in (("epsilon", RunConfig.epsilon), ("delta0", RunConfig.delta0),
+                      ("max-retries", RunConfig.max_retries)):
+        if rd.next(key)[1:] != [repr(want)]:
+            raise RepositoryFormatError(f"{key} differs from the fixed {want!r}", line=rd.pos)
     hist_parts = rd.next("dims-history")
     dims_history = (
         tuple(int(x) for x in hist_parts[1].split(",")) if len(hist_parts) > 1 else ()
@@ -408,9 +408,8 @@ def load(source) -> Repository:
             line=rd.pos - 1,
         )
 
-    config = RunConfig(epsilon=epsilon, delta0=delta0, max_retries=max_retries, base=base)
     mapping = IntegerMapping(n=n, base=base)
-    state = separator.SeparationState(n=n, config=config, rng=np.random.default_rng(seed))
+    state = separator.SeparationState(n=n, rng=np.random.default_rng(seed))
     state.q0 = q0
     state.offers = offers
     state.recycle_events = recycles

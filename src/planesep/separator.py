@@ -161,11 +161,11 @@ class OfferResult:
 class SeparationState:
     """Live algorithm state: stored points, their sign vectors, pending chains."""
 
-    def __init__(self, n: int, config: RunConfig, rng: np.random.Generator):
+    def __init__(self, n: int, rng: np.random.Generator):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.n = n
-        self.config = config
+        self.config = RunConfig()
         self.rng = rng
         self.counters = OpCounters()
 
@@ -327,7 +327,6 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
     n0 = points0.shape[0]
     if n0 == 0:
         return
-    _require_distinct(points0)
     q_min = max(1, math.ceil(math.log2(max(n0, state.n + 1))))
     packed = [0] * n0
     eps = state.config.epsilon
@@ -381,19 +380,26 @@ def _require_distinct(pts: np.ndarray) -> None:
         )
 
 
-def init(points0, n: int, seed, config: RunConfig | None = None) -> SeparationState:
-    """Fresh state seeded with enough random planes to tell the first batch apart."""
-    config = config or RunConfig()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    state = SeparationState(n=n, config=config, rng=rng)
-    pts = np.asarray(points0, dtype=np.float64)
+def _check_points(points, n: int) -> np.ndarray:
+    """Input as an (N, n) float array of finite, distinct rows; empty input is N=0."""
+    pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
-        return state
+        return pts.reshape(0, n)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatchError(f"expected shape (N, {n}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
-    _accrete_initial(state, pts)
+    _require_distinct(pts)
+    return pts
+
+
+def init(points0, n: int, seed) -> SeparationState:
+    """Fresh state seeded with enough random planes to tell the first batch apart.
+
+    ``seed`` goes to :func:`numpy.random.default_rng`; a ``Generator`` is used as is.
+    """
+    state = SeparationState(n=n, rng=np.random.default_rng(seed))
+    _accrete_initial(state, _check_points(points0, n))
     return state
 
 
@@ -566,7 +572,6 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     if not state.chains:
         raise ValueError("no pending chains to separate")
     n = state.n
-    cfg = state.config
 
     pend_rows: list[np.ndarray] = []
     pend_pos: dict[tuple[int, int], int] = {}
@@ -586,7 +591,7 @@ def emit_plane(state: SeparationState) -> PlaneReport:
         k -= 1
     if fit is None:
         raise GeometryExhaustedError(
-            f"no admissible plane after {cfg.max_retries} shift retries, "
+            f"no admissible plane after {state.config.max_retries} shift retries, "
             f"even through a single midpoint"
         )
     alpha, r_s, r_pend, retries, delta = fit
@@ -689,8 +694,8 @@ def stream_points(state: SeparationState, pts) -> None:
     while queue or bucket:
         if not queue:
             # only recycled points remain; force a plane to open new quadrants
-            if state.chains:
-                emit_plane(state)
+            # (a point is recycled only onto a full, hence pending, chain)
+            emit_plane(state)
             queue.extend(bucket)
             bucket.clear()
             continue
@@ -703,27 +708,18 @@ def stream_points(state: SeparationState, pts) -> None:
             bucket.clear()
 
 
-def run(points, n: int, seed, config: RunConfig | None = None) -> SeparationState:
+def run(points, n: int, seed) -> SeparationState:
     """Shuffle, seed, stream every point, and flush: the full build driver.
 
     Returns a state in which every input point is stored under a unique
     sign vector.
     """
-    config = config or RunConfig()
-    pts = np.asarray(points, dtype=np.float64)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if pts.size == 0:
-        return SeparationState(n=n, config=config, rng=rng)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise DimensionMismatchError(f"expected shape (N, {n}), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
-    _require_distinct(pts)
-
+    pts = _check_points(points, n)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(pts.shape[0])
     n0 = min(pts.shape[0], n + 1)
 
-    state = SeparationState(n=n, config=config, rng=rng)
+    state = SeparationState(n=n, rng=rng)
     _accrete_initial(state, pts[order[:n0]])
     stream_points(state, (pts[order[i]] for i in range(n0, pts.shape[0])))
     finalize(state)

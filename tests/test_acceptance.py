@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from planesep import RunConfig, oracle, repository, svgplot
+from planesep import oracle, repository, svgplot
 from planesep.counters import OpCounters
 from planesep.geometry import Plane, orientation_vector
 from planesep.separator import OfferKind, emit_plane, finalize, init, offer, run
@@ -48,7 +48,7 @@ def test_c01_separation_soundness_200_instances():
         else:
             scale = 1.0 if i % 4 == 1 else 9.0
             pts = rng.random((count, n)) * scale
-        state = run(pts, n, seed=i, config=RunConfig())
+        state = run(pts, n, seed=i)
         verdict = oracle.verify_separation(state.points, state.plane_matrix, EPS)
         assert verdict.ok, (
             f"instance {i} (n={n}, N={count}): "
@@ -63,7 +63,7 @@ def test_c01_separation_soundness_200_instances():
 def test_c02_exact_retrieval_primes_1e4():
     """Repository of all primes below 10^4 answers every candidate exactly."""
     table = oracle.sieve(10_000)
-    repo = repository.build(primes_below(10_000), 4, 42, RunConfig())
+    repo = repository.build(primes_below(10_000), 4, 42)
     false_pos = false_neg = 0
     for v in range(10_000):
         found = repository.query(repo, v).found
@@ -86,7 +86,7 @@ def test_c03_cube_2000_15_reproduction():
     qs = []
     for seed in range(10):
         pts = np.random.default_rng(seed).random((2000, 15))
-        state = run(pts, 15, seed, RunConfig())
+        state = run(pts, 15, seed)
         assert oracle.verify_separation(state.points, state.plane_matrix, EPS).ok
         assert lo <= state.q <= 44, f"seed {seed}: q={state.q} outside [11, 44]"
         qs.append(state.q)
@@ -100,7 +100,7 @@ def test_c04_cube_50000_25_reproduction():
     qs = []
     for seed in range(3):
         pts = np.random.default_rng(100 + seed).random((50_000, 25))
-        state = run(pts, 25, 100 + seed, RunConfig())
+        state = run(pts, 25, 100 + seed)
         assert oracle.verify_separation(state.points, state.plane_matrix, EPS).ok
         assert 16 <= state.q <= 54, f"seed {seed}: q={state.q} outside [16, 54]"
         qs.append(state.q)
@@ -115,7 +115,7 @@ def test_c05_two_digit_primes_figure():
     qs = []
     repo_for_svg = None
     for seed in range(20):
-        repo = repository.build(values, 2, seed, RunConfig())
+        repo = repository.build(values, 2, seed)
         assert oracle.verify_separation(
             repo.state.points, repo.state.plane_matrix, EPS
         ).ok
@@ -152,7 +152,7 @@ def test_c06_operation_count_exactness():
     n = 6
     pts = rng.random((400, n)) * 9
     pts = np.unique(pts, axis=0)
-    state = init(pts[: n + 1], n, seed=11, config=RunConfig())
+    state = init(pts[: n + 1], n, seed=11)
     after_init = state.counters.snapshot()
     expected = 0
     queue = deque(pts[n + 1:])
@@ -189,11 +189,11 @@ def test_c07_incremental_equivalence():
     lo = [p for p in primes_below(100) if p < 50]
     hi = [p for p in primes_below(100) if p >= 50]
 
-    staged = repository.build(lo, 2, 21, RunConfig())
+    staged = repository.build(lo, 2, 21)
     q_old = staged.q
     old_packed = {staged.values[i]: staged.state.packed[i] for i in range(staged.count)}
     repository.insert(staged, hi)
-    oneshot = repository.build(primes_below(100), 2, 21, RunConfig())
+    oneshot = repository.build(primes_below(100), 2, 21)
 
     for v in range(100):
         truth = bool(table.is_prime[v])
@@ -213,7 +213,7 @@ def test_c08_dimension_growth():
     """Growth from 2 to 5 digits preserves every stored address bit for bit
     and then accepts 5-digit primes."""
     table = oracle.sieve(100_000)
-    repo = repository.build(primes_below(100), 2, 31, RunConfig())
+    repo = repository.build(primes_below(100), 2, 31)
     before = list(repo.state.packed)
     repository.grow_dimension(repo, 5)
     assert repo.state.packed == before
@@ -245,7 +245,7 @@ def test_c09_persistence_round_trips():
         cap = 10**n
         values = [int(v) for v in rng.choice(cap, size=min(count, cap // 2),
                                              replace=False)]
-        repo = repository.build(values, n, 500 + case, RunConfig())
+        repo = repository.build(values, n, 500 + case)
         buf = io.StringIO()
         repository.save(repo, buf)
         text = buf.getvalue()
@@ -261,7 +261,7 @@ def test_c10_complexity_growth_bound():
     ratios = {}
     mults = {}
     for n in (2, 3, 4):
-        repo = repository.build(primes_below(10**n), n, 77, RunConfig())
+        repo = repository.build(primes_below(10**n), n, 77)
         m = repo.counters.multiplications
         bound = n * 10 ** (n + 1)
         mults[n] = m

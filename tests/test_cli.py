@@ -55,6 +55,14 @@ class TestBuild:
         assert run_cli("build", "--source", str(src),
                        "--out", str(tmp_path / "y.txt")) == 2
 
+    @pytest.mark.parametrize("base", ["0", "1"])
+    def test_base_below_two_exit_2(self, tmp_path, base):
+        # checked before the width is inferred, which never ends for such a base
+        with pytest.raises(SystemExit) as exc:
+            run_cli("build", "--source", "primes:50", "--out", str(tmp_path / "r.txt"),
+                    "--base", base)
+        assert exc.value.code == 2
+
     def test_unwritable_out_leaves_no_partial_file(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "repo.txt"
         assert run_cli("build", "--source", "primes:50",
@@ -134,7 +142,7 @@ class TestStats:
     def test_reports_bounds(self, primes_repo_path, capsys):
         assert run_cli("stats", str(primes_repo_path)) == 0
         out = capsys.readouterr().out
-        assert "bound_quoted_q_le_10n 20" in out
+        assert "quoted_q_10n 20" in out
         assert "N_f 25" in out
         assert "ov_mult_floor" in out
 
@@ -171,7 +179,7 @@ class TestStats:
 
 class TestBench:
     def test_cube_scenario(self, capsys):
-        assert run_cli("bench", "cube:200:8:3") == 0
+        assert run_cli("bench", "cube:200:8", "--seed", "3") == 0
         out = capsys.readouterr().out
         assert "q_total" in out
         assert "verified yes" in out
@@ -184,6 +192,7 @@ class TestBench:
 
     def test_unknown_scenario_exit_2(self):
         assert run_cli("bench", "torus:1:2:3") == 2
+        assert run_cli("bench", "cube:200:8:3") == 2  # the seed is --seed only
 
 
 class TestReportFormats:
@@ -219,10 +228,10 @@ class TestReportFormats:
 
     def test_stats(self, primes_repo_path, capsys):
         text, js = self.keys_in_both_formats(capsys, "stats", str(primes_repo_path))
-        assert "bound_quoted_q_le_10n_ok" in js
+        assert "quoted_q_10n" in js
         assert text == js
 
-    @pytest.mark.parametrize("scenario", ["cube:50:3:1", "primes:100:2"])
+    @pytest.mark.parametrize("scenario", ["cube:50:3", "primes:100:2"])
     def test_bench(self, capsys, scenario):
         text, js = self.keys_in_both_formats(capsys, "bench", scenario)
         assert "verified" in js

@@ -11,7 +11,6 @@ from planesep import (
     NotADigitPointError,
     OpCounters,
     RepositoryFormatError,
-    RunConfig,
     oracle,
     separator,
 )
@@ -51,8 +50,7 @@ class TestDigitMapping:
     @staticmethod
     def repo_over(points, mapping):
         """A repository whose state holds ``points`` and no registered values."""
-        config = RunConfig(base=mapping.base)
-        state = separator.SeparationState(mapping.n, config, np.random.default_rng(0))
+        state = separator.SeparationState(mapping.n, np.random.default_rng(0))
         state._pts_buf = points
         state.count = len(points)
         return Repository(mapping, state, [], 0, (mapping.n,))
@@ -181,8 +179,7 @@ class TestBuild:
         assert repo.count == len(values)
 
     def test_binary_base_build(self):
-        cfg = RunConfig(base=2)
-        repo = build(list(range(16)), 4, 1, cfg)
+        repo = build(list(range(16)), 4, 1, base=2)
         assert repo.count == 16
         assert all(query(repo, v).found for v in range(16))
 
@@ -456,6 +453,17 @@ class TestPersistence:
         _, offers, ov, recycles = lines[i].split()
         lines[i] = f"offers {offers} {int(ov) + 1} {recycles}\n"
         with pytest.raises(RepositoryFormatError, match="OV multiplications"):
+            load(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", "1e-12"), ("delta0", "0.001"), ("max-retries", "4")]
+    )
+    def test_tolerance_other_than_the_fixed_one_rejected(self, key, value):
+        text = saved_text(build(primes_below(100), 2, 13))
+        lines = text.splitlines(keepends=True)
+        i = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
+        lines[i] = f"{key} {value}\n"
+        with pytest.raises(RepositoryFormatError, match=key):
             load(io.StringIO("".join(lines)))
 
     def test_save_to_path(self, tmp_path):

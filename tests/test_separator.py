@@ -6,7 +6,6 @@ import pytest
 from planesep import (
     DuplicatePointError,
     OpCounters,
-    RunConfig,
     oracle,
 )
 from planesep.geometry import pack_sign_bits
@@ -357,7 +356,7 @@ class TestRun:
     def test_25_primes_in_2d(self):
         pts = np.array([[p % 10, p // 10] for p in oracle.sieve(100).primes()],
                        dtype=float)
-        state = run(pts, 2, 0, RunConfig())
+        state = run(pts, 2, 0)
         assert state.count == 25
         assert len(set(state.packed)) == 25
         assert_state_separated(state)
@@ -365,13 +364,13 @@ class TestRun:
     @pytest.mark.parametrize("seed", range(4))
     def test_uniform_cube_points(self, seed):
         pts = np.random.default_rng(seed).random((300, 10))
-        state = run(pts, 10, seed, RunConfig())
+        state = run(pts, 10, seed)
         assert state.count == 300
         assert_state_separated(state)
 
     def test_plane_count_floor(self):
         pts = np.random.default_rng(2).random((128, 6))
-        state = run(pts, 6, 2, RunConfig())
+        state = run(pts, 6, 2)
         assert state.q >= int(np.ceil(np.log2(128)))
 
     def test_duplicates_rejected(self):
@@ -390,19 +389,19 @@ class TestRun:
         cluster = rng.normal(0.0, 1e-5, size=(40, 3)) + 4.5
         spread = rng.uniform(0, 9, size=(20, 3))
         pts = np.vstack([cluster, spread])
-        state = run(pts, 3, seed, RunConfig())
+        state = run(pts, 3, seed)
         assert state.count == 60
         assert_state_separated(state)
 
     def test_quiescent_counter_below_n(self):
         pts = np.random.default_rng(5).random((100, 4)) * 9
-        state = run(pts, 4, 5, RunConfig())
+        state = run(pts, 4, 5)
         assert state.counter == 0
 
     def test_deterministic_replay(self):
         pts = np.random.default_rng(6).random((80, 5))
-        a = run(pts, 5, 99, RunConfig())
-        b = run(pts, 5, 99, RunConfig())
+        a = run(pts, 5, 99)
+        b = run(pts, 5, 99)
         assert a.q == b.q
         assert a.packed == b.packed
         assert np.array_equal(a.plane_matrix, b.plane_matrix)
@@ -413,6 +412,6 @@ class TestRun:
         vals = [v for v in range(1, 2000, 2) if v % 10 in (1, 3, 7, 9)][:300]
         pts = np.array([[(v // 10**i) % 10 for i in range(4)] for v in vals],
                        dtype=float)
-        state = run(pts, 4, 13, RunConfig())
+        state = run(pts, 4, 13)
         assert state.count == len(vals)
         assert_state_separated(state)
