@@ -18,7 +18,16 @@ class IncidentPointError(PlanesepError):
 
 
 class InconsistentSystemError(PlanesepError):
-    """No plane with unit constant term satisfies the given constraints."""
+    """No plane with unit constant term satisfies the given constraints.
+
+    ``rank`` is the elimination rank of the constraint rows when the
+    system itself is inconsistent, and None when only the re-verification
+    of a produced solution failed.
+    """
+
+    def __init__(self, message: str, rank: int | None = None):
+        super().__init__(message)
+        self.rank = rank
 
 
 class GeometryExhaustedError(PlanesepError):

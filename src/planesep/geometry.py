@@ -209,7 +209,9 @@ def fit_plane_through(
     elimination); any remaining free directions are filled from ``rng``
     (a seed or a numpy Generator) with values in [-1, 1], then the
     constrained equations are re-verified.  Raises InconsistentSystemError
-    when no plane with unit constant term satisfies the constraints.
+    when no plane with unit constant term satisfies the constraints; its
+    ``rank`` is the midpoints' elimination rank, or None when only the
+    re-verification failed.
     """
     mids = np.asarray(midpoints, dtype=np.float64)
     if mids.ndim == 1:
@@ -233,7 +235,9 @@ def fit_plane_through(
         counters.solve_multiplications += mults
     if status != kernels.GAUSS_OK:
         raise InconsistentSystemError(
-            f"no plane with unit constant term passes through the {k} midpoints"
+            f"no plane with unit constant term passes through the {k} midpoints "
+            f"(rank {rank})",
+            rank=rank,
         )
     # re-verify every constrained equation against the produced coefficients
     resid = 1.0 + mids @ alpha

@@ -372,7 +372,12 @@ def load(source) -> Repository:
         raise RepositoryFormatError(f"unsupported version {version}", line=1)
 
     n = _int_field(rd.next("n"), 1, rd.pos)
+    n_line = rd.pos
     base = _int_field(rd.next("base"), 1, rd.pos)
+    try:
+        mapping = IntegerMapping(n=n, base=base)
+    except ValueError as exc:
+        raise RepositoryFormatError(str(exc), line=n_line if n < 1 else rd.pos) from exc
     q = _int_field(rd.next("q"), 1, rd.pos)
     count = _int_field(rd.next("count"), 1, rd.pos)
     seed = _int_field(rd.next("seed"), 1, rd.pos)
@@ -384,9 +389,12 @@ def load(source) -> Repository:
         if rd.next(key)[1:] != [repr(want)]:
             raise RepositoryFormatError(f"{key} differs from the fixed {want!r}", line=rd.pos)
     hist_parts = rd.next("dims-history")
-    dims_history = (
-        tuple(int(x) for x in hist_parts[1].split(",")) if len(hist_parts) > 1 else ()
-    )
+    try:
+        dims_history = (
+            tuple(int(x) for x in hist_parts[1].split(",")) if len(hist_parts) > 1 else ()
+        )
+    except ValueError as exc:
+        raise RepositoryFormatError("bad dims-history field", line=rd.pos) from exc
     q0 = _int_field(rd.next("q0"), 1, rd.pos)
     offers_parts = rd.next("offers")
     offers = _int_field(offers_parts, 1, rd.pos)
@@ -408,7 +416,6 @@ def load(source) -> Repository:
             line=rd.pos - 1,
         )
 
-    mapping = IntegerMapping(n=n, base=base)
     state = separator.SeparationState(n=n, rng=np.random.default_rng(seed))
     state.q0 = q0
     state.offers = offers

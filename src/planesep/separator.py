@@ -507,11 +507,16 @@ def offer(state: SeparationState, p) -> OfferResult:
 
 def _try_separating_plane(state, batch, pend_mat, pend_pos):
     """Fit a plane through the batch midpoints that clears every live point
-    and splits every batch segment; None when the shift budget runs out.
+    and splits every batch segment.
 
     An exact fit separates each anchor from its first neighbour by the
     midpoint identity r(a) = -r(b); shifted refits (doubling delta along
     the failed normal) handle incidences on the digit lattice.
+
+    Returns the fit, or on failure the batch size to try next: r+1 when
+    the exact fit through the k midpoints is inconsistent at elimination
+    rank r with r+1 < k, without trying the shifted refits, and k-1 when
+    every attempt failed (see :func:`emit_plane` for why r+1).
     """
     cfg = state.config
     eps = cfg.epsilon
@@ -522,6 +527,7 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
     ]
     delta_base = cfg.delta0 * (sum(seg_lens) / len(seg_lens))
 
+    k = len(batch)
     direction = None
     for attempt in range(cfg.max_retries + 1):
         if attempt == 0:
@@ -534,7 +540,9 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
             mids = shift_midpoints(mids0, direction, delta)
         try:
             plane = fit_plane_through(mids, n, state.rng, state.counters)
-        except InconsistentSystemError:
+        except InconsistentSystemError as exc:
+            if attempt == 0 and exc.rank is not None and exc.rank + 1 < k:
+                return exc.rank + 1
             direction = None
             continue
         cand = plane.alpha
@@ -551,7 +559,7 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
             direction = cand
             continue
         return cand, r_s, r_pend, attempt, delta
-    return None
+    return k - 1
 
 
 def emit_plane(state: SeparationState) -> PlaneReport:
@@ -564,6 +572,18 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     through all the midpoints are parallel to the segments); narrowing the
     batch frees coefficients and restores transversality, and the dropped
     chains simply wait for a later plane.
+
+    The batch narrows one chain at a time, except that an exact fit that
+    is inconsistent at elimination rank r with r+1 < k sends it straight
+    to r+1 chains.  A common shift adds at most one dimension to the
+    midpoints' span, so r+1 is the largest batch a shifted refit can make
+    full rank.  And a shifted solution for an inconsistent batch must have
+    alpha . m = 0 at every unshifted midpoint (else rescaling it would
+    solve the exact system), so it can split a segment only along
+    directions outside the midpoints' span; when that span covers the
+    coordinates the points differ in, as on values stored with dead
+    leading digits, it splits nothing.  Batches of rank k-1 keep their
+    shifted refits, which do rescue some of them.
 
     Chains are keyed by anchor and anchors hold distinct sign vectors, so
     no two chains share a quadrant: nothing is merged before the fit, and
@@ -582,14 +602,13 @@ def emit_plane(state: SeparationState) -> PlaneReport:
                 pend_rows.append(pt)
     pend_mat = np.stack(pend_rows)
 
-    fit = None
     k = min(n, len(state.chains))
     while k >= 1:
         fit = _try_separating_plane(state, state.chains[:k], pend_mat, pend_pos)
-        if fit is not None:
+        if not isinstance(fit, int):
             break
-        k -= 1
-    if fit is None:
+        k = fit
+    else:
         raise GeometryExhaustedError(
             f"no admissible plane after {state.config.max_retries} shift retries, "
             f"even through a single midpoint"

@@ -113,6 +113,14 @@ class TestQuery:
     def test_missing_repo_exit_2(self, tmp_path):
         assert run_cli("query", str(tmp_path / "nope.txt"), "7") == 2
 
+    @pytest.mark.parametrize("command", ["query", "stats"])
+    def test_bad_header_value_exit_2(self, primes_repo_path, capsys, command):
+        text = primes_repo_path.read_text()
+        primes_repo_path.write_text(text.replace("\nbase 10\n", "\nbase 1\n", 1))
+        argv = [command, str(primes_repo_path)] + (["7"] if command == "query" else [])
+        assert run_cli(*argv) == 2
+        assert "cannot load" in capsys.readouterr().err
+
     def test_overflowing_value_exit_2(self, primes_repo_path):
         assert run_cli("query", str(primes_repo_path), "100") == 2
 

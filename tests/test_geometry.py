@@ -202,6 +202,24 @@ class TestFitPlaneThrough:
         with pytest.raises(InconsistentSystemError):
             fit_plane_through([np.array([0.0, 0.0])], 2, 0)
 
+    def test_inconsistent_fit_reports_the_rank(self):
+        # four midpoints in R^6 spanning a plane, with no affine dependency
+        rng = np.random.default_rng(3)
+        mids = (rng.integers(0, 10, (4, 2)) @ rng.integers(0, 10, (2, 6))).astype(float)
+        with pytest.raises(InconsistentSystemError) as info:
+            fit_plane_through(mids, 6, 0)
+        assert info.value.rank == np.linalg.matrix_rank(mids) == 2
+
+    def test_failed_verification_reports_no_rank(self):
+        # the second pivot (9e-5) falls under the rank tolerance of the first
+        # (1e6) and is dropped, so the elimination reports a consistent
+        # system; the free coefficient times that entry then misses the
+        # second equation by more than the verification tolerance
+        mids = [np.array([1e6, 0.0]), np.array([1e6, 9e-5])]
+        with pytest.raises(InconsistentSystemError, match="verification") as info:
+            fit_plane_through(mids, 2, 0)
+        assert info.value.rank is None
+
     def test_midpoint_count_bounds(self):
         with pytest.raises(ValueError):
             fit_plane_through(

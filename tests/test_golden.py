@@ -16,6 +16,8 @@ plane and entry line and the other six counters stayed as they were.
 import hashlib
 import io
 
+import numpy as np
+
 from planesep import oracle
 from planesep.repository import build, grow_dimension, insert, load, save
 
@@ -38,6 +40,19 @@ GROWN_COUNTERS = {
     "ov_multiplications": 552015,
     "extension_multiplications": 904324,
     "solve_multiplications": 6726,
+}
+
+# 400 distinct values below 10^4 at n=10: six dead digit coordinates, so the
+# batches are rank-deficient and the narrowing walk is exercised
+WIDE_SHA256 = "7f8ae46574d6138f7eb5fde0117f26d8126fa073cb8af60e5b75ba2e164d3df2"
+WIDE_COUNTERS = {
+    "multiplications": 630610,
+    "additions": 625421,
+    "sign_evals": 58037,
+    "bit_comparisons": 43631,
+    "ov_multiplications": 85280,
+    "extension_multiplications": 495090,
+    "solve_multiplications": 48810,
 }
 
 
@@ -71,3 +86,16 @@ def test_fixed_seed_build_grow_and_inserts_are_unchanged():
     assert sha256(text) == GROWN_SHA256
     assert repo.counters.as_dict() == GROWN_COUNTERS
     assert saved_text(load(io.StringIO(text))) == text
+
+
+def test_fixed_seed_rank_deficient_build_is_unchanged():
+    """Pinned when an exact fit inconsistent at rank r < k-1 began sending
+    the batch straight to r+1 midpoints: the one-step walk before that
+    built this store with q = 37 (now 36) and about eight times the
+    solve multiplications."""
+    values = [int(v) for v in np.random.default_rng(0).choice(10**4, 400, replace=False)]
+    repo = build(values, 10, 0)
+    text = saved_text(repo)
+    assert repo.q == 36
+    assert sha256(text) == WIDE_SHA256
+    assert repo.counters.as_dict() == WIDE_COUNTERS

@@ -466,6 +466,18 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match=key):
             load(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [("n", "0", 2), ("base", "1", 3), ("dims-history", "2,x", 10)],
+    )
+    def test_bad_header_field_rejected_with_its_line(self, key, value, line):
+        text = saved_text(build(primes_below(100), 2, 13))
+        lines = text.splitlines(keepends=True)
+        assert lines[line - 1].startswith(key + " ")
+        lines[line - 1] = f"{key} {value}\n"
+        with pytest.raises(RepositoryFormatError, match=f"^line {line}: "):
+            load(io.StringIO("".join(lines)))
+
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"

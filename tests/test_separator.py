@@ -7,6 +7,7 @@ from planesep import (
     DuplicatePointError,
     OpCounters,
     oracle,
+    separator,
 )
 from planesep.geometry import pack_sign_bits
 from planesep.separator import (
@@ -415,3 +416,32 @@ class TestRun:
         state = run(pts, 4, 13)
         assert state.count == len(vals)
         assert_state_separated(state)
+
+
+class TestRankAwareNarrowing:
+    def test_inconsistent_batch_jumps_to_rank_plus_one(self, monkeypatch):
+        # values below 10^4 as 10-digit points: 6 coordinates are dead, so
+        # batches of 10 midpoints are rank-deficient
+        values = np.random.default_rng(0).choice(10**4, 400, replace=False)
+        pts = np.array([[(int(v) // 10**i) % 10 for i in range(10)] for v in values],
+                       dtype=float)
+        fits = []
+        reports = []
+        fit = separator.fit_plane_through
+        emit = separator.emit_plane
+        monkeypatch.setattr(separator, "fit_plane_through",
+                            lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+        monkeypatch.setattr(separator, "emit_plane",
+                            lambda state: reports.append(emit(state)) or reports[-1])
+        state = run(pts, 10, 0)
+        assert state.count == len(values)
+        assert_state_separated(state)
+
+        # stepping k down one chain at a time from 10 would take 52.5 fits
+        # per plane here; the jump costs one exact fit, and the walk from
+        # r+1 keeps the shifted refits of rank k-1 batches
+        retries = state.config.max_retries
+        assert len(fits) <= (retries + 3) * len(reports)
+        # 4 live digits span at most 4 dimensions, one more for the shift
+        assert max(r.constraint_count for r in reports) <= 5
+        assert state.q <= 37  # the one-step walk's plane count
