@@ -250,10 +250,11 @@ def insert(repo: Repository, values) -> InsertReport:
     if fresh:
         # deterministic resume: the stream order and any new free plane
         # coefficients depend only on the build seed and the store shape
-        rng = np.random.default_rng([repo.seed, state.count, state.q, len(fresh)])
-        state.rng = rng
+        state.reseed([repo.seed, state.count, state.q, len(fresh)])
         pts = np.stack([map_to_point(v, repo.mapping) for v in fresh])
-        order = rng.permutation(len(fresh))
+        # a permutation of one value draws nothing: a single-value insert
+        # seeds the generator only if it emits a plane
+        order = state.rng.permutation(len(fresh)) if len(fresh) > 1 else [0]
         separator.stream_points(state, (pts[i] for i in order))
         separator.finalize(state)
         repo._register_new_points()
@@ -321,10 +322,11 @@ def save(repo: Repository, sink) -> None:
     w(f"offers {state.offers} {c['ov_multiplications']} {state.recycle_events}\n")
     w("counters " + " ".join(f"{k}={v}" for k, v in c.items()) + "\n")
     for j in range(state.q):
-        coeffs = " ".join(repr(float(x)) for x in state._alpha_buf[j])
+        coeffs = " ".join(map(repr, state._alpha_buf[j].tolist()))
         w(f"plane {1 if state._saturated[j] else 0} {coeffs}\n")
+    values = repo.values
     for packed, pid in state.index.items():
-        w(f"entry {repo.values[pid]} {format(packed, 'x')}\n")
+        w(f"entry {values[pid]} {packed:x}\n")
     w("end\n")
 
 
@@ -416,7 +418,7 @@ def load(source) -> Repository:
             line=rd.pos - 1,
         )
 
-    state = separator.SeparationState(n=n, rng=np.random.default_rng(seed))
+    state = separator.SeparationState(n=n, seed=seed)
     state.q0 = q0
     state.offers = offers
     state.recycle_events = recycles
@@ -462,6 +464,6 @@ def load(source) -> Repository:
     if count:
         state._pts_buf = map_to_points(values, mapping)
         state.count = count
-    state.index = separator.OvIndex.from_sorted(keys)
+    state.index = separator.OvIndex.from_sorted(keys, q)
     state.counters = counters
     return Repository(mapping, state, values, seed, dims_history)

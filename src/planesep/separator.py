@@ -16,9 +16,13 @@ safe for concurrent readers.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +41,9 @@ from .geometry import signs_from_residuals  # only for bench/spans.py, which tra
 
 _INIT_DRAW_BUDGET = 512
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
+# bits per machine digit of a Python int: index keys aligned to a multiple
+# of it take no more digits, so compare no slower, than unaligned keys
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 def _cmp_bits(a: int, b: int, q: int) -> int:
@@ -53,20 +60,35 @@ class OvIndex:
     every key comparison is tallied as the number of bits it examines
     (:func:`_cmp_bits`, inlined in the search loops).  This is the only
     place a stored point's sign vector is held.
+
+    A q-bit key is held MSB-aligned at a capacity width W >= q, as
+    ``key << (W - q)``: Python ints in a list in dictionary order, beside
+    an ``array("i")`` of point ids in the same order.  A new plane's bit
+    then lands at position W-1-q, below every key's distinct prefix, so
+    appending a plane ORs one bit into the keys whose point lies on the
+    plane's positive side and moves nothing.  When q reaches W, every key
+    is shifted left once, to the next multiple of the Python int digit
+    width (30 bits on 64-bit CPython), so an aligned key is no wider in
+    memory than the unaligned one.  A bulk-loaded index starts at W = q,
+    so loading shifts nothing.  A search aligns its probe once, and an
+    insert shifts 8 bytes of key pointer and 4 bytes of id per entry
+    behind the insertion point.
     """
 
-    __slots__ = ("_keys", "_ids")
+    __slots__ = ("_keys", "_ids", "_q", "_width")
 
     def __init__(self):
         self._keys: list[int] = []
-        self._ids: list[int] = []
+        self._ids = array("i")
+        self._q = self._width = 0
 
     @classmethod
-    def from_sorted(cls, keys: list[int]) -> "OvIndex":
-        """Index over strictly increasing keys, key i belonging to point id i."""
+    def from_sorted(cls, keys: list[int], q: int) -> "OvIndex":
+        """Index over strictly increasing q-bit keys, key i belonging to point id i."""
         index = cls()
+        index._q = index._width = q
         index._keys = keys
-        index._ids = list(range(len(keys)))
+        index._ids = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
         return index
 
     def __len__(self) -> int:
@@ -74,16 +96,18 @@ class OvIndex:
 
     def lookup(self, packed: int, q: int, counters: OpCounters) -> int | None:
         keys = self._keys
+        x = packed << (self._width - q)
+        top = self._width + 1  # a comparison examines top - (key ^ x).bit_length() bits
         lo, hi = 0, len(keys)
         bits = 0
         while lo < hi:
             mid = (lo + hi) // 2
             key = keys[mid]
-            if key == packed:
+            if key == x:
                 counters.bit_comparisons += bits + q
                 return self._ids[mid]
-            bits += q + 1 - (key ^ packed).bit_length()
-            if key < packed:
+            bits += top - (key ^ x).bit_length()
+            if key < x:
                 lo = mid + 1
             else:
                 hi = mid
@@ -91,30 +115,46 @@ class OvIndex:
         return None
 
     def insert(self, packed: int, pid: int, q: int, counters: OpCounters) -> None:
+        if q != self._q:
+            # an empty index takes the width of its first key
+            if self._keys:
+                raise AssertionError(f"{q}-bit key inserted among {self._q}-bit keys")
+            self._q = self._width = q
         keys = self._keys
+        x = packed << (self._width - q)
+        top = self._width + 1
         lo, hi = 0, len(keys)
         bits = 0
         while lo < hi:
             mid = (lo + hi) // 2
             key = keys[mid]
-            if key == packed:
+            if key == x:
                 raise AssertionError("duplicate sign vector in index")
-            bits += q + 1 - (key ^ packed).bit_length()
-            if key < packed:
+            bits += top - (key ^ x).bit_length()
+            if key < x:
                 lo = mid + 1
             else:
                 hi = mid
         counters.bit_comparisons += bits
-        keys.insert(lo, packed)
+        keys.insert(lo, x)
         self._ids.insert(lo, pid)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
-        """Append one bit to every key; relative order is preserved."""
-        bits = bit_by_id.tolist()
-        self._keys = [(k << 1) | bits[i] for k, i in zip(self._keys, self._ids)]
+        """Append one bit to every key, bit_by_id[i] to point i's; order is preserved."""
+        q = self._q
+        if q == self._width:
+            width = (q // _DIGIT_BITS + 1) * _DIGIT_BITS
+            self._keys = [key << (width - q) for key in self._keys]
+            self._width = width
+        keys = self._keys
+        bit = 1 << (self._width - 1 - q)
+        for i in np.flatnonzero(bit_by_id[np.frombuffer(self._ids, np.int32)]).tolist():
+            keys[i] |= bit
+        self._q = q + 1
 
     def items(self):
-        return zip(self._keys, self._ids)
+        """(packed sign vector, point id) pairs in dictionary order."""
+        return zip(map(operator.rshift, self._keys, repeat(self._width - self._q)), self._ids)
 
 
 @dataclass
@@ -159,14 +199,18 @@ class OfferResult:
 
 
 class SeparationState:
-    """Live algorithm state: stored points, their sign vectors, pending chains."""
+    """Live algorithm state: stored points, their sign vectors, pending chains.
 
-    def __init__(self, n: int, rng: np.random.Generator):
+    ``seed`` is anything :func:`numpy.random.default_rng` takes (a
+    ``Generator`` is used as is); see :meth:`reseed`.
+    """
+
+    def __init__(self, n: int, seed):
         if n < 1:
             raise ValueError("dimension must be at least 1")
         self.n = n
         self.config = RunConfig()
-        self.rng = rng
+        self.reseed(seed)
         self.counters = OpCounters()
 
         self._alpha_buf = np.empty((8, n))
@@ -183,6 +227,21 @@ class SeparationState:
 
         self.offers = 0
         self.recycle_events = 0
+
+    def reseed(self, seed) -> None:
+        """Draw from ``numpy.random.default_rng(seed)`` from now on.
+
+        The generator is made at the first draw, so a caller that draws
+        nothing does not pay for seeding it.
+        """
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     # -- views ------------------------------------------------------------
 
@@ -398,7 +457,7 @@ def init(points0, n: int, seed) -> SeparationState:
 
     ``seed`` goes to :func:`numpy.random.default_rng`; a ``Generator`` is used as is.
     """
-    state = SeparationState(n=n, rng=np.random.default_rng(seed))
+    state = SeparationState(n=n, seed=seed)
     _accrete_initial(state, _check_points(points0, n))
     return state
 
@@ -738,7 +797,7 @@ def run(points, n: int, seed) -> SeparationState:
     order = rng.permutation(pts.shape[0])
     n0 = min(pts.shape[0], n + 1)
 
-    state = SeparationState(n=n, rng=rng)
+    state = SeparationState(n=n, seed=rng)
     _accrete_initial(state, pts[order[:n0]])
     stream_points(state, (pts[order[i]] for i in range(n0, pts.shape[0])))
     finalize(state)

@@ -53,3 +53,21 @@ def test_tracer_installs_records_and_restores():
                  "kernels.residuals_point", "geometry.pack_sign_bits",
                  "separator.OvIndex.lookup"):
         assert metrics[f"query.{name}.calls"] == 1, name
+
+
+def test_traced_build_records_the_index_layers():
+    """The per-layer metrics of BENCHMARK.json read these span names; a
+    rename would turn them into silent zeros."""
+    spans = import_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "build"
+        repo = repository.build(list(range(2, 400, 3)), 3, 0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["build.separator.emit_plane.calls"] == repo.q - repo.state.q0 > 0
+    assert metrics["build.separator.OvIndex.extend_all.calls"] == repo.q - repo.state.q0
+    assert metrics["build.separator.OvIndex.insert.calls"] == repo.count
+    assert metrics["build.separator.OvIndex.lookup.calls"] > 0

@@ -55,6 +55,19 @@ WIDE_COUNTERS = {
     "solve_multiplications": 48810,
 }
 
+# all 9,592 primes below 10^5 at n=5: q = 105, so the index's keys grow
+# past 64 bits during the build
+PRIMES5_SHA256 = "6d23fbdc8c5543407649c12311e1661fcad309b84248c405de5592851def1df6"
+PRIMES5_COUNTERS = {
+    "multiplications": 5662381,
+    "additions": 5660826,
+    "sign_evals": 1130624,
+    "bit_comparisons": 3012533,
+    "ov_multiplications": 3642605,
+    "extension_multiplications": 2010515,
+    "solve_multiplications": 6741,
+}
+
 
 def saved_text(repo):
     buf = io.StringIO()
@@ -99,3 +112,15 @@ def test_fixed_seed_rank_deficient_build_is_unchanged():
     assert repo.q == 36
     assert sha256(text) == WIDE_SHA256
     assert repo.counters.as_dict() == WIDE_COUNTERS
+
+
+def test_fixed_seed_build_past_64_planes_is_unchanged():
+    """Pinned before the index began storing keys MSB-aligned at a
+    capacity width: this build realigns every key four times, at its
+    first emitted plane (q = 4) and at q = 30, 60 and 90."""
+    repo = build([int(p) for p in oracle.sieve(10**5).primes()], 5, 0)
+    text = saved_text(repo)
+    assert repo.q == 105
+    assert sha256(text) == PRIMES5_SHA256
+    assert repo.counters.as_dict() == PRIMES5_COUNTERS
+    assert saved_text(load(io.StringIO(text))) == text

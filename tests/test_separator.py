@@ -1,5 +1,7 @@
 """The incremental separation algorithm: chains, emissions, invariants."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,7 @@ class TestOvIndex:
         c = OpCounters()
         for pos in rng.permutation(len(keys)):
             inserted.insert(keys[pos], int(pos), q, c)
-        bulk = OvIndex.from_sorted(list(keys))
+        bulk = OvIndex.from_sorted(list(keys), q)
         assert list(bulk.items()) == list(inserted.items())
         for probe in range(1 << q):
             a, b = OpCounters(), OpCounters()
@@ -150,6 +152,139 @@ class TestOvIndex:
         idx.insert(4, 0, 3, c)
         with pytest.raises(AssertionError):
             idx.insert(4, 1, 3, c)
+
+    def test_key_of_another_width_is_a_bug(self):
+        idx = OvIndex()
+        c = OpCounters()
+        idx.insert(4, 0, 3, c)
+        with pytest.raises(AssertionError):
+            idx.insert(4, 1, 4, c)
+
+
+class TwoListIndex:
+    """The index as it was before keys were stored aligned: q-bit keys in
+    one list, point ids in another, every key rebuilt on each new plane.
+    The reference for the differential tests below."""
+
+    def __init__(self):
+        self._keys = []
+        self._ids = []
+
+    @classmethod
+    def from_sorted(cls, keys):
+        index = cls()
+        index._keys = list(keys)
+        index._ids = list(range(len(keys)))
+        return index
+
+    def lookup(self, packed, q, counters):
+        keys = self._keys
+        lo, hi = 0, len(keys)
+        bits = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            key = keys[mid]
+            if key == packed:
+                counters.bit_comparisons += bits + q
+                return self._ids[mid]
+            bits += q + 1 - (key ^ packed).bit_length()
+            if key < packed:
+                lo = mid + 1
+            else:
+                hi = mid
+        counters.bit_comparisons += bits
+        return None
+
+    def insert(self, packed, pid, q, counters):
+        keys = self._keys
+        lo, hi = 0, len(keys)
+        bits = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            key = keys[mid]
+            if key == packed:
+                raise AssertionError("duplicate sign vector in index")
+            bits += q + 1 - (key ^ packed).bit_length()
+            if key < packed:
+                lo = mid + 1
+            else:
+                hi = mid
+        counters.bit_comparisons += bits
+        keys.insert(lo, packed)
+        self._ids.insert(lo, pid)
+
+    def extend_all(self, bit_by_id):
+        bits = bit_by_id.tolist()
+        self._keys = [(k << 1) | bits[i] for k, i in zip(self._keys, self._ids)]
+
+    def items(self):
+        return zip(self._keys, self._ids)
+
+
+class TestAlignedIndexAgainstTwoLists:
+    """Same ids, the same bit comparisons per call and the same items as
+    the two-list index, as the keys grow past 64 and 128 bits and are
+    realigned on the way."""
+
+    @staticmethod
+    def call_both(new, ref, method, *args):
+        a, b = OpCounters(), OpCounters()
+        got = getattr(new, method)(*args, a)
+        assert got == getattr(ref, method)(*args, b)
+        assert a.bit_comparisons == b.bit_comparisons, (method, args)
+        return got
+
+    def probe(self, new, ref, q, rnd, count):
+        """Lookups of stored keys, of keys one low bit away, and of random keys."""
+        stored = [k for k, _ in ref.items()]
+        for _ in range(count):
+            if stored:
+                key = rnd.choice(stored)
+                self.call_both(new, ref, "lookup", key, q)
+                if q:
+                    self.call_both(new, ref, "lookup", key ^ (1 << rnd.randrange(min(q, 3))), q)
+            self.call_both(new, ref, "lookup", rnd.getrandbits(q) if q else 0, q)
+
+    def test_interleaved_inserts_lookups_and_plane_appends(self):
+        rnd = random.Random(10)
+        new, ref = OvIndex(), TwoListIndex()
+        self.probe(new, ref, 0, rnd, 2)  # the empty index
+        present = set()
+        for q in range(140):
+            for _ in range(4):
+                key = rnd.getrandbits(q) if q else 0
+                if key not in present:
+                    present.add(key)
+                    self.call_both(new, ref, "insert", key, len(present) - 1, q)
+            self.probe(new, ref, q, rnd, 4)
+            assert list(new.items()) == list(ref.items())
+            bits = np.array([rnd.random() < 0.5 for _ in present], dtype=bool)
+            new.extend_all(bits)
+            ref.extend_all(bits)
+            present = {k for k, _ in ref.items()}
+            assert list(new.items()) == list(ref.items())
+        assert len(new) == len(present) > 400
+
+    @pytest.mark.parametrize("q", [0, 64, 65])
+    def test_bulk_load_then_grow(self, q):
+        rnd = random.Random(q)
+        keys = [0] if q == 0 else sorted({rnd.getrandbits(q) for _ in range(60)})
+        new, ref = OvIndex.from_sorted(list(keys), q), TwoListIndex.from_sorted(keys)
+        assert list(new.items()) == list(ref.items())
+        self.probe(new, ref, q, rnd, 20)
+        for step in range(3):
+            bits = np.array([rnd.random() < 0.5 for _ in range(len(ref._keys))], dtype=bool)
+            new.extend_all(bits)
+            ref.extend_all(bits)
+            q += 1
+            present = {k for k, _ in ref.items()}
+            for _ in range(5):
+                key = rnd.getrandbits(q)
+                if key not in present:
+                    present.add(key)
+                    self.call_both(new, ref, "insert", key, len(present) - 1, q)
+            self.probe(new, ref, q, rnd, 20)
+            assert list(new.items()) == list(ref.items())
 
 
 class TestInit:
