@@ -293,6 +293,7 @@ def cmd_stats(args) -> int:
     # or a later, wider one
     n_first = repo.dims_history[0] if repo.dims_history else n
     ov_floor = state.count * n_first * state.q
+    q_lower_bound = oracle.plane_count_lower_bound(state.count, n)
 
     _emit(args.format, {
         "n": n,
@@ -310,6 +311,8 @@ def cmd_stats(args) -> int:
         "expected_N_f": expected_nf,
         "ov_mult_floor": ov_floor,
         "ov_mult_floor_ok": c.multiplications >= ov_floor,
+        "q_lower_bound": q_lower_bound,
+        "q_lower_bound_ok": state.q >= q_lower_bound,
     })
     return EXIT_OK
 

@@ -22,6 +22,11 @@ def residuals_point(planes: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 1.0 + planes @ p
 
 
+def residuals_block(points: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Residuals 1 + alpha_j . x_i of N points against q planes; shape (N, q)."""
+    return 1.0 + points @ planes.T
+
+
 def residuals_plane(points: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Residuals 1 + alpha . x_i of N points against one plane; shape (N,)."""
     return 1.0 + points @ alpha

@@ -1,4 +1,5 @@
-"""Independent ground truth: prime sieve, separation verdicts, threshold planes.
+"""Independent ground truth: prime sieve, separation verdicts, threshold
+planes, and the least plane count any separator needs.
 
 Everything here recomputes from first principles with plain numpy and
 shares no state with the separator, so tests can use it to check builds
@@ -7,6 +8,7 @@ without circularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +90,20 @@ def verify_separation(points, planes, epsilon: float) -> Verdict:
         verdict.ok = False
         verdict.collisions.append((int(order[k]), int(order[k + 1])))
     return verdict
+
+
+def plane_count_lower_bound(count: int, n: int) -> int:
+    """Least q with sum over i <= n of C(q, i) >= count.
+
+    q hyperplanes cut R^n into at most that many cells (Buck, *Partition
+    of space*, 1943), and separated points need distinct cells, so no
+    family of fewer planes separates ``count`` points in n dimensions.
+    For q <= n the sum is 2^q, so a bound of at most n is ceil(log2 count).
+    """
+    q = 0
+    while sum(math.comb(q, i) for i in range(n + 1)) < count:
+        q += 1
+    return q
 
 
 def coordinate_plane_separator(n: int, base: int = 10) -> list[Plane]:

@@ -221,7 +221,7 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
     # outside the band, r > eps is exactly the positive side
     pid = state.index.lookup(pack_sign_bits(r > eps), state.q, counters)
-    if pid is None:
+    if pid < 0:
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
     if repo.values[pid] == v:
         return QueryResult(found=True, value=v)
@@ -251,11 +251,11 @@ def insert(repo: Repository, values) -> InsertReport:
         # deterministic resume: the stream order and any new free plane
         # coefficients depend only on the build seed and the store shape
         state.reseed([repo.seed, state.count, state.q, len(fresh)])
-        pts = np.stack([map_to_point(v, repo.mapping) for v in fresh])
+        pts = np.array([map_to_point(v, repo.mapping) for v in fresh])
         # a permutation of one value draws nothing: a single-value insert
         # seeds the generator only if it emits a plane
         order = state.rng.permutation(len(fresh)) if len(fresh) > 1 else [0]
-        separator.stream_points(state, (pts[i] for i in order))
+        separator.stream_points(state, pts[order])
         separator.finalize(state)
         repo._register_new_points()
     return InsertReport(

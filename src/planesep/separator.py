@@ -1,6 +1,7 @@
 """Incremental separation of a point stream by hyperplanes.
 
-Points are consumed one at a time.  A point whose sign vector is new is
+Points are offered one at a time, in queue order, though the stream
+evaluates them in blocks.  A point whose sign vector is new is
 stored immediately; a point that lands in an occupied quadrant is parked
 on the occupant's pending chain (up to three deep, further arrivals are
 recycled to the caller).  Whenever n chains are pending, one plane fitted
@@ -40,26 +41,22 @@ from .geometry import fit_plane_through, pack_sign_bits, shift_midpoints
 from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name
 
 _INIT_DRAW_BUDGET = 512
+_OFFER_BLOCK = 256  # points evaluated together by stream_points
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 # bits per machine digit of a Python int: index keys aligned to a multiple
 # of it take no more digits, so compare no slower, than unaligned keys
 _DIGIT_BITS = sys.int_info.bits_per_digit
 
 
-def _cmp_bits(a: int, b: int, q: int) -> int:
-    """Bits a dictionary-order comparison examines: up to the first difference."""
-    if a == b:
-        return q
-    return q - (a ^ b).bit_length() + 1
-
-
 class OvIndex:
     """Sorted map from packed sign vectors to point ids.
 
     Keys are kept in dictionary order so membership is a binary search;
-    every key comparison is tallied as the number of bits it examines
-    (:func:`_cmp_bits`, inlined in the search loops).  This is the only
-    place a stored point's sign vector is held.
+    every key comparison is tallied as the number of bits it examines, up
+    to and including the first differing bit (all q on a match).  This is
+    the only place a stored point's sign vector is held.  A missed
+    :meth:`lookup` returns where the key would go, so storing it after the
+    miss takes no second search.
 
     A q-bit key is held MSB-aligned at a capacity width W >= q, as
     ``key << (W - q)``: Python ints in a list in dictionary order, beside
@@ -94,7 +91,9 @@ class OvIndex:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def lookup(self, packed: int, q: int, counters: OpCounters) -> int | None:
+    def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
+        """The point id stored under ``packed``, or ``~pos`` (negative) when it
+        is absent, pos being the position :meth:`insert` would give it."""
         keys = self._keys
         x = packed << (self._width - q)
         top = self._width + 1  # a comparison examines top - (key ^ x).bit_length() bits
@@ -112,9 +111,15 @@ class OvIndex:
             else:
                 hi = mid
         counters.bit_comparisons += bits
-        return None
+        return ~lo
 
-    def insert(self, packed: int, pid: int, q: int, counters: OpCounters) -> None:
+    def insert(self, packed: int, pid: int, q: int, counters: OpCounters,
+               pos: int | None = None) -> None:
+        """Store ``packed`` for point ``pid``.
+
+        ``pos`` is ``~lookup(packed, ...)`` from a miss with no change to
+        the index since; without it, a binary search finds the position.
+        """
         if q != self._q:
             # an empty index takes the width of its first key
             if self._keys:
@@ -122,22 +127,24 @@ class OvIndex:
             self._q = self._width = q
         keys = self._keys
         x = packed << (self._width - q)
-        top = self._width + 1
-        lo, hi = 0, len(keys)
-        bits = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            key = keys[mid]
-            if key == x:
-                raise AssertionError("duplicate sign vector in index")
-            bits += top - (key ^ x).bit_length()
-            if key < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        counters.bit_comparisons += bits
-        keys.insert(lo, x)
-        self._ids.insert(lo, pid)
+        if pos is None:
+            top = self._width + 1
+            lo, hi = 0, len(keys)
+            bits = 0
+            while lo < hi:
+                mid = (lo + hi) // 2
+                key = keys[mid]
+                if key == x:
+                    raise AssertionError("duplicate sign vector in index")
+                bits += top - (key ^ x).bit_length()
+                if key < x:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            counters.bit_comparisons += bits
+            pos = lo
+        keys.insert(pos, x)
+        self._ids.insert(pos, pid)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key, bit_by_id[i] to point i's; order is preserved."""
@@ -284,13 +291,13 @@ class SeparationState:
         self.q += 1
         return self.q - 1
 
-    def _add_point(self, p: np.ndarray, packed: int) -> int:
+    def _add_point(self, p: np.ndarray, packed: int, pos: int | None = None) -> int:
         if self.count == self._pts_buf.shape[0]:
             grown = np.empty((2 * self.count, self.n))
             grown[: self.count] = self._pts_buf
             self._pts_buf = grown
         self._pts_buf[self.count] = p
-        self.index.insert(packed, self.count, self.q, self.counters)
+        self.index.insert(packed, self.count, self.q, self.counters, pos)
         self.count += 1
         return self.count - 1
 
@@ -310,16 +317,30 @@ class SeparationState:
         c.sign_evals += rows
         return r
 
-    def _ov_residuals(self, p: np.ndarray) -> np.ndarray:
-        """Full sign-vector evaluation of one point, tallied as OV work."""
-        r = kernels.residuals_point(self.plane_matrix, p)
-        nq = self.n * self.q
-        c = self.counters
-        c.multiplications += nq
-        c.additions += nq
-        c.ov_multiplications += nq
-        c.sign_evals += self.q
-        return r
+    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, list[int | None]]:
+        """Residuals of a block of points at the current planes, and their keys.
+
+        One matmul, one band test and one packbits for the whole block.  A
+        row with a residual inside the incidence band gets the key None: its
+        plane must be nudged first.  Nothing is tallied here; :func:`offer`
+        tallies each point's evaluation.
+        """
+        r = kernels.residuals_block(pts, self.plane_matrix)
+        q = self.q
+        if not q:
+            return r, [0] * len(pts)
+        eps = self.config.epsilon
+        width = (q + 7) // 8
+        shift = -q % 8
+        raw = np.packbits(r > eps, axis=1).tobytes()
+        keys: list[int | None] = [
+            int.from_bytes(raw[i:i + width], "big") >> shift for i in range(0, len(raw), width)
+        ]
+        band = np.abs(r) <= eps
+        if np.count_nonzero(band):
+            for i in np.flatnonzero(band.any(axis=1)).tolist():
+                keys[i] = None
+        return r, keys
 
     def _pending_points(self) -> list[np.ndarray]:
         out = []
@@ -334,6 +355,18 @@ class SeparationState:
         if not np.isfinite(p).all():
             raise ValueError("point coordinates must be finite")
         return p
+
+    def _check_block(self, points) -> np.ndarray:
+        """Points as an (N, n) float array; a bad point raises what offer raises for it."""
+        try:
+            pts = np.asarray(points, dtype=np.float64)
+            ok = pts.shape == (len(pts), self.n) and np.isfinite(pts).all()
+        except ValueError:  # rows of unequal lengths
+            ok = False
+        if not ok:
+            for p in points:
+                self._check_point(p)
+        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -515,23 +548,41 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     )
 
 
-def offer(state: SeparationState, p) -> OfferResult:
-    """Place one point: accept into a fresh quadrant, park on a chain, or recycle."""
-    p = state._check_point(p)
-    n = state.n
+def offer(state: SeparationState, p, r: np.ndarray | None = None,
+          packed: int | None = None) -> OfferResult:
+    """Place one point: accept into a fresh quadrant, park on a chain, or recycle.
 
-    r = state._ov_residuals(p)
+    :func:`stream_points` evaluates its points in blocks and passes each
+    one's residuals ``r`` at the current planes with its packed sign
+    vector, None when a residual lies in the incidence band.  Called with
+    a point alone, offer checks and evaluates it as a block of one.  Either
+    way the offer is tallied as one sign-vector evaluation, n*q
+    multiply-adds.  An accepted point is stored at the position its missed
+    index lookup returned, without a second search.
+    """
+    if r is None:
+        p = state._check_point(p)
+        rows, keys = state._evaluate(p[None, :])
+        r, packed = rows[0], keys[0]
+    n = state.n
+    nq = n * state.q
+    c = state.counters
+    c.multiplications += nq
+    c.additions += nq
+    c.ov_multiplications += nq
+    c.sign_evals += state.q
     state.offers += 1
 
-    eps = state.config.epsilon
-    # a nudged residual leaves the band, so r > eps below reads its side
-    for j in np.nonzero(np.abs(r) <= eps)[0]:
-        r[j] = _nudge_plane(state, int(j), p, float(r[j]))
+    if packed is None:
+        eps = state.config.epsilon
+        # a nudged residual leaves the band, so r > eps below reads its side
+        for j in np.nonzero(np.abs(r) <= eps)[0]:
+            r[j] = _nudge_plane(state, int(j), p, float(r[j]))
+        packed = pack_sign_bits(r > eps)
 
-    packed = pack_sign_bits(r > eps)
-    anchor = state.index.lookup(packed, state.q, state.counters)
-    if anchor is None:
-        pid = state._add_point(p, packed)
+    anchor = state.index.lookup(packed, state.q, c)
+    if anchor < 0:
+        pid = state._add_point(p, packed, ~anchor)
         return OfferResult(OfferKind.ACCEPTED, point_id=pid)
 
     chain = state._chain_by_anchor.get(anchor)
@@ -760,30 +811,54 @@ def finalize(state: SeparationState) -> SeparationState:
 
 
 def stream_points(state: SeparationState, pts) -> None:
-    """Offer a batch of points, recycling and forcing emissions as needed.
+    """Offer points in order, recycling and forcing emissions as needed.
+
+    ``pts`` is an (N, n) array or a sequence of points.  The queue is
+    evaluated in blocks of up to ``_OFFER_BLOCK`` points: one matmul gives
+    their residuals at the current planes, one band test and one packbits
+    their keys, and each point then goes to :func:`offer` with its row.
+    When a plane is emitted, or nudged off an offered point, the block's
+    remaining points are evaluated again at the new planes, so every
+    point meets exactly the planes it would meet offered alone.
 
     Recycled points rejoin the queue after the next plane emission; if the
     queue drains while recycled points wait, one plane is forced through
     the pending midpoints to open fresh quadrants.  Pending chains may
     remain afterwards; call :func:`finalize` to flush them.
     """
-    queue: deque[np.ndarray] = deque(pts)
+    pts = state._check_block(pts)
+    start = 0
+    requeued: deque[np.ndarray] = deque()  # recycled points, behind the rest of pts
     bucket: list[np.ndarray] = []
-    while queue or bucket:
-        if not queue:
+    while True:
+        if start < len(pts):
+            block = pts[start:start + _OFFER_BLOCK]
+            start += len(block)
+        elif requeued:
+            block = np.stack([requeued.popleft()
+                              for _ in range(min(len(requeued), _OFFER_BLOCK))])
+        elif bucket:
             # only recycled points remain; force a plane to open new quadrants
             # (a point is recycled only onto a full, hence pending, chain)
             emit_plane(state)
-            queue.extend(bucket)
+            requeued.extend(bucket)
             bucket.clear()
             continue
-        p = queue.popleft()
-        res = offer(state, p)
-        if res.kind is OfferKind.RECYCLED:
-            bucket.append(p)
-        elif res.kind is OfferKind.PLANE_EMITTED:
-            queue.extend(bucket)
-            bucket.clear()
+        else:
+            return
+        while len(block):
+            r, keys = state._evaluate(block)
+            for i, p in enumerate(block):
+                kind = offer(state, p, r[i], keys[i]).kind
+                if kind is OfferKind.RECYCLED:
+                    bucket.append(p)
+                elif kind is OfferKind.PLANE_EMITTED:
+                    requeued.extend(bucket)
+                    bucket.clear()
+                    break
+                if keys[i] is None:
+                    break  # a plane was nudged
+            block = block[i + 1:]
 
 
 def run(points, n: int, seed) -> SeparationState:
@@ -799,7 +874,7 @@ def run(points, n: int, seed) -> SeparationState:
 
     state = SeparationState(n=n, seed=rng)
     _accrete_initial(state, pts[order[:n0]])
-    stream_points(state, (pts[order[i]] for i in range(n0, pts.shape[0])))
+    stream_points(state, pts[order[n0:]])
     finalize(state)
     if state.count != pts.shape[0]:
         raise AssertionError("driver lost points; this is a bug")

@@ -171,6 +171,9 @@ class TestStats:
         assert "q_total 105" in text
         assert "baseline_thresholds_plus_q0 49\n" in text
         assert "ov_mult_floor_ok yes\n" in text
+        # 9,592 points in R^5 need at least 18 planes: 17 make 9,402 cells
+        assert "q_lower_bound 18\n" in text
+        assert "q_lower_bound_ok yes\n" in text
 
     def test_ov_floor_uses_first_width_after_growth(self, tmp_path, capsys):
         repo = repository.build(list(oracle.sieve(1000).primes()), 3, 0)

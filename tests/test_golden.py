@@ -11,32 +11,42 @@ records them) were lowered once, when the chain-quadrant guard pass in
 emit_plane was removed: that pass compared every pair of pending chain
 keys on every plane, and those comparisons are no longer made.  Every
 plane and entry line and the other six counters stayed as they were.
+
+They were lowered again when an accepted offer began storing its point at
+the position its missed index lookup returned, instead of searching the
+index a second time for it.  That second search visited the same
+midpoints as the miss, so each pin fell by exactly the lookup tallies of
+the offers that were then stored (BUILT: 241,210 -> 142,714).  Inserts
+made by plane emission and initial accretion still search, and again
+every plane and entry line and the other six counters stayed as they
+were: the offers' block evaluation alone leaves the saved bytes unchanged.
 """
 
 import hashlib
 import io
 
 import numpy as np
+import pytest
 
 from planesep import oracle
 from planesep.repository import build, grow_dimension, insert, load, save
 
-BUILT_SHA256 = "b9363529f20a54b66882d9aab2b1d3e84dc5b60210e89f90859c60cc93cb55f9"
+BUILT_SHA256 = "819e6a506929e43c52da22c197de0622a2c6877de5dc7c12eb7f3f40bdb1d4c6"
 BUILT_COUNTERS = {
     "multiplications": 346180,
     "additions": 345557,
     "sign_evals": 85746,
-    "bit_comparisons": 241210,
+    "bit_comparisons": 142714,
     "ov_multiplications": 202920,
     "extension_multiplications": 140064,
     "solve_multiplications": 2244,
 }
-GROWN_SHA256 = "6a0012fc026b3c1f09543b611a7df3addeec173501ef2ab65eafab70f41ae475"
+GROWN_SHA256 = "21684c14356fd959ba7fa0207be32f5bdefd7a8c02b157d396aeb120a645677f"
 GROWN_COUNTERS = {
     "multiplications": 1464187,
     "additions": 1462534,
     "sign_evals": 308417,
-    "bit_comparisons": 583773,
+    "bit_comparisons": 320663,
     "ov_multiplications": 552015,
     "extension_multiplications": 904324,
     "solve_multiplications": 6726,
@@ -44,12 +54,12 @@ GROWN_COUNTERS = {
 
 # 400 distinct values below 10^4 at n=10: six dead digit coordinates, so the
 # batches are rank-deficient and the narrowing walk is exercised
-WIDE_SHA256 = "7f8ae46574d6138f7eb5fde0117f26d8126fa073cb8af60e5b75ba2e164d3df2"
+WIDE_SHA256 = "ae3a719a08d4225e48b2fa9678edf58d101e35e69d5e45735f0b23fcbb785b84"
 WIDE_COUNTERS = {
     "multiplications": 630610,
     "additions": 625421,
     "sign_evals": 58037,
-    "bit_comparisons": 43631,
+    "bit_comparisons": 29992,
     "ov_multiplications": 85280,
     "extension_multiplications": 495090,
     "solve_multiplications": 48810,
@@ -57,12 +67,12 @@ WIDE_COUNTERS = {
 
 # all 9,592 primes below 10^5 at n=5: q = 105, so the index's keys grow
 # past 64 bits during the build
-PRIMES5_SHA256 = "6d23fbdc8c5543407649c12311e1661fcad309b84248c405de5592851def1df6"
+PRIMES5_SHA256 = "cb6318ff26cd3f8ae8466969c3ddc0686c9f36068a3149c9dd60a1c5c0ee3d7d"
 PRIMES5_COUNTERS = {
     "multiplications": 5662381,
     "additions": 5660826,
     "sign_evals": 1130624,
-    "bit_comparisons": 3012533,
+    "bit_comparisons": 1583390,
     "ov_multiplications": 3642605,
     "extension_multiplications": 2010515,
     "solve_multiplications": 6741,
@@ -124,3 +134,13 @@ def test_fixed_seed_build_past_64_planes_is_unchanged():
     assert sha256(text) == PRIMES5_SHA256
     assert repo.counters.as_dict() == PRIMES5_COUNTERS
     assert saved_text(load(io.StringIO(text))) == text
+
+
+@pytest.mark.parametrize("n, q, q0, q_lb", [(2, 11, 2, 7), (3, 28, 2, 10), (4, 63, 3, 14),
+                                           (5, 105, 4, 18)])
+def test_plane_counts_of_primes_against_the_lower_bound(n, q, q0, q_lb):
+    """Primes below 10^n at n digits, seed 0: q and q0 of the build, and the
+    least q any separator of that many points in n dimensions needs."""
+    repo = build([int(p) for p in oracle.sieve(10**n).primes()], n, 0)
+    assert (repo.q, repo.state.q0) == (q, q0)
+    assert oracle.plane_count_lower_bound(repo.count, n) == q_lb

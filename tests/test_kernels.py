@@ -61,3 +61,17 @@ def test_gauss_full_rank_square_matches_numpy_solve():
 def test_residuals_point_empty_family():
     out = kernels.residuals_point(np.empty((0, 4)), np.zeros(4))
     assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("n, q, count", [(1, 1, 1), (6, 160, 256), (25, 40, 7), (4, 0, 3)])
+def test_block_residuals_match_the_point_kernel(n, q, count):
+    rng = np.random.default_rng(n)
+    planes = rng.standard_normal((q, n))
+    pts = rng.uniform(0.0, 9.0, size=(count, n))
+    block = kernels.residuals_block(pts, planes)
+    assert block.shape == (count, q)
+    # each sum carries a forward error of at most (n+1) u (1 + |alpha| . |x|),
+    # u = eps/2, whatever order the two kernels add in
+    bound = (n + 1) * np.finfo(np.float64).eps * (1.0 + np.abs(pts) @ np.abs(planes).T)
+    for i, p in enumerate(pts):
+        assert np.all(np.abs(block[i] - kernels.residuals_point(planes, p)) <= bound[i])

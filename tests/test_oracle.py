@@ -1,5 +1,7 @@
 """Ground-truth generators are themselves cross-checked here."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,26 @@ class TestCoordinatePlanes:
             sa = (1.0 + mat @ a) > 0
             sb = (1.0 + mat @ b) > 0
             assert not np.array_equal(sa, sb)
+
+
+class TestPlaneCountLowerBound:
+    @pytest.mark.parametrize("count, n", [(0, 3), (1, 1), (2, 1), (5, 3), (8, 3), (9, 4),
+                                          (2000, 15), (50000, 25), (2**20, 20)])
+    def test_a_bound_of_at_most_n_is_log2_of_the_count(self, count, n):
+        q_lb = oracle.plane_count_lower_bound(count, n)
+        assert q_lb <= n
+        assert q_lb == max(count - 1, 0).bit_length()  # ceil(log2 count), 0 for count <= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_least_plane_count_whose_cells_hold_every_point(self, n):
+        def cells(q):
+            return sum(math.comb(q, i) for i in range(n + 1))
+
+        for count in range(1, 400):
+            q_lb = oracle.plane_count_lower_bound(count, n)
+            assert cells(q_lb) >= count
+            assert q_lb == 0 or cells(q_lb - 1) < count
+
+    def test_25_points_in_the_plane_need_seven_lines(self):
+        # 6 lines make at most 1 + 6 + 15 = 22 regions, 7 lines 29
+        assert oracle.plane_count_lower_bound(25, 2) == 7

@@ -163,6 +163,15 @@ class TestBuild:
         assert repo.count == 0
         assert repo.q == 0
 
+    def test_inserts_into_an_empty_store(self):
+        # the first offers meet no plane at all: every address is empty
+        repo = build([], 3, 0)
+        insert(repo, [5])
+        assert (repo.count, repo.q) == (1, 0)
+        insert(repo, [7, 11, 997, 123])
+        assert repo.q > 0
+        assert [query(repo, v).found for v in (5, 7, 11, 997, 123, 6)] == [True] * 5 + [False]
+
     def test_duplicate_values_rejected(self):
         with pytest.raises(DuplicatePointError):
             build([3, 5, 3], 2, 0)
@@ -241,7 +250,7 @@ def reference_query(repo, v, counters):
     if np.any(signs == INCIDENT):
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
     pid = state.index.lookup(pack_sign_bits(signs > 0), state.q, counters)
-    if pid is None:
+    if pid < 0:
         return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
     if repo.values[pid] == v:
         return QueryResult(found=True, value=v)

@@ -1,11 +1,13 @@
 """The incremental separation algorithm: chains, emissions, invariants."""
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from planesep import (
+    DimensionMismatchError,
     DuplicatePointError,
     OpCounters,
     oracle,
@@ -17,12 +19,12 @@ from planesep.separator import (
     OvIndex,
     PendingChain,
     SeparationState,
-    _cmp_bits,
     emit_plane,
     finalize,
     init,
     offer,
     run,
+    stream_points,
 )
 
 EPS = 1e-9
@@ -57,6 +59,14 @@ def find_same_quadrant_points(state, anchor_id, count, lo=0.0, hi=9.0):
 def assert_state_separated(state):
     verdict = oracle.verify_separation(state.points, state.plane_matrix, EPS)
     assert verdict.ok, f"incidences={verdict.incidences} collisions={verdict.collisions}"
+
+
+def _cmp_bits(a: int, b: int, q: int) -> int:
+    """Bits a dictionary-order comparison of two q-bit keys examines: up to
+    and including the first difference, all q when they are equal."""
+    if a == b:
+        return q
+    return q - (a ^ b).bit_length() + 1
 
 
 class TestCmpBits:
@@ -98,7 +108,7 @@ class TestOvIndex:
         assert c.bit_comparisons > 0
         hits = OpCounters()
         assert idx.lookup(0b111, 3, hits) == 2
-        assert idx.lookup(0b101, 3, hits) is None
+        assert idx.lookup(0b101, 3, hits) == ~3  # after 0b001, 0b010 and 0b100
         assert hits.bit_comparisons > 0
 
     def test_comparison_counts_equal_a_replay_of_the_search(self):
@@ -115,7 +125,8 @@ class TestOvIndex:
         for probe in [*keys[:50], *(int(k) for k in rng.integers(0, 1 << q, size=50))]:
             c = OpCounters()
             pid = idx.lookup(probe, q, c)
-            assert pid == (keys.index(probe) if probe in keys else None)
+            assert pid == (keys.index(probe) if probe in keys
+                           else ~sum(k < probe for k in keys))
             assert c.bit_comparisons == replay_search(stored, probe, q, stop_on_hit=True)
 
     def test_bulk_build_matches_one_built_by_insert(self):
@@ -163,8 +174,10 @@ class TestOvIndex:
 
 class TwoListIndex:
     """The index as it was before keys were stored aligned: q-bit keys in
-    one list, point ids in another, every key rebuilt on each new plane.
-    The reference for the differential tests below."""
+    one list, point ids in another, every key rebuilt on each new plane,
+    and every insert a search of its own.  A missed lookup returns ~pos,
+    pos being where the key would go.  The reference for the differential
+    tests below."""
 
     def __init__(self):
         self._keys = []
@@ -193,7 +206,7 @@ class TwoListIndex:
             else:
                 hi = mid
         counters.bit_comparisons += bits
-        return None
+        return ~lo
 
     def insert(self, packed, pid, q, counters):
         keys = self._keys
@@ -264,6 +277,33 @@ class TestAlignedIndexAgainstTwoLists:
             present = {k for k, _ in ref.items()}
             assert list(new.items()) == list(ref.items())
         assert len(new) == len(present) > 400
+
+    def test_insert_at_a_missed_lookups_position_skips_the_search(self):
+        """Keys stored at ~lookup(...) after a miss, as offer stores them:
+        the insert tallies no comparison and leaves the same items as the
+        reference's searching insert, at widths that realign the keys."""
+        rnd = random.Random(11)
+        new, ref = OvIndex.from_sorted([], 5), TwoListIndex()
+        for q in range(5, 71):
+            if q in (5, 40, 70):
+                present = {k for k, _ in ref.items()}
+                for _ in range(60):
+                    key = rnd.getrandbits(q)
+                    miss = self.call_both(new, ref, "lookup", key, q)
+                    if key in present:
+                        continue
+                    assert miss < 0
+                    present.add(key)
+                    skipped, searched = OpCounters(), OpCounters()
+                    new.insert(key, len(present) - 1, q, skipped, ~miss)
+                    ref.insert(key, len(present) - 1, q, searched)
+                    assert skipped.bit_comparisons == 0
+                    assert list(new.items()) == list(ref.items())
+            bits = np.array([rnd.random() < 0.5 for _ in range(len(new))], dtype=bool)
+            new.extend_all(bits)
+            ref.extend_all(bits)
+        assert list(new.items()) == list(ref.items())
+        assert len(new) > 140
 
     @pytest.mark.parametrize("q", [0, 64, 65])
     def test_bulk_load_then_grow(self, q):
@@ -486,6 +526,112 @@ class TestFinalize:
         assert state.count == total
         assert state.q >= q_before + 1
         assert_state_separated(state)
+
+
+def offer_one_at_a_time(state, pts):
+    """The stream driven by hand, one offer(state, p) per point, as in c06."""
+    queue = deque(pts)
+    stash = []
+    while queue or stash:
+        if not queue:
+            emit_plane(state)
+            queue.extend(stash)
+            stash.clear()
+            continue
+        p = queue.popleft()
+        res = offer(state, p)
+        if res.kind is OfferKind.RECYCLED:
+            stash.append(p)
+        elif res.kind is OfferKind.PLANE_EMITTED:
+            queue.extend(stash)
+            stash.clear()
+
+
+def chain_fields(chain):
+    rows = (chain.b, chain.midpoint_ab, chain.c, chain.d)
+    return chain.anchor_id, chain.anchor_key, *(None if x is None else x.tobytes() for x in rows)
+
+
+def assert_same_state(a, b):
+    assert a.plane_matrix.tobytes() == b.plane_matrix.tobytes()
+    assert list(a.index.items()) == list(b.index.items())
+    assert a.points.tobytes() == b.points.tobytes()
+    assert [chain_fields(c) for c in a.chains] == [chain_fields(c) for c in b.chains]
+    assert a.recycle_events == b.recycle_events
+    assert a.offers == b.offers
+    assert a.counters == b.counters
+
+
+class TestStreamInBlocks:
+    """stream_points evaluates its queue in blocks, and must end exactly
+    where offering the same points one at a time ends."""
+
+    def test_block_stream_equals_offers_one_at_a_time(self, monkeypatch):
+        # primes below 1000 at n=3, shuffled with seed 2: all 164 streamed
+        # points fit in one block, which emits planes, nudges planes off
+        # offered points and recycles points
+        lattice = np.array([[(v // 10**i) % 10 for i in range(3)] for v in range(1000)],
+                           dtype=float)
+        pts = lattice[oracle.sieve(1000).primes()]
+        pts = pts[np.random.default_rng(2).permutation(len(pts))]
+        assert len(pts) - 4 <= separator._OFFER_BLOCK
+
+        scalar = init(pts[:4], 3, seed=2)
+        offer_one_at_a_time(scalar, pts[4:])
+
+        kinds, nudged_at = [], []
+        real_offer, real_nudge = separator.offer, separator._nudge_plane
+
+        def traced_offer(*args):
+            res = real_offer(*args)
+            kinds.append(res.kind)
+            return res
+
+        def traced_nudge(*args):
+            nudged_at.append(len(kinds))  # the number of the offer under way
+            return real_nudge(*args)
+
+        monkeypatch.setattr(separator, "offer", traced_offer)
+        monkeypatch.setattr(separator, "_nudge_plane", traced_nudge)
+        blocked = init(pts[:4], 3, seed=2)
+        stream_points(blocked, pts[4:])
+        first_block = kinds[: len(pts) - 4]
+        assert OfferKind.PLANE_EMITTED in first_block and OfferKind.RECYCLED in first_block
+        assert nudged_at and nudged_at[0] < len(first_block)
+        assert scalar.recycle_events > 0
+        assert_same_state(blocked, scalar)
+
+        # two unstored lattice points on one plane, in one block: the first
+        # one's nudge moves the plane off the second, which must then be
+        # judged at the nudged plane, not nudge it a second time
+        on_plane = np.abs(1.0 + lattice @ scalar.plane_matrix.T) <= EPS
+        j = int(np.flatnonzero(on_plane.sum(axis=0) >= 2)[0])
+        pair = lattice[on_plane[:, j]][:2]
+        nudges = len(nudged_at)
+        stream_points(blocked, pair)
+        offer_one_at_a_time(scalar, pair)
+        assert len(nudged_at) > nudges
+        assert_same_state(blocked, scalar)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([1.0, 2.0, 3.0], DimensionMismatchError),
+        ([1.0, np.nan], ValueError),
+        ([np.inf, 4.0], ValueError),
+    ])
+    def test_bad_point_in_a_block_raises_what_offer_raises(self, bad, error):
+        def fresh():
+            return init(np.array([[0, 0], [9, 0], [0, 9], [9, 9]], dtype=float), 2, seed=0)
+
+        with pytest.raises(error) as from_offer:
+            offer(fresh(), bad)
+        with pytest.raises(error) as from_block:
+            stream_points(fresh(), [[1.5, 2.5], bad, [3.5, 4.5]])
+        assert str(from_block.value) == str(from_offer.value)
+
+    def test_block_of_the_wrong_width_is_a_dimension_mismatch(self):
+        state = init(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            stream_points(state, np.ones((5, 3)))
 
 
 class TestRun:
