@@ -17,17 +17,7 @@ from .errors import (
     PlanesepError,
     RepositoryFormatError,
 )
-from .geometry import (
-    INCIDENT,
-    OrientationVector,
-    Plane,
-    evaluate_residual,
-    fit_plane_through,
-    orientation_vector,
-    position_vector,
-    shift_midpoints,
-    sign_of,
-)
+from .geometry import OrientationVector, fit_plane_through, shift_midpoints
 from .repository import (
     IntegerMapping,
     Repository,
@@ -55,13 +45,7 @@ __all__ = [
     "DigitOverflowError",
     "NotADigitPointError",
     "RepositoryFormatError",
-    "INCIDENT",
-    "Plane",
     "OrientationVector",
-    "evaluate_residual",
-    "sign_of",
-    "position_vector",
-    "orientation_vector",
     "fit_plane_through",
     "shift_midpoints",
     "SeparationState",

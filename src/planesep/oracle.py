@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Plane
-
 
 @dataclass
 class SieveTable:
@@ -50,8 +48,9 @@ class Verdict:
         return self.ok
 
 
-def verify_separation(points, planes, epsilon: float) -> Verdict:
-    """Check that the planes give every point a clear, unique sign vector.
+def verify_separation(points, planes: np.ndarray, epsilon: float) -> Verdict:
+    """Check that the planes, a (q, n) coefficient matrix, give every point a
+    clear, unique sign vector.
 
     Recomputes all residuals from scratch: a point within epsilon of any
     plane is an incidence failure, and two points with identical sign rows
@@ -61,14 +60,7 @@ def verify_separation(points, planes, epsilon: float) -> Verdict:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
-    if isinstance(planes, np.ndarray):
-        mat = planes
-    else:
-        mat = (
-            np.stack([pl.alpha for pl in planes])
-            if len(planes)
-            else np.empty((0, pts.shape[1]))
-        )
+    mat = np.asarray(planes, dtype=np.float64)
     verdict = Verdict(ok=True)
     npts = pts.shape[0]
     if mat.shape[0] == 0:
@@ -106,10 +98,11 @@ def plane_count_lower_bound(count: int, n: int) -> int:
     return q
 
 
-def coordinate_plane_separator(n: int, base: int = 10) -> list[Plane]:
-    """Axis-aligned threshold planes x_i = k + 1/2 for every digit gap.
+def coordinate_plane_separator(n: int, base: int = 10) -> np.ndarray:
+    """Axis-aligned threshold planes x_i = k + 1/2 for every digit gap, as a
+    ((base-1)*n, n) coefficient matrix, coordinate-major.
 
-    The (base-1)*n planes separate every pair of distinct digit points:
+    The planes separate every pair of distinct digit points:
     two such points differ in some coordinate, and a threshold between the
     two digit values puts them on opposite sides.  Serves as a guaranteed
     (if wasteful) baseline family.
@@ -118,11 +111,8 @@ def coordinate_plane_separator(n: int, base: int = 10) -> list[Plane]:
         raise ValueError("dimension must be at least 1")
     if base < 2:
         raise ValueError("base must be at least 2")
-    planes = []
+    planes = np.zeros(((base - 1) * n, n))
     for i in range(n):
         for k in range(base - 1):
-            threshold = k + 0.5
-            alpha = np.zeros(n)
-            alpha[i] = -1.0 / threshold
-            planes.append(Plane(alpha=alpha, saturated=True))
+            planes[i * (base - 1) + k, i] = -1.0 / (k + 0.5)
     return planes

@@ -15,6 +15,7 @@ caller-owned counter accumulator, so concurrent readers never contend.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -350,11 +351,18 @@ class _LineReader:
         return parts
 
 
-def _int_field(parts: list[str], idx: int, line: int) -> int:
+def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
+               hi: int | None = None) -> int:
+    """Field idx as an int, rejected outside [lo, hi] when those are given."""
     try:
-        return int(parts[idx])
+        value = int(parts[idx])
     except (ValueError, IndexError) as exc:
         raise RepositoryFormatError(f"bad integer field: {parts}", line=line) from exc
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise RepositoryFormatError(
+            f"{parts[0]} {value} outside [{lo}, {'any' if hi is None else hi}]", line=line
+        )
+    return value
 
 
 def load(source) -> Repository:
@@ -380,9 +388,9 @@ def load(source) -> Repository:
         mapping = IntegerMapping(n=n, base=base)
     except ValueError as exc:
         raise RepositoryFormatError(str(exc), line=n_line if n < 1 else rd.pos) from exc
-    q = _int_field(rd.next("q"), 1, rd.pos)
-    count = _int_field(rd.next("count"), 1, rd.pos)
-    seed = _int_field(rd.next("seed"), 1, rd.pos)
+    q = _int_field(rd.next("q"), 1, rd.pos, lo=0)
+    count = _int_field(rd.next("count"), 1, rd.pos, lo=0)
+    seed = _int_field(rd.next("seed"), 1, rd.pos, lo=0)  # inserts seed numpy with it
     # the tolerances are fixed and a file naming others is not served: one
     # built with a narrower band may hold points inside this one, and
     # queries would answer them absent
@@ -397,7 +405,7 @@ def load(source) -> Repository:
         )
     except ValueError as exc:
         raise RepositoryFormatError("bad dims-history field", line=rd.pos) from exc
-    q0 = _int_field(rd.next("q0"), 1, rd.pos)
+    q0 = _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)
     offers_parts = rd.next("offers")
     offers = _int_field(offers_parts, 1, rd.pos)
     offered_nq = _int_field(offers_parts, 2, rd.pos)
@@ -429,12 +437,15 @@ def load(source) -> Repository:
             raise RepositoryFormatError(
                 f"plane line has {len(parts) - 2} coefficients, expected {n}", line=rd.pos
             )
-        saturated = parts[1] == "1"
+        if parts[1] not in ("0", "1"):
+            raise RepositoryFormatError(f"saturated flag {parts[1]!r} is not 0 or 1", line=rd.pos)
         try:
-            alpha = np.array([float(x) for x in parts[2:]])
+            alpha = [float(x) for x in parts[2:]]
         except ValueError as exc:
             raise RepositoryFormatError("bad plane coefficient", line=rd.pos) from exc
-        state._append_plane(alpha, saturated)
+        if not all(map(math.isfinite, alpha)):
+            raise RepositoryFormatError("non-finite plane coefficient", line=rd.pos)
+        state._append_plane(np.array(alpha), parts[1] == "1")
 
     values: list[int] = []
     keys: list[int] = []

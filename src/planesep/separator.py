@@ -118,32 +118,19 @@ class OvIndex:
         """Store ``packed`` for point ``pid``.
 
         ``pos`` is ``~lookup(packed, ...)`` from a miss with no change to
-        the index since; without it, a binary search finds the position.
+        the index since; without it, :meth:`lookup` finds the position.
         """
         if q != self._q:
             # an empty index takes the width of its first key
             if self._keys:
                 raise AssertionError(f"{q}-bit key inserted among {self._q}-bit keys")
             self._q = self._width = q
-        keys = self._keys
-        x = packed << (self._width - q)
         if pos is None:
-            top = self._width + 1
-            lo, hi = 0, len(keys)
-            bits = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                key = keys[mid]
-                if key == x:
-                    raise AssertionError("duplicate sign vector in index")
-                bits += top - (key ^ x).bit_length()
-                if key < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            counters.bit_comparisons += bits
-            pos = lo
-        keys.insert(pos, x)
+            pos = self.lookup(packed, q, counters)
+            if pos >= 0:
+                raise AssertionError("duplicate sign vector in index")
+            pos = ~pos
+        self._keys.insert(pos, packed << (self._width - q))
         self._ids.insert(pos, pid)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
@@ -649,13 +636,12 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
                 direction = state.rng.standard_normal(n)
             mids = shift_midpoints(mids0, direction, delta)
         try:
-            plane = fit_plane_through(mids, n, state.rng, state.counters)
+            cand = fit_plane_through(mids, n, state.rng, state.counters)
         except InconsistentSystemError as exc:
             if attempt == 0 and exc.rank is not None and exc.rank + 1 < k:
                 return exc.rank + 1
             direction = None
             continue
-        cand = plane.alpha
         r_s = state._sweep(state.points, cand) if state.count else np.empty(0)
         r_pend = state._sweep(pend_mat, cand)
         if np.any(np.abs(r_s) <= eps) or np.any(np.abs(r_pend) <= eps):

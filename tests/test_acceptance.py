@@ -12,7 +12,6 @@ import pytest
 
 from planesep import oracle, repository, svgplot
 from planesep.counters import OpCounters
-from planesep.geometry import Plane, orientation_vector
 from planesep.separator import OfferKind, emit_plane, finalize, init, offer, run
 
 EPS = 1e-9
@@ -141,12 +140,24 @@ def test_c06_operation_count_exactness():
     """One sign-vector evaluation costs exactly n*q multiplications, and a
     whole build's sign-vector work is exactly the sum of per-offer n*q."""
     rng = np.random.default_rng(7)
-    for n, q in [(1, 1), (4, 9), (25, 40)]:
-        planes = [Plane(rng.standard_normal(n)) for _ in range(q)]
-        c = OpCounters()
-        orientation_vector(planes, rng.uniform(1, 2, size=n), EPS, c)
-        assert c.multiplications == n * q, "single evaluation must cost n*q"
-        assert c.additions == n * q
+    stores = [
+        (1, [2, 3, 5, 7], 4),
+        (4, primes_below(10_000), 9_999),
+        (25, sorted({int(v) for v in rng.integers(0, 10**18, size=300)}), 10**24 + 1),
+    ]
+    for n, values, fresh in stores:
+        repo = repository.build(values, n, seed=3)
+        q = repo.q
+        for v in (values[-1], fresh):
+            c = OpCounters()
+            repository.query(repo, v, c)
+            assert c.multiplications == n * q, "one query must cost n*q"
+            assert c.additions == n * q
+        before = repo.counters.snapshot()
+        offer(repo.state, repository.map_to_point(fresh, repo.mapping))
+        assert repo.counters.delta(before).ov_multiplications == n * q, (
+            "one offer must cost n*q"
+        )
 
     # manual drive with an independent per-offer tally
     n = 6
@@ -177,7 +188,7 @@ def test_c06_operation_count_exactness():
     assert delta.ov_multiplications == expected, "build OV work must equal sum n*q"
     assert state.count == pts.shape[0]
     report(
-        f"criterion 6 PASS: single call = n*q exactly; build OV work "
+        f"criterion 6 PASS: one query and one offer = n*q exactly; build OV work "
         f"{delta.ov_multiplications} equals independent tally {expected}"
     )
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from planesep import oracle
-from planesep.geometry import Plane
 
 
 class TestSieve:
@@ -47,21 +46,21 @@ class TestSieve:
 class TestVerifySeparation:
     def test_fails_on_identical_points(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0]])
-        planes = [Plane(np.array([1.0, 0.0]))]
+        planes = np.array([[1.0, 0.0]])
         verdict = oracle.verify_separation(pts, planes, 1e-9)
         assert not verdict.ok
         assert verdict.collisions
 
     def test_fails_on_incident_point(self):
         pts = np.array([[2.0, 0.0], [0.0, 3.0]])
-        planes = [Plane(np.array([-0.5, 0.0]))]  # passes through x=2
+        planes = np.array([[-0.5, 0.0]])  # passes through x=2
         verdict = oracle.verify_separation(pts, planes, 1e-9)
         assert not verdict.ok
         assert (0, 0) in verdict.incidences
 
     def test_passes_on_clean_split(self):
         pts = np.array([[0.0, 0.0], [4.0, 0.0]])
-        planes = [Plane(np.array([-0.5, 0.0]))]  # x = 2
+        planes = np.array([[-0.5, 0.0]])  # x = 2
         assert oracle.verify_separation(pts, planes, 1e-9).ok
 
     def test_no_planes_many_points_collides(self):
@@ -70,30 +69,29 @@ class TestVerifySeparation:
         assert not verdict.ok
 
     def test_single_point_trivially_ok(self):
-        verdict = oracle.verify_separation(np.array([[1.0, 1.0]]), [], 1e-9)
+        verdict = oracle.verify_separation(np.array([[1.0, 1.0]]), np.empty((0, 2)), 1e-9)
         assert verdict.ok
 
 
 class TestCoordinatePlanes:
     def test_nine_thresholds_separate_the_digits(self):
         planes = oracle.coordinate_plane_separator(1)
-        assert len(planes) == 9
+        assert planes.shape == (9, 1)
         pts = np.arange(10.0)[:, None]
         assert oracle.verify_separation(pts, planes, 1e-9).ok
 
     def test_18_planes_separate_all_two_digit_points(self):
         planes = oracle.coordinate_plane_separator(2)
-        assert len(planes) == 18
+        assert planes.shape == (18, 2)
         pts = np.array([[x, y] for x in range(10) for y in range(10)], dtype=float)
         assert oracle.verify_separation(pts, planes, 1e-9).ok
 
     def test_count_scales_with_base_and_dims(self):
-        assert len(oracle.coordinate_plane_separator(3, base=4)) == 9
+        assert oracle.coordinate_plane_separator(3, base=4).shape == (9, 3)
 
     def test_any_two_digit_points_split_by_some_axis_threshold(self):
         rng = np.random.default_rng(0)
-        planes = oracle.coordinate_plane_separator(3)
-        mat = np.stack([p.alpha for p in planes])
+        mat = oracle.coordinate_plane_separator(3)
         for _ in range(100):
             a, b = rng.integers(0, 10, size=(2, 3)).astype(float)
             if np.array_equal(a, b):

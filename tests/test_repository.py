@@ -487,6 +487,27 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match=f"^line {line}: "):
             load(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize("line, edit", [
+        (4, lambda parts, q: ["q", "-1"]),
+        (5, lambda parts, q: ["count", "-3"]),
+        (6, lambda parts, q: ["seed", "-5"]),
+        (11, lambda parts, q: ["q0", "-1"]),
+        (11, lambda parts, q: ["q0", str(q + 1)]),
+        (14, lambda parts, q: ["plane", "7"] + parts[2:]),
+        (15, lambda parts, q: parts[:2] + ["nan"] + parts[3:]),
+        (16, lambda parts, q: parts[:-1] + ["-inf"]),
+    ], ids=["negative-q", "negative-count", "negative-seed", "negative-q0", "q0-above-q",
+            "saturated-flag-7", "nan-coefficient", "infinite-coefficient"])
+    def test_malformed_header_or_plane_line_rejected_with_its_line(self, line, edit):
+        # each of these loaded before: a negative count or seed broke the
+        # next insert, a negative q every query, and a nan plane answered
+        # queries wrongly
+        repo = build(primes_below(24), 2, 0)
+        lines = saved_text(repo).splitlines(keepends=True)
+        lines[line - 1] = " ".join(edit(lines[line - 1].split(), repo.q)) + "\n"
+        with pytest.raises(RepositoryFormatError, match=f"^line {line}: "):
+            load(io.StringIO("".join(lines)))
+
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"

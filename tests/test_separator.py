@@ -14,6 +14,7 @@ from planesep import (
     separator,
 )
 from planesep.geometry import pack_sign_bits
+from planesep.repository import IntegerMapping, map_to_points
 from planesep.separator import (
     OfferKind,
     OvIndex,
@@ -529,22 +530,26 @@ class TestFinalize:
 
 
 def offer_one_at_a_time(state, pts):
-    """The stream driven by hand, one offer(state, p) per point, as in c06."""
+    """The stream driven by hand, one offer(state, p) per point, as in c06;
+    returns the report of every plane emitted."""
     queue = deque(pts)
     stash = []
+    reports = []
     while queue or stash:
         if not queue:
-            emit_plane(state)
+            reports.append(emit_plane(state))
             queue.extend(stash)
             stash.clear()
             continue
         p = queue.popleft()
         res = offer(state, p)
+        reports.extend(res.reports)
         if res.kind is OfferKind.RECYCLED:
             stash.append(p)
         elif res.kind is OfferKind.PLANE_EMITTED:
             queue.extend(stash)
             stash.clear()
+    return reports
 
 
 def chain_fields(chain):
@@ -560,6 +565,22 @@ def assert_same_state(a, b):
     assert a.recycle_events == b.recycle_events
     assert a.offers == b.offers
     assert a.counters == b.counters
+
+
+class TestSaturatedRecord:
+    def test_a_plane_is_saturated_exactly_when_n_midpoints_fixed_it(self):
+        # primes below 1000 at n=3 emit planes through 3 midpoints and through fewer
+        n = 3
+        pts = map_to_points(oracle.sieve(1000).primes(), IntegerMapping(n))
+        state = init(pts[: n + 1], n, seed=2)
+        reports = offer_one_at_a_time(state, pts[n + 1:])
+        while state.chains:
+            reports.append(emit_plane(state))
+        assert state.q0 > 0 and all(state._saturated[: state.q0])
+        assert [r.plane_index for r in reports] == list(range(state.q0, state.q))
+        full = [r.constraint_count == n for r in reports]
+        assert [state._saturated[r.plane_index] for r in reports] == full
+        assert set(full) == {True, False}
 
 
 class TestStreamInBlocks:
