@@ -291,7 +291,7 @@ def cmd_stats(args) -> int:
     expected_nf = base**n / n
     # every stored point met every plane at least once, at the first width
     # or a later, wider one
-    n_first = repo.dims_history[0] if repo.dims_history else n
+    n_first = repo.dims_history[0]
     ov_floor = state.count * n_first * state.q
     q_lower_bound = oracle.plane_count_lower_bound(state.count, n)
 

@@ -405,6 +405,14 @@ def load(source) -> Repository:
         )
     except ValueError as exc:
         raise RepositoryFormatError("bad dims-history field", line=rd.pos) from exc
+    # a store is built at its first width and each grow appends a wider one;
+    # stats bounds the OV cost by the first
+    if (not dims_history or dims_history[0] < 1 or dims_history[-1] != n
+            or any(a >= b for a, b in zip(dims_history, dims_history[1:]))):
+        raise RepositoryFormatError(
+            f"dims-history {list(dims_history)} is not increasing widths ending at n = {n}",
+            line=rd.pos,
+        )
     q0 = _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)
     offers_parts = rd.next("offers")
     offers = _int_field(offers_parts, 1, rd.pos)

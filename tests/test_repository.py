@@ -487,6 +487,19 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match=f"^line {line}: "):
             load(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize("history", ["dims-history 7", "dims-history 3,2",
+                                         "dims-history 2,2", "dims-history"],
+                             ids=["wider-than-n", "decreasing", "repeated", "empty"])
+    def test_dims_history_not_increasing_to_n_rejected_with_its_line(self, history):
+        # each loaded before; with 7, stats reported count*7*q as the floor
+        # of an n = 2 store's OV cost and read its own store as below it
+        repo = build(primes_below(24), 2, 0)
+        lines = saved_text(repo).splitlines(keepends=True)
+        assert lines[9] == "dims-history 2\n"
+        lines[9] = history + "\n"
+        with pytest.raises(RepositoryFormatError, match="^line 10: dims-history"):
+            load(io.StringIO("".join(lines)))
+
     @pytest.mark.parametrize("line, edit", [
         (4, lambda parts, q: ["q", "-1"]),
         (5, lambda parts, q: ["count", "-3"]),

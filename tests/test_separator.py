@@ -306,6 +306,43 @@ class TestAlignedIndexAgainstTwoLists:
         assert list(new.items()) == list(ref.items())
         assert len(new) > 140
 
+    @pytest.mark.parametrize("after_miss", [True, False], ids=["at-missed-pos", "searching"])
+    def test_insert_at_the_front_the_back_and_between(self, after_miss):
+        """Each width stores a key below every key (position 0), one above
+        every key (position len) and one between, from q = 27 past the
+        realigns at 30 and 60 bits.  The first keys sit far enough from 0
+        and 2**q that both edges stay free."""
+        rnd = random.Random(12)
+        new, ref = OvIndex(), TwoListIndex()
+        for pid, key in enumerate([5 << 20, 9 << 20, 13 << 20]):
+            self.call_both(new, ref, "insert", key, pid, 27)
+        for q in range(27, 63):
+            present = {k for k, _ in ref.items()}
+            lowest, highest = min(present), max(present)
+            middle = lowest
+            while middle in present:
+                middle = rnd.randrange(lowest, highest)
+            for key, edge in ((lowest - 1, "front"), (highest + 1, "back"), (middle, None)):
+                pid = len(new)
+                pos = {"front": 0, "back": pid}.get(edge)
+                if after_miss:
+                    miss = self.call_both(new, ref, "lookup", key, q)
+                    assert miss < 0 and pos in (None, ~miss)
+                    skipped = OpCounters()
+                    new.insert(key, pid, q, skipped, ~miss)
+                    ref.insert(key, pid, q, OpCounters())
+                    assert skipped.bit_comparisons == 0
+                else:
+                    self.call_both(new, ref, "insert", key, pid, q)
+                assert list(new.items()) == list(ref.items())
+                assert pos in (None, [i for _, i in new.items()].index(pid))
+            self.probe(new, ref, q, rnd, 4)
+            bits = np.array([rnd.random() < 0.5 for _ in range(len(new))], dtype=bool)
+            new.extend_all(bits)
+            ref.extend_all(bits)
+            assert list(new.items()) == list(ref.items())
+        assert new._width == 90 and len(new) == 3 + 3 * 36
+
     @pytest.mark.parametrize("q", [0, 64, 65])
     def test_bulk_load_then_grow(self, q):
         rnd = random.Random(q)
