@@ -39,8 +39,3 @@ class OpCounters:
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "OpCounters":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in d.items() if k in names})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -415,18 +415,23 @@ def load(source) -> Repository:
         )
     q0 = _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)
     offers_parts = rd.next("offers")
-    offers = _int_field(offers_parts, 1, rd.pos)
+    offers = _int_field(offers_parts, 1, rd.pos, lo=0)
     offered_nq = _int_field(offers_parts, 2, rd.pos)
-    recycles = _int_field(offers_parts, 3, rd.pos)
+    recycles = _int_field(offers_parts, 3, rd.pos, lo=0)
     counter_parts = rd.next("counters")
     try:
-        counter_map = {
-            k: int(v) for k, v in (kv.split("=", 1) for kv in counter_parts[1:])
-        }
+        pairs = [(k, int(v)) for k, v in (kv.split("=", 1) for kv in counter_parts[1:])]
     except ValueError as exc:
         raise RepositoryFormatError("bad counters field", line=rd.pos) from exc
+    # a name missing, misspelled or repeated would be read as 0 or as its last value
+    names = [f.name for f in fields(OpCounters)]
+    if sorted(k for k, _ in pairs) != sorted(names) or any(v < 0 for _, v in pairs):
+        raise RepositoryFormatError(
+            f"counters must name each of {', '.join(names)} once, with a value >= 0",
+            line=rd.pos,
+        )
 
-    counters = OpCounters.from_dict(counter_map)
+    counters = OpCounters(**dict(pairs))
     if offered_nq != counters.ov_multiplications:
         raise RepositoryFormatError(
             f"offers line records {offered_nq} OV multiplications, "
@@ -459,7 +464,7 @@ def load(source) -> Repository:
     keys: list[int] = []
     prev_packed = -1
     capacity = mapping.capacity
-    key_limit = 1 << max(q, 1)
+    key_limit = 1 << q
     for _ in range(count):
         parts = rd.next("entry")
         v = _int_field(parts, 1, rd.pos)

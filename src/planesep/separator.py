@@ -23,7 +23,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -161,19 +161,17 @@ class OvIndex:
 
 @dataclass
 class PendingChain:
-    """A stored anchor plus up to three unplaced points sharing its quadrant."""
+    """A stored anchor plus the one to three unplaced points in its quadrant.
+
+    ``members`` holds the waiting points in arrival order; the first is
+    the anchor's neighbour whose segment midpoint the next plane is fitted
+    through.
+    """
 
     anchor_id: int
     anchor_key: int  # the anchor's packed sign vector at the current q
-    b: np.ndarray
-    midpoint_ab: np.ndarray
-    c: np.ndarray | None = None
-    d: np.ndarray | None = None
-
-    def members(self):
-        for pt in (self.b, self.c, self.d):
-            if pt is not None:
-                yield pt
+    midpoint_ab: np.ndarray  # midpoint of the anchor and members[0]
+    members: list[np.ndarray]
 
 
 @dataclass
@@ -224,8 +222,9 @@ class SeparationState:
         self.count = 0
         self.index = OvIndex()
 
-        self.chains: list[PendingChain] = []
-        self._chain_by_anchor: dict[int, PendingChain] = {}
+        # pending chains keyed by anchor id, in the order they were opened:
+        # the order emit_plane takes its batch in
+        self.chains: dict[int, PendingChain] = {}
 
         self.offers = 0
         self.recycle_events = 0
@@ -337,11 +336,10 @@ class SeparationState:
                 keys[i] = None
         return r, keys
 
-    def _pending_points(self) -> list[np.ndarray]:
-        out = []
-        for ch in self.chains:
-            out.extend(ch.members())
-        return out
+    def _pending_points(self) -> np.ndarray | None:
+        """Every pending point, chain by chain in member order; None if none."""
+        pend = [pt for ch in self.chains.values() for pt in ch.members]
+        return np.stack(pend) if pend else None
 
     def _check_point(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -504,34 +502,24 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     """
     eps = state.config.epsilon
     alpha = state._alpha_buf[j].copy()
-    stored = state.points
-    pend = state._pending_points()
-    pend_mat = np.stack(pend) if pend else None
+    pend_mat = state._pending_points()
+    live_mats = (state.points,) if pend_mat is None else (state.points, pend_mat)
 
-    r_stored = state._sweep(stored, alpha) if state.count else np.empty(0)
-    r_pend = state._sweep(pend_mat, alpha) if pend_mat is not None else np.empty(0)
-    live = np.concatenate([r_stored, r_pend])
+    def live_residuals(a: np.ndarray) -> np.ndarray:
+        return np.concatenate([state._sweep(m, a) for m in live_mats])
 
+    def keeps_signs(r: np.ndarray) -> bool:
+        return not (np.any(np.sign(r) != np.sign(live)) or np.any(np.abs(r) <= eps))
+
+    live = live_residuals(alpha)
     for step in _NUDGE_STEPS:
         d = step * eps
         factor = 1.0 + d
-        moved = (live + d) / factor
-        if live.size and (
-            np.any(np.sign(moved) != np.sign(live)) or np.any(np.abs(moved) <= eps)
-        ):
-            continue
-        if abs((r_p + d) / factor) <= eps:
+        if not keeps_signs((live + d) / factor) or abs((r_p + d) / factor) <= eps:
             continue
         candidate = alpha / factor
         # verify the analytic prediction on the real arithmetic path
-        chk_stored = state._sweep(stored, candidate) if state.count else np.empty(0)
-        chk_pend = (
-            state._sweep(pend_mat, candidate) if pend_mat is not None else np.empty(0)
-        )
-        chk = np.concatenate([chk_stored, chk_pend])
-        if live.size and (
-            np.any(np.sign(chk) != np.sign(live)) or np.any(np.abs(chk) <= eps)
-        ):
+        if not keeps_signs(live_residuals(candidate)):
             continue
         new_rp = float(state._sweep(p[None, :], candidate)[0])
         if abs(new_rp) <= eps:
@@ -580,20 +568,13 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
         pid = state._add_point(p, packed, ~anchor)
         return OfferResult(OfferKind.ACCEPTED, point_id=pid)
 
-    chain = state._chain_by_anchor.get(anchor)
+    chain = state.chains.get(anchor)
     if chain is None:
-        chain = PendingChain(
-            anchor_id=anchor,
-            anchor_key=packed,
-            b=p,
-            midpoint_ab=state._midpoint(state.points[anchor], p),
+        state.chains[anchor] = PendingChain(
+            anchor, packed, state._midpoint(state.points[anchor], p), [p]
         )
-        state.chains.append(chain)
-        state._chain_by_anchor[anchor] = chain
-    elif chain.c is None:
-        chain.c = p
-    elif chain.d is None:
-        chain.d = p
+    elif len(chain.members) < 3:
+        chain.members.append(p)
     else:
         state.recycle_events += 1
         return OfferResult(OfferKind.RECYCLED)
@@ -610,13 +591,15 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
 # plane emission
 # ---------------------------------------------------------------------------
 
-def _try_separating_plane(state, batch, pend_mat, pend_pos):
+def _try_separating_plane(state, batch, starts, pend_mat):
     """Fit a plane through the batch midpoints that clears every live point
     and splits every batch segment.
 
-    An exact fit separates each anchor from its first neighbour by the
-    midpoint identity r(a) = -r(b); shifted refits (doubling delta along
-    the failed normal) handle incidences on the digit lattice.
+    ``starts[i]`` is the row of batch chain i's first member in the
+    pending matrix ``pend_mat``.  An exact fit separates each anchor from
+    its first neighbour by the midpoint identity r(a) = -r(b); shifted
+    refits (doubling delta along the failed normal) handle incidences on
+    the digit lattice.
 
     Returns the fit, or on failure the batch size to try next: r+1 when
     the exact fit through the k midpoints is inconsistent at elimination
@@ -628,7 +611,7 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
     n = state.n
     mids0 = np.stack([ch.midpoint_ab for ch in batch])
     seg_lens = [
-        float(np.linalg.norm(state.points[ch.anchor_id] - ch.b)) for ch in batch
+        float(np.linalg.norm(state.points[ch.anchor_id] - ch.members[0])) for ch in batch
     ]
     delta_base = cfg.delta0 * (sum(seg_lens) / len(seg_lens))
 
@@ -656,8 +639,8 @@ def _try_separating_plane(state, batch, pend_mat, pend_pos):
             direction = cand
             continue
         separated = all(
-            (r_s[ch.anchor_id] > 0) != (r_pend[pend_pos[(ci, 0)]] > 0)
-            for ci, ch in enumerate(batch)
+            (r_s[ch.anchor_id] > 0) != (r_pend[start] > 0)
+            for ch, start in zip(batch, starts)
         )
         if not separated:
             direction = cand
@@ -696,19 +679,14 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     if not state.chains:
         raise ValueError("no pending chains to separate")
     n = state.n
+    chains = list(state.chains.values())
+    pend_mat = state._pending_points()
+    # each chain's members are consecutive rows of pend_mat, from starts[i]
+    starts = list(accumulate((len(ch.members) for ch in chains), initial=0))
 
-    pend_rows: list[np.ndarray] = []
-    pend_pos: dict[tuple[int, int], int] = {}
-    for ci, ch in enumerate(state.chains):
-        for ri, pt in enumerate((ch.b, ch.c, ch.d)):
-            if pt is not None:
-                pend_pos[(ci, ri)] = len(pend_rows)
-                pend_rows.append(pt)
-    pend_mat = np.stack(pend_rows)
-
-    k = min(n, len(state.chains))
+    k = min(n, len(chains))
     while k >= 1:
-        fit = _try_separating_plane(state, state.chains[:k], pend_mat, pend_pos)
+        fit = _try_separating_plane(state, chains[:k], starts, pend_mat)
         if not isinstance(fit, int):
             break
         k = fit
@@ -718,66 +696,40 @@ def emit_plane(state: SeparationState) -> PlaneReport:
             f"even through a single midpoint"
         )
     alpha, r_s, r_pend, retries, delta = fit
-    all_chains = state.chains
 
     # commit: append the plane and extend every stored sign vector by one bit
     bit_s = r_s > 0
     plane_index = state._append_plane(alpha, saturated=(k == n))
     state.index.extend_all(bit_s)
 
-    # every chain is re-validated against the new plane.  Batch chains had
-    # their first neighbour split off by construction; leftover chains may
-    # also have members cut away from their anchor, and the anchor's old
-    # address extended by the opposite bit is provably unoccupied, so the
-    # first such member is stored outright.
+    # every pending point is re-validated against the new plane.  It joins
+    # the point of its old quadrant that now holds its side: the anchor, or
+    # the first member to fall across from the anchor, which is stored
+    # outright since the anchor's old address extended by the opposite bit
+    # is provably unoccupied.  A batch chain's first member falls across
+    # from its anchor by construction, so it is always stored.
     promoted: list[int] = []
-    new_chains: list[PendingChain] = []
     rehomed = 0
-    state._chain_by_anchor.clear()
-    for ci, ch in enumerate(all_chains):
-        prefix = ch.anchor_key
-        a_bit = bool(bit_s[ch.anchor_id])
-        hosts: dict[bool, int] = {a_bit: ch.anchor_id}
-        members = [(ri, pt) for ri, pt in enumerate((ch.b, ch.c, ch.d)) if pt is not None]
-        if ci < k:
-            b_bit = bool(r_pend[pend_pos[(ci, 0)]] > 0)
-            pid = state._add_point(ch.b, (prefix << 1) | int(b_bit))
-            promoted.append(pid)
-            hosts[b_bit] = pid
-            members = members[1:]
-        side_chain: dict[int, PendingChain] = {}
-        for ri, pt in members:
-            pt_bit = bool(r_pend[pend_pos[(ci, ri)]] > 0)
-            host = hosts.get(pt_bit)
+    state.chains = {}
+    for ch, start in zip(chains, starts):
+        hosts: dict[bool, int] = {bool(bit_s[ch.anchor_id]): ch.anchor_id}
+        for ri, pt in enumerate(ch.members):
+            bit = bool(r_pend[start + ri] > 0)
+            key = (ch.anchor_key << 1) | int(bit)
+            host = hosts.get(bit)
             if host is None:
-                pid = state._add_point(pt, (prefix << 1) | int(pt_bit))
+                hosts[bit] = pid = state._add_point(pt, key)
                 promoted.append(pid)
-                hosts[pt_bit] = pid
-                continue
-            sc = side_chain.get(host)
-            if sc is None:
+            elif host in state.chains:
+                rehomed += 1
+                state.chains[host].members.append(pt)
+            else:
                 if host == ch.anchor_id and ri == 0:
                     mid = ch.midpoint_ab  # the pair is unchanged, keep its midpoint
                 else:
                     rehomed += 1
                     mid = state._midpoint(state.points[host], pt)
-                sc = PendingChain(
-                    anchor_id=host,
-                    anchor_key=(prefix << 1) | int(pt_bit),
-                    b=pt,
-                    midpoint_ab=mid,
-                )
-                side_chain[host] = sc
-                new_chains.append(sc)
-                state._chain_by_anchor[host] = sc
-            elif sc.c is None:
-                rehomed += 1
-                sc.c = pt
-            else:
-                rehomed += 1
-                sc.d = pt
-
-    state.chains = new_chains
+                state.chains[host] = PendingChain(host, key, mid, [pt])
 
     return PlaneReport(
         plane_index=plane_index,

@@ -3,9 +3,12 @@
 ``bench/spans.py`` replaces public names of the library with timing
 wrappers.  A refactor that drops or renames one of them makes
 ``Tracer.install`` fail; this test catches that in well under a second.
-It imports the tracer from ``bench/`` and writes nothing there.
+The benchmark's selftest, which shows that its correctness checkers
+reject wrong outputs, runs here too.  Both are imported from ``bench/``,
+and nothing is written there.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,20 +17,20 @@ from planesep import kernels, repository, separator
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def import_spans():
+def import_bench(name):
+    """Module ``name`` from ``bench/``, imported without writing bytecode there."""
     sys.path.insert(0, str(BENCH))
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        import spans
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
-    return spans
 
 
 def test_tracer_installs_records_and_restores():
-    spans = import_spans()
+    spans = import_bench("spans")
     owners = (kernels, repository, separator, separator.OvIndex)
     before = [dict(vars(owner)) for owner in owners]
     query, offer = repository.query, separator.offer
@@ -58,7 +61,7 @@ def test_tracer_installs_records_and_restores():
 def test_traced_build_records_the_index_layers():
     """The per-layer metrics of BENCHMARK.json read these span names; a
     rename would turn them into silent zeros."""
-    spans = import_spans()
+    spans = import_bench("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -71,3 +74,9 @@ def test_traced_build_records_the_index_layers():
     assert metrics["build.separator.OvIndex.extend_all.calls"] == repo.q - repo.state.q0
     assert metrics["build.separator.OvIndex.insert.calls"] == repo.count
     assert metrics["build.separator.OvIndex.lookup.calls"] > 0
+
+
+def test_selftest_rejects_every_wrong_case():
+    # bench/selftest.py feeds each correctness checker true outputs and
+    # deliberately wrong ones; main() returns 0 when every case behaves
+    assert import_bench("selftest").main() == 0

@@ -509,16 +509,35 @@ class TestPersistence:
         (14, lambda parts, q: ["plane", "7"] + parts[2:]),
         (15, lambda parts, q: parts[:2] + ["nan"] + parts[3:]),
         (16, lambda parts, q: parts[:-1] + ["-inf"]),
+        (12, lambda parts, q: ["offers", "-6"] + parts[2:]),
+        (12, lambda parts, q: parts[:3] + ["-1"]),
+        (13, lambda parts, q: [p.replace("sign_evals=", "sign_evalz=") for p in parts]),
+        (13, lambda parts, q: [p for p in parts if not p.startswith("multiplications=")]),
+        (13, lambda parts, q: parts + ["sign_evals=0"]),
+        (13, lambda parts, q: parts[:-1] + ["solve_multiplications=-1"]),
     ], ids=["negative-q", "negative-count", "negative-seed", "negative-q0", "q0-above-q",
-            "saturated-flag-7", "nan-coefficient", "infinite-coefficient"])
+            "saturated-flag-7", "nan-coefficient", "infinite-coefficient",
+            "negative-offers", "negative-recycles", "misspelled-counter", "missing-counter",
+            "repeated-counter", "negative-counter"])
     def test_malformed_header_or_plane_line_rejected_with_its_line(self, line, edit):
         # each of these loaded before: a negative count or seed broke the
-        # next insert, a negative q every query, and a nan plane answered
-        # queries wrongly
+        # next insert, a negative q every query, a nan plane answered
+        # queries wrongly, and a misspelled or missing counter read as 0
         repo = build(primes_below(24), 2, 0)
         lines = saved_text(repo).splitlines(keepends=True)
         lines[line - 1] = " ".join(edit(lines[line - 1].split(), repo.q)) + "\n"
         with pytest.raises(RepositoryFormatError, match=f"^line {line}: "):
+            load(io.StringIO("".join(lines)))
+
+    def test_entry_key_wider_than_q_zero_rejected_with_its_line(self):
+        # a one-point store has q = 0, so its only key is 0; key 1 loaded
+        # before, and the stored value then answered absent
+        repo = build([], 3, 0)
+        insert(repo, [5])
+        lines = saved_text(repo).splitlines(keepends=True)
+        assert repo.q == 0 and lines[13] == "entry 5 0\n"
+        lines[13] = "entry 5 1\n"
+        with pytest.raises(RepositoryFormatError, match="^line 14: "):
             load(io.StringIO("".join(lines)))
 
     def test_save_to_path(self, tmp_path):

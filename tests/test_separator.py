@@ -423,13 +423,12 @@ class TestOffer:
         anchor = 0
         b, c, d, e = find_same_quadrant_points(state, anchor, 4)
         assert offer(state, b).kind is OfferKind.PENDING
-        chain = state.chains[0]
+        chain = state.chains[anchor]
         assert chain.anchor_id == anchor
         assert np.allclose(chain.midpoint_ab, 0.5 * (state.points[anchor] + b))
         assert offer(state, c).kind is OfferKind.PENDING
-        assert chain.c is not None
         assert offer(state, d).kind is OfferKind.PENDING
-        assert chain.d is not None
+        assert [pt.tolist() for pt in chain.members] == [b.tolist(), c.tolist(), d.tolist()]
         res = offer(state, e)
         assert res.kind is OfferKind.RECYCLED
         assert state.counter == 1  # the full chain still counts once
@@ -479,11 +478,9 @@ class TestEmitPlane:
                 (b,) = find_same_quadrant_points(state, anchor, 1)
             except AssertionError:
                 continue
-            state.chains.append(
-                PendingChain(anchor_id=anchor, anchor_key=state.packed[anchor], b=b,
-                             midpoint_ab=0.5 * (state.points[anchor] + b))
+            state.chains[anchor] = PendingChain(
+                anchor, state.packed[anchor], 0.5 * (state.points[anchor] + b), [b]
             )
-            state._chain_by_anchor[anchor] = state.chains[-1]
             got += 1
             if got == 2:
                 break
@@ -493,7 +490,7 @@ class TestEmitPlane:
 
     def test_prefix_invariance_and_last_bit_split(self):
         state = self.build_two_chain_state()
-        anchors = [ch.anchor_id for ch in state.chains]
+        anchors = list(state.chains)
         old_packed = list(state.packed)
         old_q = state.q
         report = emit_plane(state)
@@ -508,26 +505,54 @@ class TestEmitPlane:
 
     def test_second_neighbour_rehomes_with_fresh_midpoint(self):
         state = self.build_two_chain_state(seed=8)
-        anchor = state.chains[0].anchor_id
+        anchor = next(iter(state.chains))
         try:
             extra = find_same_quadrant_points(state, anchor, 2)[1]
         except AssertionError:
             pytest.skip("no second neighbour available")
-        state.chains[0].c = extra
+        state.chains[anchor].members.append(extra)
         report = emit_plane(state)
         assert report.rehomed == 1
         assert state.counter == 1
-        nxt = state.chains[0]
-        host = nxt.anchor_id
-        assert np.allclose(nxt.midpoint_ab, 0.5 * (state.points[host] + nxt.b))
+        (host, nxt), = state.chains.items()
+        assert [pt.tolist() for pt in nxt.members] == [extra.tolist()]
+        assert np.allclose(nxt.midpoint_ab, 0.5 * (state.points[host] + extra))
         # the re-homed point shares its new host's quadrant
-        assert packed_of(state, nxt.b) == state.packed[host]
+        assert packed_of(state, extra) == state.packed[host]
         assert_state_separated(state)
 
     def test_requires_pending_chains(self):
         state = init(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
         with pytest.raises(ValueError):
             emit_plane(state)
+
+
+class TestLeftoverChains:
+    def test_leftover_chain_member_across_its_anchor_is_stored(self, monkeypatch):
+        # 200 values below 10^6 at n=25: 19 dead digits narrow most batches,
+        # and the new plane cuts some members of the chains left out of the
+        # batch away from their anchor; each such member is stored outright
+        values = np.random.default_rng(5).choice(10**6, 200, replace=False)
+        pts = map_to_points([int(v) for v in values], IntegerMapping(25))
+        state = init(pts[:26], 25, seed=0)
+        emit = separator.emit_plane
+
+        def checked_emit(state):
+            old = state.packed
+            report = emit(state)
+            new = state.packed
+            assert len(new) == len(old) + len(report.promoted_ids)
+            assert [key >> 1 for key in new[: len(old)]] == old
+            assert_state_separated(state)
+            return report
+
+        monkeypatch.setattr(separator, "emit_plane", checked_emit)
+        reports = offer_one_at_a_time(state, pts[26:])
+        while state.chains:
+            reports.append(separator.emit_plane(state))
+        assert state.count == len(values)
+        # a batch of k chains promotes exactly k points; the rest are leftovers'
+        assert any(len(r.promoted_ids) > r.constraint_count for r in reports)
 
 
 class TestFinalize:
@@ -547,11 +572,9 @@ class TestFinalize:
                 (b,) = find_same_quadrant_points(state, anchor, 1)
             except AssertionError:
                 continue
-            state.chains.append(
-                PendingChain(anchor_id=anchor, anchor_key=state.packed[anchor], b=b,
-                             midpoint_ab=0.5 * (state.points[anchor] + b))
+            state.chains[anchor] = PendingChain(
+                anchor, state.packed[anchor], 0.5 * (state.points[anchor] + b), [b]
             )
-            state._chain_by_anchor[anchor] = state.chains[-1]
             staged += 1
             if staged == 2:
                 break
@@ -574,7 +597,7 @@ def offer_one_at_a_time(state, pts):
     reports = []
     while queue or stash:
         if not queue:
-            reports.append(emit_plane(state))
+            reports.append(separator.emit_plane(state))
             queue.extend(stash)
             stash.clear()
             continue
@@ -590,15 +613,17 @@ def offer_one_at_a_time(state, pts):
 
 
 def chain_fields(chain):
-    rows = (chain.b, chain.midpoint_ab, chain.c, chain.d)
-    return chain.anchor_id, chain.anchor_key, *(None if x is None else x.tobytes() for x in rows)
+    rows = (chain.midpoint_ab, *chain.members)
+    return chain.anchor_id, chain.anchor_key, *(x.tobytes() for x in rows)
 
 
 def assert_same_state(a, b):
     assert a.plane_matrix.tobytes() == b.plane_matrix.tobytes()
     assert list(a.index.items()) == list(b.index.items())
     assert a.points.tobytes() == b.points.tobytes()
-    assert [chain_fields(c) for c in a.chains] == [chain_fields(c) for c in b.chains]
+    assert [chain_fields(c) for c in a.chains.values()] == [
+        chain_fields(c) for c in b.chains.values()
+    ]
     assert a.recycle_events == b.recycle_events
     assert a.offers == b.offers
     assert a.counters == b.counters
