@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -93,6 +94,11 @@ def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
+    return _digit_rows(vals, mapping)
+
+
+def _digit_rows(vals: list[int], mapping: IntegerMapping) -> np.ndarray:
+    """The digit expansion of Python ints already known to lie in [0, capacity)."""
     wide = mapping.capacity > _INT64_MAX
     rem = np.array(vals, dtype=object if wide else np.int64)
     out = np.zeros((len(vals), mapping.n))
@@ -333,13 +339,18 @@ def save(repo: Repository, sink) -> None:
 
 class _LineReader:
     def __init__(self, fh):
-        self._lines = fh.read().splitlines()
+        self.lines = fh.read().splitlines()
         self.pos = 0
 
-    def next(self, expect: str | None = None) -> list[str]:
-        if self.pos >= len(self._lines):
+    def next(self, expect: str | None = None, fields: int | None = 2) -> list[str]:
+        """The next line's fields, its tag checked against ``expect``.
+
+        ``fields`` is the number of fields :func:`save` writes on the line
+        (None when the caller counts them); a line with more is rejected.
+        """
+        if self.pos >= len(self.lines):
             raise RepositoryFormatError("unexpected end of file", line=self.pos + 1)
-        line = self._lines[self.pos]
+        line = self.lines[self.pos]
         self.pos += 1
         parts = line.split()
         if not parts:
@@ -347,6 +358,10 @@ class _LineReader:
         if expect is not None and parts[0] != expect:
             raise RepositoryFormatError(
                 f"expected {expect!r}, found {parts[0]!r}", line=self.pos
+            )
+        if fields is not None and len(parts) > fields:
+            raise RepositoryFormatError(
+                f"extra fields {parts[fields:]} on {parts[0]!r} line", line=self.pos
             )
         return parts
 
@@ -365,8 +380,31 @@ def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
     return value
 
 
+def _reject_entry_line(rd: _LineReader, capacity: int, key_limit: int) -> NoReturn:
+    """Raise the error for the entry line at ``rd.pos``, which failed a check
+    of :func:`load`'s entry loop: the line is read again one field at a
+    time, so each fault is named with its line number."""
+    parts = rd.next("entry", 3)
+    v = _int_field(parts, 1, rd.pos)
+    if not 0 <= v < capacity:
+        raise RepositoryFormatError(f"value {v} out of range", line=rd.pos)
+    try:
+        packed = int(parts[2], 16)
+    except (ValueError, IndexError) as exc:
+        raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
+    if packed >= key_limit:
+        raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
+    # every other check passed, so the key is not above the one before it
+    raise RepositoryFormatError("entries not in strict dictionary order", line=rd.pos)
+
+
 def load(source) -> Repository:
-    """Read a repository written by :func:`save`."""
+    """Read a repository written by :func:`save`.
+
+    The entry lines are parsed in one pass.  Every malformed line, one with
+    more fields than :func:`save` writes among them, raises
+    :class:`RepositoryFormatError` with its line number.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load(fh)
@@ -414,11 +452,11 @@ def load(source) -> Repository:
             line=rd.pos,
         )
     q0 = _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)
-    offers_parts = rd.next("offers")
+    offers_parts = rd.next("offers", 4)
     offers = _int_field(offers_parts, 1, rd.pos, lo=0)
     offered_nq = _int_field(offers_parts, 2, rd.pos)
     recycles = _int_field(offers_parts, 3, rd.pos, lo=0)
-    counter_parts = rd.next("counters")
+    counter_parts = rd.next("counters", None)
     try:
         pairs = [(k, int(v)) for k, v in (kv.split("=", 1) for kv in counter_parts[1:])]
     except ValueError as exc:
@@ -445,7 +483,7 @@ def load(source) -> Repository:
     state.recycle_events = recycles
 
     for _ in range(q):
-        parts = rd.next("plane")
+        parts = rd.next("plane", None)
         if len(parts) != 2 + n:
             raise RepositoryFormatError(
                 f"plane line has {len(parts) - 2} coefficients, expected {n}", line=rd.pos
@@ -460,33 +498,35 @@ def load(source) -> Repository:
             raise RepositoryFormatError("non-finite plane coefficient", line=rd.pos)
         state._append_plane(np.array(alpha), parts[1] == "1")
 
+    # one pass over the entry lines; the first line that fails any check
+    # ends it, and _reject_entry_line reads that line again to say why
     values: list[int] = []
     keys: list[int] = []
-    prev_packed = -1
     capacity = mapping.capacity
     key_limit = 1 << q
-    for _ in range(count):
-        parts = rd.next("entry")
-        v = _int_field(parts, 1, rd.pos)
-        if not 0 <= v < capacity:
-            raise RepositoryFormatError(f"value {v} out of range", line=rd.pos)
-        try:
-            packed = int(parts[2], 16)
-        except (ValueError, IndexError) as exc:
-            raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
-        if packed >= key_limit:
-            raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
-        if packed <= prev_packed:
-            raise RepositoryFormatError("entries not in strict dictionary order", line=rd.pos)
-        prev_packed = packed
-        values.append(v)
-        keys.append(packed)
-    rd.next("end")
+    prev = -1
+    first = rd.pos
+    try:
+        for line in rd.lines[first:first + count]:
+            tag, value, key = line.split()
+            v = int(value)
+            k = int(key, 16)
+            if tag != "entry" or not (0 <= v < capacity and prev < k < key_limit):
+                break
+            values.append(v)
+            keys.append(k)
+            prev = k
+    except ValueError:
+        pass
+    rd.pos = first + len(keys)
+    if len(keys) < count:
+        _reject_entry_line(rd, capacity, key_limit)
+    rd.next("end", 1)
     # entries arrive in strict dictionary order, so point id i is entry i
     # and the index is the key list as read; an empty store keeps the
     # default point buffer, which later inserts grow by doubling
     if count:
-        state._pts_buf = map_to_points(values, mapping)
+        state._pts_buf = _digit_rows(values, mapping)
         state.count = count
     state.index = separator.OvIndex.from_sorted(keys, q)
     state.counters = counters

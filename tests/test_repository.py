@@ -1,6 +1,7 @@
 """Digit mapping, the value store, incremental insert, growth, persistence."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -515,14 +516,20 @@ class TestPersistence:
         (13, lambda parts, q: [p for p in parts if not p.startswith("multiplications=")]),
         (13, lambda parts, q: parts + ["sign_evals=0"]),
         (13, lambda parts, q: parts[:-1] + ["solve_multiplications=-1"]),
+        (1, lambda parts, q: parts + ["x"]),
+        (2, lambda parts, q: parts + ["7"]),
+        (11, lambda parts, q: parts + ["x"]),
+        (12, lambda parts, q: parts + ["9"]),
     ], ids=["negative-q", "negative-count", "negative-seed", "negative-q0", "q0-above-q",
             "saturated-flag-7", "nan-coefficient", "infinite-coefficient",
             "negative-offers", "negative-recycles", "misspelled-counter", "missing-counter",
-            "repeated-counter", "negative-counter"])
+            "repeated-counter", "negative-counter", "extra-field-magic", "extra-field-n",
+            "extra-field-q0", "extra-field-offers"])
     def test_malformed_header_or_plane_line_rejected_with_its_line(self, line, edit):
         # each of these loaded before: a negative count or seed broke the
         # next insert, a negative q every query, a nan plane answered
-        # queries wrongly, and a misspelled or missing counter read as 0
+        # queries wrongly, a misspelled or missing counter read as 0, and
+        # fields after those save writes were ignored
         repo = build(primes_below(24), 2, 0)
         lines = saved_text(repo).splitlines(keepends=True)
         lines[line - 1] = " ".join(edit(lines[line - 1].split(), repo.q)) + "\n"
@@ -539,6 +546,66 @@ class TestPersistence:
         lines[13] = "entry 5 1\n"
         with pytest.raises(RepositoryFormatError, match="^line 14: "):
             load(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("line, text, message", [
+        (22, "", "blank line"),
+        (22, "entries 5 7", "expected 'entry', found 'entries'"),
+        (22, "entry 5", "bad packed sign vector"),
+        (22, "entry 5 7 junk", "extra fields ['junk'] on 'entry' line"),
+        (22, "entry 5.0 7", "bad integer field: ['entry', '5.0', '7']"),
+        (22, "entry 5 7g", "bad packed sign vector"),
+        (22, "entry 100 7", "value 100 out of range"),
+        (22, "entry -5 7", "value -5 out of range"),
+        (22, "entry 5 20", "sign vector wider than q"),
+        (22, "entry 5 5", "entries not in strict dictionary order"),
+        (23, None, "unexpected end of file"),
+        (28, "end junk", "extra fields ['junk'] on 'end' line"),
+    ], ids=["blank", "wrong-tag", "missing-key", "extra-field", "non-integer-value",
+            "non-hex-key", "value-at-capacity", "negative-value", "key-of-q-plus-one-bits",
+            "repeated-key", "cut-inside-entries", "extra-field-on-end"])
+    def test_malformed_entry_line_rejected_with_its_line(self, line, text, message):
+        # entries are lines 19-27 (q = 5 planes, keys 0 2 5 7 a e f 1e 1f),
+        # so line 22 holds key 7 after key 5; None cuts the file after line 22
+        repo = build(primes_below(24), 2, 0)
+        lines = saved_text(repo).splitlines(keepends=True)
+        assert repo.q == 5 and lines[21] == "entry 5 7\n" and lines[27] == "end\n"
+        if text is None:
+            del lines[line - 1:]
+        else:
+            lines[line - 1] = text + "\n"
+        with pytest.raises(RepositoryFormatError,
+                           match="^" + re.escape(f"line {line}: {message}") + "$"):
+            load(io.StringIO("".join(lines)))
+
+    def test_load_restores_the_saved_state(self):
+        # a store built, inserted into and grown; load numbers its points
+        # in index order, so the original is compared through that order
+        primes = primes_below(10**4)
+        held = set(np.random.default_rng(0).choice(primes, 500, replace=False).tolist())
+        repo = build([p for p in primes if p not in held], 4, 0)
+        insert(repo, sorted(held))
+        grow_dimension(repo, 5)
+        loaded = load(io.StringIO(saved_text(repo)))
+        again = load(io.StringIO(saved_text(loaded)))
+        order = [pid for _, pid in repo.state.index.items()]
+        assert loaded.values == [repo.values[pid] for pid in order]
+        assert loaded.value_ids == {v: i for i, v in enumerate(loaded.values)}
+        assert np.array_equal(loaded.state.points, repo.state.points[order])
+        assert list(loaded.state.index.items()) == [
+            (key, i) for i, (key, _) in enumerate(repo.state.index.items())
+        ]
+        for a, b in ((repo, loaded), (loaded, again)):
+            assert b.q == a.q and b.state.q0 == a.state.q0 and b.count == a.count
+            assert b.state._saturated == a.state._saturated
+            assert np.array_equal(b.state.plane_matrix, a.state.plane_matrix)
+            assert b.counters.as_dict() == a.counters.as_dict()
+            assert (b.state.offers, b.state.recycle_events) == (
+                a.state.offers, a.state.recycle_events)
+            assert (b.mapping, b.seed, b.dims_history) == (a.mapping, a.seed, a.dims_history)
+        # a second round trip keeps the point ids as well
+        assert again.values == loaded.values and again.value_ids == loaded.value_ids
+        assert np.array_equal(again.state.points, loaded.state.points)
+        assert list(again.state.index.items()) == list(loaded.state.index.items())
 
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
