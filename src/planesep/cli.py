@@ -5,10 +5,14 @@ Each report is one dict, printed either as one JSON object
 formats carry the same keys.  Text renders booleans as yes/NO, lists
 comma-joined and a missing value as ``-``.
 
-Exit codes: 0 success (query: found), 1 query absent, 2 input/output or
-load failure, 3 algorithm failure, 4 wrong plotting dimension.  Output
-files are written to a temporary sibling and renamed into place, so a
-failed command never leaves a partial file.
+Exit codes: 0 success (query: found), 1 query absent, 2 input, load or
+write failure (a bad ``--dims``, a value too wide for the digits or a
+repository file that is not UTF-8 among them), 3 algorithm failure, 4
+wrong plotting dimension.  Commands let errors rise, and :func:`main`
+alone turns one into its exit code and one stderr line, so no failure
+exits 1, which reads as "absent".  Output files are written to a
+temporary sibling and renamed into place, so a failed command never
+leaves a partial file.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 from . import oracle, repository, separator, svgplot
 from .counters import OpCounters
 from .errors import (
-    DigitOverflowError,
     DimensionMismatchError,
     GeometryExhaustedError,
     IncidentPointError,
@@ -61,13 +64,15 @@ def _emit(report_format: str, report: dict) -> None:
             print(f"{key} {_text_value(value)}")
 
 
-def _run_report(state, scenario: str, seed: int, wall: float, verified: bool,
-                base: int | None = None) -> dict:
-    """The build/bench report of a finished separation state.
+def _run_report(state, scenario: str, seed: int, wall: float, base: int | None = None) -> dict:
+    """The build/bench report of a finished separation state, its separation
+    checked by the oracle.
 
-    ``mult_bound`` (n * base^(n+1)) and its ratio are added for digit data.
+    For digit data ``mult_scale`` (n * base^(n+1)) and the measured count's
+    ratio to it are added; it is a scale, not a bound: a build may exceed it.
     """
     c = state.counters
+    verdict = oracle.verify_separation(state.points, state.plane_matrix, state.config.epsilon)
     report = {
         "scenario": scenario,
         "seed": seed,
@@ -80,12 +85,12 @@ def _run_report(state, scenario: str, seed: int, wall: float, verified: bool,
         "sign_evals": c.sign_evals,
         "bit_comparisons": c.bit_comparisons,
         "wall_time_s": round(wall, 6),
-        "verified": verified,
+        "verified": verdict.ok,
     }
     if base is not None:
-        bound = state.n * base ** (state.n + 1)
-        report["mult_bound"] = bound
-        report["mult_ratio"] = c.multiplications / bound
+        scale = state.n * base ** (state.n + 1)
+        report["mult_scale"] = scale
+        report["mult_scale_ratio"] = c.multiplications / scale
     return report
 
 
@@ -153,25 +158,26 @@ def infer_dims(values: list[int], base: int) -> int:
     return n
 
 
-def _atomic_write(path: str, text: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+def _write_atomic(path: str, write) -> None:
+    """Call ``write`` on a temporary sibling of ``path``, then rename it into place."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise PlanesepError(f"cannot write {path}: {exc}") from exc
 
 
-def _save_repo_atomic(repo, path: str) -> None:
-    import io
-
-    buf = io.StringIO()
-    repository.save(repo, buf)
-    _atomic_write(path, buf.getvalue())
+def _load_repo(path: str) -> repository.Repository:
+    try:
+        return repository.load(path)
+    except (OSError, RepositoryFormatError) as exc:
+        raise PlanesepError(f"cannot load {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,58 +185,24 @@ def _save_repo_atomic(repo, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    try:
-        values, duplicates = read_values_source(args.source)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    values, duplicates = read_values_source(args.source)
     n = args.dims or infer_dims(values, args.base)
-    try:
-        t0 = time.perf_counter()
-        repo = repository.build(values, n, args.seed, base=args.base)
-        wall = time.perf_counter() - t0
-    except (GeometryExhaustedError, IncidentPointError) as exc:
-        print(f"algorithm failure: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
-    except (DigitOverflowError, PlanesepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    verdict = oracle.verify_separation(
-        repo.state.points, repo.state.plane_matrix, repo.state.config.epsilon
-    )
-    try:
-        _save_repo_atomic(repo, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = _run_report(
-        repo.state, f"build:{args.source}", args.seed, wall, verdict.ok, base=args.base
-    )
+    t0 = time.perf_counter()
+    repo = repository.build(values, n, args.seed, base=args.base)
+    wall = time.perf_counter() - t0
+    report = _run_report(repo.state, f"build:{args.source}", args.seed, wall, base=args.base)
+    _write_atomic(args.out, lambda fh: repository.save(repo, fh))
     if duplicates:
         report["duplicates_skipped"] = duplicates
     report["out"] = args.out
     _emit(args.format, report)
-    return EXIT_OK if verdict.ok else EXIT_ALGORITHM
-
-
-def _load_repo(path: str):
-    try:
-        return repository.load(path), EXIT_OK
-    except (OSError, RepositoryFormatError) as exc:
-        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+    return EXIT_OK if report["verified"] else EXIT_ALGORITHM
 
 
 def cmd_query(args) -> int:
-    repo, code = _load_repo(args.repo)
-    if repo is None:
-        return code
+    repo = _load_repo(args.repo)
     counters = OpCounters()
-    try:
-        result = repository.query(repo, args.value, counters)
-    except DigitOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    result = repository.query(repo, args.value, counters)
     _emit(args.format, {
         "value": args.value,
         "found": result.found,
@@ -241,30 +213,13 @@ def cmd_query(args) -> int:
 
 
 def cmd_insert(args) -> int:
-    repo, code = _load_repo(args.repo)
-    if repo is None:
-        return code
-    try:
-        values, duplicates = read_values_source(args.source)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    repo = _load_repo(args.repo)
+    values, duplicates = read_values_source(args.source)
     q_before = repo.q
-    try:
-        t0 = time.perf_counter()
-        report = repository.insert(repo, values)
-        wall = time.perf_counter() - t0
-    except (GeometryExhaustedError, IncidentPointError) as exc:
-        print(f"algorithm failure: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
-    except DigitOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        _save_repo_atomic(repo, args.repo)
-    except OSError as exc:
-        print(f"error: cannot write {args.repo}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    t0 = time.perf_counter()
+    report = repository.insert(repo, values)
+    wall = time.perf_counter() - t0
+    _write_atomic(args.repo, lambda fh: repository.save(repo, fh))
     _emit(args.format, {
         "added": report.added,
         "skipped_duplicates": len(report.skipped_duplicates) + duplicates,
@@ -277,9 +232,7 @@ def cmd_insert(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    repo, code = _load_repo(args.repo)
-    if repo is None:
-        return code
+    repo = _load_repo(args.repo)
     state = repo.state
     base = repo.mapping.base
     n = state.n
@@ -327,10 +280,7 @@ def _bench_once(scenario: str, seed: int, base: int) -> dict:
         t0 = time.perf_counter()
         state = separator.run(pts, dims, seed)
         wall = time.perf_counter() - t0
-        verdict = oracle.verify_separation(
-            state.points, state.plane_matrix, state.config.epsilon
-        )
-        return _run_report(state, scenario, seed, wall, verdict.ok)
+        return _run_report(state, scenario, seed, wall)
     if parts[0] == "primes":
         if len(parts) != 3:
             raise ValueError("primes scenario must be primes:<limit>:<dims>")
@@ -339,24 +289,14 @@ def _bench_once(scenario: str, seed: int, base: int) -> dict:
         t0 = time.perf_counter()
         repo = repository.build(values, dims, seed, base=base)
         wall = time.perf_counter() - t0
-        verdict = oracle.verify_separation(
-            repo.state.points, repo.state.plane_matrix, repo.state.config.epsilon
-        )
-        return _run_report(repo.state, scenario, seed, wall, verdict.ok, base=base)
+        return _run_report(repo.state, scenario, seed, wall, base=base)
     raise ValueError(f"unknown scenario {parts[0]!r}")
 
 
 def cmd_bench(args) -> int:
     exit_code = EXIT_OK
     for rep in range(args.repeat):
-        try:
-            report = _bench_once(args.scenario, args.seed + rep, args.base)
-        except (GeometryExhaustedError, IncidentPointError) as exc:
-            print(f"algorithm failure: {exc}", file=sys.stderr)
-            return EXIT_ALGORITHM
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        report = _bench_once(args.scenario, args.seed + rep, args.base)
         if not report["verified"]:
             exit_code = EXIT_ALGORITHM
         _emit(args.format, report)
@@ -366,19 +306,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    repo, code = _load_repo(args.repo)
-    if repo is None:
-        return code
-    try:
-        text = svgplot.render_svg(repo)
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    try:
-        _atomic_write(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    text = svgplot.render_svg(_load_repo(args.repo))
+    _write_atomic(args.out, lambda fh: fh.write(text))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -456,8 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GeometryExhaustedError, IncidentPointError) as exc:
+        print(f"algorithm failure: {exc}", file=sys.stderr)
+        return EXIT_ALGORITHM
+    except DimensionMismatchError as exc:  # plot of a store whose n is not 2
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIMENSION
+    except (OSError, ValueError, PlanesepError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry() -> None:

@@ -33,9 +33,5 @@ class OpCounters:
             **{f.name: getattr(self, f.name) - getattr(before, f.name) for f in fields(self)}
         )
 
-    def add(self, other: "OpCounters") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

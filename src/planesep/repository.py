@@ -339,7 +339,10 @@ def save(repo: Repository, sink) -> None:
 
 class _LineReader:
     def __init__(self, fh):
-        self.lines = fh.read().splitlines()
+        try:
+            self.lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise RepositoryFormatError(f"not UTF-8 text: {exc}") from exc
         self.pos = 0
 
     def next(self, expect: str | None = None, fields: int | None = 2) -> list[str]:
@@ -403,13 +406,14 @@ def load(source) -> Repository:
 
     The entry lines are parsed in one pass.  Every malformed line, one with
     more fields than :func:`save` writes among them, raises
-    :class:`RepositoryFormatError` with its line number.
+    :class:`RepositoryFormatError` with its line number, and so does input
+    that is not UTF-8 text, without one.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load(fh)
     if isinstance(source, (bytes, bytearray)):
-        return load(io.StringIO(source.decode("utf-8")))
+        return load(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8"))
 
     rd = _LineReader(source)
     head = rd.next()

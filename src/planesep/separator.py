@@ -194,7 +194,6 @@ class OfferKind(Enum):
 @dataclass
 class OfferResult:
     kind: OfferKind
-    point_id: int | None = None
     reports: tuple[PlaneReport, ...] = ()
 
 
@@ -565,8 +564,8 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
 
     anchor = state.index.lookup(packed, state.q, c)
     if anchor < 0:
-        pid = state._add_point(p, packed, ~anchor)
-        return OfferResult(OfferKind.ACCEPTED, point_id=pid)
+        state._add_point(p, packed, ~anchor)
+        return OfferResult(OfferKind.ACCEPTED)
 
     chain = state.chains.get(anchor)
     if chain is None:

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from planesep import cli, oracle, repository
+from planesep.errors import GeometryExhaustedError
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -198,7 +199,7 @@ class TestBench:
     def test_primes_scenario_reports_bound(self, capsys):
         assert run_cli("--format", "jsonl", "bench", "primes:100:2", "--seed", "1") == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[0])
-        assert payload["mult_bound"] == 2 * 10**3
+        assert payload["mult_scale"] == 2 * 10**3
         assert payload["verified"] is True
 
     def test_unknown_scenario_exit_2(self):
@@ -284,3 +285,55 @@ class TestPlot:
         for out in (a, b):
             assert run_cli("plot", str(primes_repo_path), str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _geometry_exhausted(*args, **kwargs):
+    raise GeometryExhaustedError("shift-and-refit budget spent")
+
+
+class TestExitCodes:
+    """Every failure exits 2, 3 or 4 with one stderr line; none exits 1 ("absent")."""
+
+    # argv with {repo} (n=2), {repo3} (n=3), {bad} (not UTF-8) and {tmp} filled in
+    CASES = {
+        "bad dims": (["build", "--source", "primes:50", "--out", "{tmp}/r.txt", "--dims", "-1"],
+                     2, "error: "),
+        "value wider than bench digits": (["bench", "primes:100:1"], 2, "error: "),
+        "query non-UTF-8 file": (["query", "{bad}", "7"], 2, "error: cannot load "),
+        "stats non-UTF-8 file": (["stats", "{bad}"], 2, "error: cannot load "),
+        "missing repository": (["query", "{tmp}/nope.txt", "7"], 2, "error: cannot load "),
+        "out in missing directory": (
+            ["build", "--source", "primes:50", "--out", "{tmp}/no/such/r.txt"],
+            2, "error: cannot write "),
+        "out is a directory": (["plot", "{repo}", "{tmp}"], 2, "error: cannot write "),
+        "build algorithm failure": (["build", "--source", "primes:50", "--out", "{tmp}/r.txt"],
+                                    3, "algorithm failure: "),
+        "insert algorithm failure": (["insert", "{repo}", "--source", "primes:200"],
+                                     3, "algorithm failure: "),
+        "plot at n=3": (["plot", "{repo3}", "{tmp}/f.svg"], 4, "error: "),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_failure_exit_code_and_message(self, primes_repo_path, tmp_path, monkeypatch,
+                                           capsys, case):
+        argv, code, prefix = self.CASES[case]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe garbage")
+        repo3 = tmp_path / "r3.txt"
+        repository.save(repository.build(list(oracle.sieve(500).primes()), 3, 0), repo3)
+        files = sorted(tmp_path.rglob("*"))
+        before = primes_repo_path.read_bytes()
+        if code == 3:
+            monkeypatch.setattr(repository, "build", _geometry_exhausted)
+            monkeypatch.setattr(repository, "insert", _geometry_exhausted)
+        capsys.readouterr()
+        argv = [a.format(repo=primes_repo_path, repo3=repo3, bad=bad, tmp=tmp_path)
+                for a in argv]
+        assert run_cli(*argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+        # nothing was written: no new or partial file, the repository unchanged
+        assert sorted(tmp_path.rglob("*")) == files
+        assert primes_repo_path.read_bytes() == before

@@ -442,6 +442,19 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match="magic"):
             load(io.StringIO("other-format 1\n"))
 
+    def test_bytes_load_like_text(self):
+        text = saved_text(build(primes_below(100), 2, 12))
+        assert saved_text(load(text.encode("utf-8"))) == text
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_non_utf8_input_rejected(self, tmp_path, from_file):
+        source = b"\xff\xfe garbage"
+        if from_file:
+            (tmp_path / "bad.txt").write_bytes(source)
+            source = tmp_path / "bad.txt"
+        with pytest.raises(RepositoryFormatError, match="^not UTF-8 text: "):
+            load(source)
+
     def test_garbled_plane_line(self):
         text = saved_text(build([2, 3, 5], 1, 0))
         hacked = text.replace("plane 1 ", "plane 1 spam ", 1)
