@@ -2,7 +2,7 @@
 
 Integers become points whose coordinates are their digits; a small family
 of hyperplanes gives every stored point a unique packed sign vector, and
-membership queries reduce to one residual sweep plus a binary search.
+membership queries reduce to one residual sweep plus one hash probe.
 """
 
 from .counters import OpCounters

@@ -323,6 +323,13 @@ def _radix(text: str) -> int:
     return base
 
 
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("count must be at least 1")
+    return count
+
+
 def _add_seed_and_base(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--base", type=_radix, default=10)
@@ -372,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("bench", help="run a separation scenario and report counters")
     sp.add_argument("scenario", help="cube:<N>:<dims> or primes:<limit>:<dims>")
-    sp.add_argument("--repeat", type=int, default=1)
+    sp.add_argument("--repeat", type=_count, default=1)
     _add_seed_and_base(sp)
     sp.set_defaults(func=cmd_bench)
 

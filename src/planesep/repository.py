@@ -3,10 +3,12 @@
 An integer becomes a point whose coordinates are its digits, least
 significant first (so 37 is (7, 3) and 1729 is (9, 2, 7, 1)); wider
 values occupy higher dimensions.  A built repository holds the plane
-family, one entry per stored value, and the sorted sign-vector index.
-Membership of a candidate value is exact: compute its sign vector
-(q*n multiply-adds), binary-search the index, and, on a quadrant hit,
-compare the stored value.
+family, one entry per stored value, and the sign-vector index, a hash
+table on the vectors' leading bits.  Membership of a candidate value is
+exact: compute its sign vector (q*n multiply-adds), probe the index's
+one slot for it, and, on a quadrant hit, compare the stored value.
+Point ids follow the dictionary order of the sign vectors after a build
+or a load, and values inserted later take the next ids.
 
 Build and insert need exclusive access; queries are read-only and take a
 caller-owned counter accumulator, so concurrent readers never contend.
@@ -206,7 +208,7 @@ def build(values, n: int, seed: int, *, base: int = 10) -> Repository:
 
 
 def query(repo: Repository, v: int, counters: OpCounters | None = None) -> QueryResult:
-    """Exact membership: sign vector, index search, then value comparison.
+    """Exact membership: sign vector, index probe, then value comparison.
 
     The sign-vector step costs exactly q*n multiplications and additions.
     A candidate inside the incidence band of any plane cannot be stored,
@@ -526,6 +528,7 @@ def load(source) -> Repository:
     if len(keys) < count:
         _reject_entry_line(rd, capacity, key_limit)
     rd.next("end", 1)
+    del rd  # the lines are freed before the index builds its slots
     # entries arrive in strict dictionary order, so point id i is entry i
     # and the index is the key list as read; an empty store keeps the
     # default point buffer, which later inserts grow by doubling

@@ -16,6 +16,7 @@ safe for concurrent readers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import sys
@@ -23,7 +24,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -46,103 +47,145 @@ _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 # bits per machine digit of a Python int: index keys aligned to a multiple
 # of it take no more digits, so compare no slower, than unaligned keys
 _DIGIT_BITS = sys.int_info.bits_per_digit
+_MIN_SLOTS = 8
+_FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
+_U64 = (1 << 64) - 1
 
 
 class OvIndex:
-    """Sorted map from packed sign vectors to point ids.
+    """Map from packed sign vectors to point ids, hash-addressed by key prefix.
 
-    Keys are kept in dictionary order so membership is a binary search;
-    every key comparison is tallied as the number of bits it examines, up
-    to and including the first differing bit (all q on a match).  This is
-    the only place a stored point's sign vector is held.  A missed
-    :meth:`lookup` returns where the key would go, so storing it after the
-    miss takes no second search.
+    This is the only place a stored point's sign vector is held.  Point
+    ids are 0, 1, 2, ... in the order points are stored, and each key is
+    held at its point's id, so storing a point moves no other entry and
+    :meth:`lookup` answers "which stored point has key x?" with one
+    slot probe.
 
     A q-bit key is held MSB-aligned at a capacity width W >= q, as
-    ``key << (W - q)``: Python ints in a list in dictionary order, beside
-    an ``array("i")`` of point ids in the same order.  A new plane's bit
-    then lands at position W-1-q, below every key's distinct prefix, so
-    appending a plane ORs one bit into the keys whose point lies on the
-    plane's positive side and moves nothing.  When q reaches W, every key
-    is shifted left once, to the next multiple of the Python int digit
-    width (30 bits on 64-bit CPython), so an aligned key is no wider in
-    memory than the unaligned one.  A bulk-loaded index starts at W = q,
-    so loading shifts nothing.  A search aligns its probe once.
+    ``key << (W - q)``.  A new plane's bit then lands at position W-1-q,
+    below every key's distinct prefix, so appending a plane ORs one bit
+    into the keys whose point lies on the plane's positive side and moves
+    nothing.  When q reaches W, every key is shifted left once, to the
+    next multiple of the Python int digit width (30 bits on 64-bit
+    CPython), so an aligned key is no wider in memory than the unaligned
+    one.  A bulk-loaded index starts at W = q, so loading shifts nothing.
 
-    Storing a point is one binary search plus one memmove per array: 8
-    bytes of key pointer and 4 bytes of id per entry behind the insertion
-    point.  The key list is shifted by slice assignment, which CPython
-    does with one ``memmove``; ``list.insert`` moves each pointer in a
-    loop.  On a 2-CPU Xeon, a bare replay of 78,498 random sorted inserts
-    into both arrays takes 0.8 s this way against 1.5 s with
-    ``list.insert``, and one of 664,579 inserts 75 s against 115 s: the
-    shift is cheaper, but a build is still quadratic in its points.
+    The top P bits of a key, its prefix, pick one of S = 2**b slots: the
+    top b bits of ``hash(prefix) * _FIB`` modulo 2**64, which spread every
+    bit of the hash over the slot.  (An int below 2**61 hashes to itself,
+    and its low bits are the last planes' bits, on which most points
+    agree.)  ``_head`` holds the last point stored in each slot and
+    ``_next`` links each point to the one stored in its slot before it
+    (-1 ends a chain): two int32 arrays, where a dict would hold a Python
+    int or two per point.  A new plane's bit lies below the top P, so
+    appending a plane moves no point to another slot.  The slots are
+    rebuilt, with P = q and S the least power of two >= 4N (at least 8),
+    when q reaches 2P and when N reaches S/2.  Keys are distinct, so just
+    after a rebuild two keys share a slot only when their hashes collide.
+    A probe walks one chain; each key it compares is tallied as the bits
+    examined, up to and including the first differing bit (all q on a
+    match).
+
+    :meth:`items` gives the keys in dictionary order, as ``save`` writes
+    them, from an array of point ids in key order.  :meth:`sync` merges
+    the ids stored since its last call into it: one sort when they are
+    many, one ``bisect.insort`` each when they are few.  Appending a
+    plane keeps the distinct keys in the same order.
     """
 
-    __slots__ = ("_keys", "_ids", "_q", "_width")
+    __slots__ = ("_keys", "_q", "_width", "_bits", "_spread", "_head", "_next", "_order")
 
     def __init__(self):
-        self._keys: list[int] = []
-        self._ids = array("i")
-        self._q = self._width = 0
+        self._hold_sorted([], 0)
 
     @classmethod
     def from_sorted(cls, keys: list[int], q: int) -> "OvIndex":
         """Index over strictly increasing q-bit keys, key i belonging to point id i."""
         index = cls()
-        index._q = index._width = q
-        index._keys = keys
-        index._ids = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
+        index._hold_sorted(keys, q)
         return index
+
+    def _hold_sorted(self, keys: list[int], q: int) -> None:
+        """Hold strictly increasing q-bit keys, key i belonging to point id i."""
+        self._keys = keys  # aligned key by point id
+        self._q = self._width = q
+        self._rehash()
+        # ids in dictionary order of their keys, as of the last sync
+        self._order = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
-        """The point id stored under ``packed``, or ``~pos`` (negative) when it
-        is absent, pos being the position :meth:`insert` would give it."""
+    def _rehash(self) -> None:
+        """Slot every key on all q of its bits, in at least 4 slots per key."""
         keys = self._keys
-        x = packed << (self._width - q)
+        n = len(keys)
+        self._bits = self._q
+        size = max(_MIN_SLOTS, 1 << (4 * n - 1).bit_length())
+        self._spread = 65 - size.bit_length()  # slot = top b bits of the 64-bit product
+        shift = self._width - self._q
+        prefixes = map(operator.rshift, keys, repeat(shift)) if shift else keys
+        hashes = np.fromiter(map(hash, prefixes), np.uint64, n)
+        slots = (hashes * np.uint64(_FIB) >> np.uint64(self._spread)).astype(np.intp)
+        head = np.full(size, -1, np.int32)
+        np.maximum.at(head, slots, np.arange(n, dtype=np.int32))  # a slot's last id heads it
+        # each id in a shared slot links to the id before it there
+        shared = np.flatnonzero(np.bincount(slots, minlength=size)[slots] > 1)
+        shared = shared[np.argsort(slots[shared], kind="stable")]
+        linked = slots[shared[1:]] == slots[shared[:-1]]
+        nxt = np.full(n, -1, np.int32)
+        nxt[shared[1:][linked]] = shared[:-1][linked]
+        self._head = array("i", head.tobytes())
+        self._next = array("i", nxt.tobytes())
+
+    def _slot(self, packed: int, q: int) -> int:
+        return (hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread
+
+    def _walk(self, pid: int, x: int, q: int, counters: OpCounters) -> int:
+        """The id on the chain from ``pid`` whose aligned key is ``x``, or -1."""
+        keys, nxt = self._keys, self._next
         top = self._width + 1  # a comparison examines top - (key ^ x).bit_length() bits
-        lo, hi = 0, len(keys)
         bits = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            key = keys[mid]
+        while pid >= 0:
+            key = keys[pid]
             if key == x:
                 counters.bit_comparisons += bits + q
-                return self._ids[mid]
+                return pid
             bits += top - (key ^ x).bit_length()
-            if key < x:
-                lo = mid + 1
-            else:
-                hi = mid
+            pid = nxt[pid]
         counters.bit_comparisons += bits
-        return ~lo
+        return -1
 
-    def insert(self, packed: int, pid: int, q: int, counters: OpCounters,
-               pos: int | None = None) -> None:
-        """Store ``packed`` for point ``pid``.
+    def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
+        """The point id stored under ``packed``, or -1 when it is absent."""
+        pid = self._head[self._slot(packed, q)]
+        return pid if pid < 0 else self._walk(pid, packed << (self._width - q), q, counters)
 
-        ``pos`` is ``~lookup(packed, ...)`` from a miss with no change to
-        the index since; without it, :meth:`lookup` finds the position.
+    def insert(self, packed: int, q: int, counters: OpCounters) -> int:
+        """Store ``packed`` for the next point id, len(self), and return it.
+
+        The key's chain is walked, and tallied, to check the key is new.
         """
         if q != self._q:
             # an empty index takes the width of its first key
             if self._keys:
                 raise AssertionError(f"{q}-bit key inserted among {self._q}-bit keys")
-            self._q = self._width = q
-        if pos is None:
-            pos = self.lookup(packed, q, counters)
-            if pos >= 0:
-                raise AssertionError("duplicate sign vector in index")
-            pos = ~pos
-        # one memmove; list.insert would move each later pointer in a loop
-        self._keys[pos:pos] = (packed << (self._width - q),)
-        self._ids.insert(pos, pid)
+            self._hold_sorted([], q)
+        slot = self._slot(packed, q)
+        x = packed << (self._width - q)
+        head = self._head[slot]
+        if head >= 0 and self._walk(head, x, q, counters) >= 0:
+            raise AssertionError("duplicate sign vector in index")
+        pid = len(self._keys)
+        self._keys.append(x)
+        self._next.append(head)
+        self._head[slot] = pid
+        if 2 * len(self._keys) >= len(self._head):
+            self._rehash()
+        return pid
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
-        """Append one bit to every key, bit_by_id[i] to point i's; order is preserved."""
+        """Append one bit to every key, bit_by_id[i] to point i's."""
         q = self._q
         if q == self._width:
             width = (q // _DIGIT_BITS + 1) * _DIGIT_BITS
@@ -150,13 +193,45 @@ class OvIndex:
             self._width = width
         keys = self._keys
         bit = 1 << (self._width - 1 - q)
-        for i in np.flatnonzero(bit_by_id[np.frombuffer(self._ids, np.int32)]).tolist():
+        for i in np.flatnonzero(bit_by_id).tolist():
             keys[i] |= bit
         self._q = q + 1
+        if self._q >= 2 * self._bits:
+            self._rehash()
+
+    def sync(self) -> None:
+        """Merge the ids stored since the last call into the key-ordered id array."""
+        order = self._order
+        new = range(len(order), len(self._keys))
+        key = self._keys.__getitem__
+        # one insort moves the ids after it, a sort reads every key: on a
+        # 2-CPU Xeon, 2,500 insorts among 80,000 random 180-bit keys take
+        # as long as one sort
+        if 32 * len(new) > len(order):
+            # the ids already in order form one run, which the sort merges
+            self._order = array("i", sorted(chain(order, new), key=key))
+        else:
+            for pid in new:
+                bisect.insort(order, pid, key=key)
 
     def items(self):
-        """(packed sign vector, point id) pairs in dictionary order."""
-        return zip(map(operator.rshift, self._keys, repeat(self._width - self._q)), self._ids)
+        """(packed sign vector, point id) pairs in dictionary order, after
+        a :meth:`sync` (which finds nothing to do in a finalized state)."""
+        self.sync()
+        shift = self._width - self._q
+        return zip(map(operator.rshift, map(self._keys.__getitem__, self._order), repeat(shift)),
+                   self._order)
+
+    def renumber(self) -> np.ndarray:
+        """Give point id i to the i-th key in dictionary order, as
+        :meth:`from_sorted` numbers them, and return each point's old id."""
+        self.sync()
+        old_ids = np.frombuffer(self._order, np.int32)
+        keys, shift = self._keys, self._width - self._q
+        self._keys = [keys[i] >> shift for i in self._order]
+        del keys  # freed before the slots are rebuilt
+        self._hold_sorted(self._keys, self._q)
+        return old_ids
 
 
 @dataclass
@@ -284,13 +359,13 @@ class SeparationState:
         self.q += 1
         return self.q - 1
 
-    def _add_point(self, p: np.ndarray, packed: int, pos: int | None = None) -> int:
+    def _add_point(self, p: np.ndarray, packed: int) -> int:
         if self.count == self._pts_buf.shape[0]:
             grown = np.empty((2 * self.count, self.n))
             grown[: self.count] = self._pts_buf
             self._pts_buf = grown
         self._pts_buf[self.count] = p
-        self.index.insert(packed, self.count, self.q, self.counters, pos)
+        self.index.insert(packed, self.q, self.counters)
         self.count += 1
         return self.count - 1
 
@@ -539,8 +614,7 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
     vector, None when a residual lies in the incidence band.  Called with
     a point alone, offer checks and evaluates it as a block of one.  Either
     way the offer is tallied as one sign-vector evaluation, n*q
-    multiply-adds.  An accepted point is stored at the position its missed
-    index lookup returned, without a second search.
+    multiply-adds.
     """
     if r is None:
         p = state._check_point(p)
@@ -564,7 +638,7 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
 
     anchor = state.index.lookup(packed, state.q, c)
     if anchor < 0:
-        state._add_point(p, packed, ~anchor)
+        state._add_point(p, packed)
         return OfferResult(OfferKind.ACCEPTED)
 
     chain = state.chains.get(anchor)
@@ -748,10 +822,12 @@ def finalize(state: SeparationState) -> SeparationState:
     """Flush pending chains with planes through however many midpoints remain.
 
     Each emission may leave re-homed chains behind, so planes are emitted
-    until none is pending.
+    until none is pending.  The index's key order is then brought up to
+    date, so a finalized state is only read.
     """
     while state.chains:
         emit_plane(state)
+    state.index.sync()
     return state
 
 
@@ -810,7 +886,8 @@ def run(points, n: int, seed) -> SeparationState:
     """Shuffle, seed, stream every point, and flush: the full build driver.
 
     Returns a state in which every input point is stored under a unique
-    sign vector.
+    sign vector, point id i holding the i-th in dictionary order, as
+    :func:`planesep.repository.load` numbers them.
     """
     pts = _check_points(points, n)
     rng = np.random.default_rng(seed)
@@ -823,4 +900,6 @@ def run(points, n: int, seed) -> SeparationState:
     finalize(state)
     if state.count != pts.shape[0]:
         raise AssertionError("driver lost points; this is a bug")
+    if state.count:  # an empty state keeps its point buffer, as load leaves it
+        state._pts_buf = state.points[state.index.renumber()]
     return state

@@ -206,6 +206,19 @@ class TestBench:
         assert run_cli("bench", "torus:1:2:3") == 2
         assert run_cli("bench", "cube:200:8:3") == 2  # the seed is --seed only
 
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_repeat_below_one_exit_2(self, capsys, repeat):
+        # a run of no repeats would measure nothing and report success
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "cube:10:2", "--repeat", repeat)
+        assert exc.value.code == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+
+    def test_repeat_runs_one_report_per_seed(self, capsys):
+        assert run_cli("--format", "jsonl", "bench", "cube:30:3", "--repeat", "2") == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(line)["seed"] for line in lines] == [0, 1]
+
 
 class TestReportFormats:
     """Every report prints the same keys as text lines and as JSON."""

@@ -20,6 +20,19 @@ the offers that were then stored (BUILT: 241,210 -> 142,714).  Inserts
 made by plane emission and initial accretion still search, and again
 every plane and entry line and the other six counters stayed as they
 were: the offers' block evaluation alone leaves the saved bytes unchanged.
+
+They were lowered a third time when the index became a hash table on
+a key prefix (BUILT: 142,714 -> 31,767).  A probe no longer
+binary-searches the sorted keys; it walks the chain of one hash slot,
+and each key compared there counts the bits examined, up to and
+including the first difference, and all q on a match.  An insert walks
+its slot's chain too, to check that the key is new.  The other six
+counters stayed as they were.
+
+So that no counter re-pin can hide a change to a plane or entry line,
+each store is also pinned by the digest of its saved text without the
+``counters`` line (the ``*_PLANES_AND_ENTRIES_SHA256`` values), recorded
+before the index became a hash table.
 """
 
 import hashlib
@@ -31,22 +44,24 @@ import pytest
 from planesep import oracle
 from planesep.repository import build, grow_dimension, insert, load, save
 
-BUILT_SHA256 = "819e6a506929e43c52da22c197de0622a2c6877de5dc7c12eb7f3f40bdb1d4c6"
+BUILT_SHA256 = "1eef3e2465cc492f2540ce04b8fb6e45efcf6214d78b06fd212b03b596fd2273"
+BUILT_PLANES_AND_ENTRIES_SHA256 = "f685398380dace2b7b9d73d8d6c72c0a0d49c917c76c176bfa2172b0a0f3b205"
 BUILT_COUNTERS = {
     "multiplications": 346180,
     "additions": 345557,
     "sign_evals": 85746,
-    "bit_comparisons": 142714,
+    "bit_comparisons": 31767,
     "ov_multiplications": 202920,
     "extension_multiplications": 140064,
     "solve_multiplications": 2244,
 }
-GROWN_SHA256 = "21684c14356fd959ba7fa0207be32f5bdefd7a8c02b157d396aeb120a645677f"
+GROWN_SHA256 = "11c1b0c225e455df61710bde0e7629637f2252f6f099e765b13acec25da08dc9"
+GROWN_PLANES_AND_ENTRIES_SHA256 = "dae680b265325f6382a13cefc3d1400f6538a30da8dad0d91b591c8ddc420f7b"
 GROWN_COUNTERS = {
     "multiplications": 1464187,
     "additions": 1462534,
     "sign_evals": 308417,
-    "bit_comparisons": 320663,
+    "bit_comparisons": 76724,
     "ov_multiplications": 552015,
     "extension_multiplications": 904324,
     "solve_multiplications": 6726,
@@ -54,12 +69,13 @@ GROWN_COUNTERS = {
 
 # 400 distinct values below 10^4 at n=10: six dead digit coordinates, so the
 # batches are rank-deficient and the narrowing walk is exercised
-WIDE_SHA256 = "ae3a719a08d4225e48b2fa9678edf58d101e35e69d5e45735f0b23fcbb785b84"
+WIDE_SHA256 = "ca85c5117be921c0e78cde4bdd2d1bdca34795f09aac92d8cee8837d2bef863a"
+WIDE_PLANES_AND_ENTRIES_SHA256 = "7e01b8c18173213267570b53cf8e33686c7bd73074b6b6bca71856ea5d30ddf9"
 WIDE_COUNTERS = {
     "multiplications": 630610,
     "additions": 625421,
     "sign_evals": 58037,
-    "bit_comparisons": 29992,
+    "bit_comparisons": 9915,
     "ov_multiplications": 85280,
     "extension_multiplications": 495090,
     "solve_multiplications": 48810,
@@ -67,12 +83,13 @@ WIDE_COUNTERS = {
 
 # all 9,592 primes below 10^5 at n=5: q = 105, so the index's keys grow
 # past 64 bits during the build
-PRIMES5_SHA256 = "cb6318ff26cd3f8ae8466969c3ddc0686c9f36068a3149c9dd60a1c5c0ee3d7d"
+PRIMES5_SHA256 = "471fb0053d9a5ed7ecc36f422756408d0f9ae3fe5309c8f32dbacbeb08da15cc"
+PRIMES5_PLANES_AND_ENTRIES_SHA256 = "d3a48e3a04e53629753962ca97c136dfe9ec41488598c563d804adea2db7e26e"
 PRIMES5_COUNTERS = {
     "multiplications": 5662381,
     "additions": 5660826,
     "sign_evals": 1130624,
-    "bit_comparisons": 1583390,
+    "bit_comparisons": 120277,
     "ov_multiplications": 3642605,
     "extension_multiplications": 2010515,
     "solve_multiplications": 6741,
@@ -89,12 +106,17 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def without_counters(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("counters "))
+
+
 def test_fixed_seed_build_grow_and_inserts_are_unchanged():
     primes = [int(p) for p in oracle.sieve(2 * 10**4 + 200).primes()]
 
     # (i) primes below 10^4 at n=4, seed 0
     repo = build([p for p in primes if p < 10**4], 4, 0)
     text = saved_text(repo)
+    assert sha256(without_counters(text)) == BUILT_PLANES_AND_ENTRIES_SHA256
     assert sha256(text) == BUILT_SHA256
     assert repo.counters.as_dict() == BUILT_COUNTERS
     assert saved_text(load(io.StringIO(text))) == text
@@ -106,6 +128,7 @@ def test_fixed_seed_build_grow_and_inserts_are_unchanged():
     for p in [p for p in primes if p >= 2 * 10**4][:20]:
         insert(repo, [p])
     text = saved_text(repo)
+    assert sha256(without_counters(text)) == GROWN_PLANES_AND_ENTRIES_SHA256
     assert sha256(text) == GROWN_SHA256
     assert repo.counters.as_dict() == GROWN_COUNTERS
     assert saved_text(load(io.StringIO(text))) == text
@@ -120,6 +143,7 @@ def test_fixed_seed_rank_deficient_build_is_unchanged():
     repo = build(values, 10, 0)
     text = saved_text(repo)
     assert repo.q == 36
+    assert sha256(without_counters(text)) == WIDE_PLANES_AND_ENTRIES_SHA256
     assert sha256(text) == WIDE_SHA256
     assert repo.counters.as_dict() == WIDE_COUNTERS
 
@@ -131,6 +155,7 @@ def test_fixed_seed_build_past_64_planes_is_unchanged():
     repo = build([int(p) for p in oracle.sieve(10**5).primes()], 5, 0)
     text = saved_text(repo)
     assert repo.q == 105
+    assert sha256(without_counters(text)) == PRIMES5_PLANES_AND_ENTRIES_SHA256
     assert sha256(text) == PRIMES5_SHA256
     assert repo.counters.as_dict() == PRIMES5_COUNTERS
     assert saved_text(load(io.StringIO(text))) == text

@@ -620,6 +620,28 @@ class TestPersistence:
         assert np.array_equal(again.state.points, loaded.state.points)
         assert list(again.state.index.items()) == list(loaded.state.index.items())
 
+    def test_a_built_store_is_numbered_as_load_numbers_it(self):
+        # build renumbers its points into dictionary order, so point id i
+        # holds the i-th entry, exactly as after load
+        repo = build(primes_below(10**4), 4, 0)
+        loaded = load(io.StringIO(saved_text(repo)))
+        assert [pid for _, pid in repo.state.index.items()] == list(range(repo.count))
+        assert repo.values == loaded.values
+        assert np.array_equal(repo.state.points, loaded.state.points)
+        assert list(repo.state.index.items()) == list(loaded.state.index.items())
+        built_c, loaded_c = OpCounters(), OpCounters()
+        for v in range(0, 10**4, 3):
+            assert query(repo, v, built_c) == query(loaded, v, loaded_c)
+        assert built_c.as_dict() == loaded_c.as_dict()
+        # the same inserts into either store save to identical bytes
+        more = [p for p in primes_below(12000) if p >= 10**4]
+        for r in (repo, loaded):
+            grow_dimension(r, 5)
+            insert(r, more[:-3])
+            for p in more[-3:]:
+                insert(r, [p])
+        assert saved_text(repo) == saved_text(loaded)
+
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"

@@ -1,5 +1,6 @@
 """The incremental separation algorithm: chains, emissions, invariants."""
 
+import bisect
 import random
 from collections import deque
 
@@ -81,75 +82,181 @@ class TestCmpBits:
         assert _cmp_bits(0b1010, 0b1011, 4) == 4
 
 
-def replay_search(keys, packed, q, stop_on_hit):
-    """Bits a binary search over sorted keys examines, one _cmp_bits per probe.
+class TwoListIndex:
+    """The reference for :class:`OvIndex`: q-bit keys in one sorted list
+    and point ids in another, every key rebuilt on each new plane, and a
+    binary search for every lookup and insert.
 
-    The lookup loop stops on an exact hit; the insert loop narrows to the
-    leftmost position whatever it meets.
+    Beside them it keeps each key by point id and the bucketing OvIndex
+    documents, which :meth:`replay_bits` reads: a key's top P bits pick
+    one of S = 2**b slots, the top b bits of ``hash(prefix) * FIB``
+    modulo 2**64, and the slots are rebuilt with P = q and S the least
+    power of two >= 4N (at least 8) when the index is bulk-loaded or
+    takes its first key, when a new plane brings q to 2P, and when an
+    insert brings N to S/2.
     """
-    lo, hi, bits = 0, len(keys), 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        bits += _cmp_bits(keys[mid], packed, q)
-        if keys[mid] < packed:
-            lo = mid + 1
-        elif keys[mid] > packed or not stop_on_hit:
-            hi = mid
-        else:
-            break
-    return bits
+
+    FIB = 0x9E3779B97F4A7C15
+
+    def __init__(self):
+        self.keys, self.ids, self.by_id = [], [], []
+        self.q = 0
+        self.rebuild()
+
+    @classmethod
+    def from_sorted(cls, keys, q):
+        index = cls()
+        index.keys, index.ids, index.by_id = list(keys), list(range(len(keys))), list(keys)
+        index.q = q
+        index.rebuild()
+        return index
+
+    def rebuild(self):
+        self.p = self.q
+        self.slots = 8
+        while self.slots < 4 * len(self.by_id):
+            self.slots *= 2
+
+    def slot(self, packed):
+        product = hash(packed >> (self.q - self.p)) * self.FIB % 2**64
+        return product >> (64 - self.slots.bit_length() + 1)
+
+    def lookup(self, packed):
+        pos = bisect.bisect_left(self.keys, packed)
+        return self.ids[pos] if self.keys[pos:pos + 1] == [packed] else -1
+
+    def insert(self, packed, q):
+        if q != self.q:
+            if self.keys:
+                raise AssertionError("key of another width")
+            self.q = q
+            self.rebuild()
+        pos = bisect.bisect_left(self.keys, packed)
+        if self.keys[pos:pos + 1] == [packed]:
+            raise AssertionError("duplicate sign vector in index")
+        pid = len(self.by_id)
+        self.keys.insert(pos, packed)
+        self.ids.insert(pos, pid)
+        self.by_id.append(packed)
+        if 2 * len(self.by_id) >= self.slots:
+            self.rebuild()
+        return pid
+
+    def extend_all(self, bit_by_id):
+        self.by_id = [(k << 1) | b for k, b in zip(self.by_id, bit_by_id.tolist())]
+        self.keys = [self.by_id[i] for i in self.ids]
+        self.q += 1
+        if self.q >= 2 * self.p:
+            self.rebuild()
+
+    def items(self):
+        return list(zip(self.keys, self.ids))
+
+    def replay_bits(self, packed):
+        """The bits OvIndex tallies probing for ``packed``: the stored keys
+        in its slot, newest first, each compared up to and including its
+        first differing bit, and all q on the match, which ends the walk."""
+        slot = self.slot(packed)
+        bits = 0
+        for key in reversed(self.by_id):
+            if self.slot(key) == slot:
+                bits += _cmp_bits(key, packed, self.q)
+                if key == packed:
+                    break
+        return bits
+
+
+def lookup_both(new, ref, key):
+    """The same hit or miss from both indexes, and the replayed tally."""
+    c = OpCounters()
+    got = new.lookup(key, ref.q, c)
+    assert got == ref.lookup(key), key
+    assert c.bit_comparisons == ref.replay_bits(key), key
+    return got
+
+
+def insert_both(new, ref, key, q):
+    bits = ref.replay_bits(key) if q == ref.q else 0
+    c = OpCounters()
+    pid = new.insert(key, q, c)
+    assert pid == ref.insert(key, q) == len(new) - 1
+    assert c.bit_comparisons == bits, key
+    return pid
+
+
+def extend_both(new, ref, rnd):
+    bits = np.array([rnd.random() < 0.5 for _ in range(len(new))], dtype=bool)
+    new.extend_all(bits)
+    ref.extend_all(bits)
+
+
+def probe_both(new, ref, rnd, count):
+    """Lookups of stored keys, of keys one low bit away, and of random keys."""
+    q = ref.q
+    for _ in range(count):
+        if ref.by_id:
+            key = rnd.choice(ref.by_id)
+            assert lookup_both(new, ref, key) >= 0
+            if q:
+                lookup_both(new, ref, key ^ (1 << rnd.randrange(min(q, 3))))
+        lookup_both(new, ref, rnd.getrandbits(q) if q else 0)
 
 
 class TestOvIndex:
-    def test_lookup_and_insert_count_comparisons(self):
+    def test_lookup_returns_the_id_or_minus_one(self):
         idx = OvIndex()
         c = OpCounters()
-        for i, key in enumerate([0b100, 0b001, 0b111, 0b010]):
-            idx.insert(key, i, 3, c)
-        assert c.bit_comparisons > 0
-        hits = OpCounters()
-        assert idx.lookup(0b111, 3, hits) == 2
-        assert idx.lookup(0b101, 3, hits) == ~3  # after 0b001, 0b010 and 0b100
-        assert hits.bit_comparisons > 0
+        for key in [0b100, 0b001, 0b111, 0b010]:
+            idx.insert(key, 3, c)
+        assert idx.lookup(0b111, 3, c) == 2
+        assert idx.lookup(0b001, 3, c) == 1
+        assert idx.lookup(0b101, 3, c) == -1
+        assert [pid for _, pid in idx.items()] == [1, 3, 0, 2]
 
-    def test_comparison_counts_equal_a_replay_of_the_search(self):
-        q = 12
-        rng = np.random.default_rng(3)
-        keys = [int(k) for k in rng.choice(1 << q, size=300, replace=False)]
-        idx = OvIndex()
-        for pid, key in enumerate(keys):
-            c = OpCounters()
-            before = sorted(keys[:pid])
-            idx.insert(key, pid, q, c)
-            assert c.bit_comparisons == replay_search(before, key, q, stop_on_hit=False)
-        stored = sorted(keys)
-        for probe in [*keys[:50], *(int(k) for k in rng.integers(0, 1 << q, size=50))]:
-            c = OpCounters()
-            pid = idx.lookup(probe, q, c)
-            assert pid == (keys.index(probe) if probe in keys
-                           else ~sum(k < probe for k in keys))
-            assert c.bit_comparisons == replay_search(stored, probe, q, stop_on_hit=True)
+    def test_a_hit_examines_all_q_bits(self):
+        idx = OvIndex.from_sorted([0b1011], 4)
+        c = OpCounters()
+        assert idx.lookup(0b1011, 4, c) == 0
+        assert c.bit_comparisons == 4
 
-    def test_bulk_build_matches_one_built_by_insert(self):
+    def test_tally_replays_the_bucket_walk(self):
+        """Keys stored between rebuilds share slots with keys of the same
+        prefix and with keys whose prefixes hash alike; every lookup and
+        insert tallies exactly the walk :meth:`TwoListIndex.replay_bits`
+        replays, through the rebuilds as q and N double."""
+        rnd = random.Random(3)
+        new, ref = OvIndex.from_sorted([], 4), TwoListIndex.from_sorted([], 4)
+        walked = 0
+        for _ in range(30):
+            for _ in range(12):
+                key = rnd.getrandbits(ref.q)
+                if ref.lookup(key) < 0:
+                    walked += ref.replay_bits(key) > 0
+                    insert_both(new, ref, key, ref.q)
+            probe_both(new, ref, rnd, 10)
+            extend_both(new, ref, rnd)
+        assert ref.q == 34 and len(ref.by_id) > 300
+        assert walked > 20  # inserts that walked a chain
+
+    def test_bulk_load_matches_one_built_by_insert(self):
+        # the same ids and items; a bulk load sizes its slots for all its
+        # keys at once, so the two tally different chains
         q = 10
         rng = np.random.default_rng(4)
         keys = sorted(int(k) for k in rng.choice(1 << q, size=200, replace=False))
         inserted = OvIndex()
-        c = OpCounters()
-        for pos in rng.permutation(len(keys)):
-            inserted.insert(keys[pos], int(pos), q, c)
+        for key in keys:
+            inserted.insert(key, q, OpCounters())
         bulk = OvIndex.from_sorted(list(keys), q)
         assert list(bulk.items()) == list(inserted.items())
         for probe in range(1 << q):
-            a, b = OpCounters(), OpCounters()
-            assert bulk.lookup(probe, q, a) == inserted.lookup(probe, q, b)
-            assert a.bit_comparisons == b.bit_comparisons
+            assert bulk.lookup(probe, q, OpCounters()) == inserted.lookup(probe, q, OpCounters())
 
-    def test_keys_stay_sorted_and_extend_preserves_order(self):
+    def test_extend_preserves_dictionary_order(self):
         idx = OvIndex()
         c = OpCounters()
-        for i, key in enumerate([5, 1, 7, 3]):
-            idx.insert(key, i, 3, c)
+        for key in [5, 1, 7, 3]:
+            idx.insert(key, 3, c)
         keys = [k for k, _ in idx.items()]
         assert keys == sorted(keys)
         bits = np.array([1, 0, 1, 0], dtype=bool)
@@ -158,211 +265,133 @@ class TestOvIndex:
         assert keys2 == sorted(keys2)
         assert keys2 == [(k << 1) | int(bits[i]) for k, i in zip(keys, [1, 3, 0, 2])]
 
+    def test_renumber_numbers_points_in_dictionary_order(self):
+        idx = OvIndex()
+        for key in [5, 1, 7, 3]:
+            idx.insert(key, 3, OpCounters())
+        idx.extend_all(np.array([1, 0, 1, 0], dtype=bool))
+        assert idx.renumber().tolist() == [1, 3, 0, 2]
+        assert list(idx.items()) == [(2, 0), (6, 1), (11, 2), (15, 3)]
+        assert [idx.lookup(k, 4, OpCounters()) for k in (2, 6, 11, 15)] == [0, 1, 2, 3]
+        assert idx.insert(4, 4, OpCounters()) == 4
+        assert [pid for _, pid in idx.items()] == [0, 4, 1, 2, 3]
+
     def test_duplicate_insert_is_a_bug(self):
         idx = OvIndex()
         c = OpCounters()
-        idx.insert(4, 0, 3, c)
+        idx.insert(4, 3, c)
         with pytest.raises(AssertionError):
-            idx.insert(4, 1, 3, c)
+            idx.insert(4, 3, c)
+        assert len(idx) == 1 and list(idx.items()) == [(4, 0)]
 
     def test_key_of_another_width_is_a_bug(self):
         idx = OvIndex()
         c = OpCounters()
-        idx.insert(4, 0, 3, c)
+        idx.insert(4, 3, c)
         with pytest.raises(AssertionError):
-            idx.insert(4, 1, 4, c)
+            idx.insert(4, 4, c)
 
-
-class TwoListIndex:
-    """The index as it was before keys were stored aligned: q-bit keys in
-    one list, point ids in another, every key rebuilt on each new plane,
-    and every insert a search of its own.  A missed lookup returns ~pos,
-    pos being where the key would go.  The reference for the differential
-    tests below."""
-
-    def __init__(self):
-        self._keys = []
-        self._ids = []
-
-    @classmethod
-    def from_sorted(cls, keys):
-        index = cls()
-        index._keys = list(keys)
-        index._ids = list(range(len(keys)))
-        return index
-
-    def lookup(self, packed, q, counters):
-        keys = self._keys
-        lo, hi = 0, len(keys)
-        bits = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            key = keys[mid]
-            if key == packed:
-                counters.bit_comparisons += bits + q
-                return self._ids[mid]
-            bits += q + 1 - (key ^ packed).bit_length()
-            if key < packed:
-                lo = mid + 1
-            else:
-                hi = mid
-        counters.bit_comparisons += bits
-        return ~lo
-
-    def insert(self, packed, pid, q, counters):
-        keys = self._keys
-        lo, hi = 0, len(keys)
-        bits = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            key = keys[mid]
-            if key == packed:
-                raise AssertionError("duplicate sign vector in index")
-            bits += q + 1 - (key ^ packed).bit_length()
-            if key < packed:
-                lo = mid + 1
-            else:
-                hi = mid
-        counters.bit_comparisons += bits
-        keys.insert(lo, packed)
-        self._ids.insert(lo, pid)
-
-    def extend_all(self, bit_by_id):
-        bits = bit_by_id.tolist()
-        self._keys = [(k << 1) | bits[i] for k, i in zip(self._keys, self._ids)]
-
-    def items(self):
-        return zip(self._keys, self._ids)
+    def test_empty_index_and_zero_planes(self):
+        c = OpCounters()
+        idx = OvIndex()
+        assert idx.lookup(0, 0, c) == -1 and list(idx.items()) == []
+        assert idx.insert(0, 0, c) == 0
+        assert idx.lookup(0, 0, c) == 0
+        assert c.bit_comparisons == 0  # a 0-bit key matches without a bit examined
+        idx.extend_all(np.array([True]))
+        assert idx.lookup(1, 1, c) == 0 and idx.lookup(0, 1, c) == -1
+        empty = OvIndex.from_sorted([], 5)
+        assert empty.lookup(17, 5, c) == -1 and list(empty.items()) == []
+        assert empty.insert(3, 7, c) == 0  # an empty index takes its first key's width
+        assert list(empty.items()) == [(3, 0)]
+        assert empty.lookup(3, 7, c) == 0
 
 
 class TestAlignedIndexAgainstTwoLists:
-    """Same ids, the same bit comparisons per call and the same items as
-    the two-list index, as the keys grow past 64 and 128 bits and are
-    realigned on the way."""
+    """Random interleavings of inserts, lookups, plane appends and syncs:
+    the same hit or miss ids, the replayed bit tallies and the same items
+    in the same order as the two-list reference, as keys grow past 64 and
+    128 bits and are realigned and re-bucketed on the way."""
 
-    @staticmethod
-    def call_both(new, ref, method, *args):
-        a, b = OpCounters(), OpCounters()
-        got = getattr(new, method)(*args, a)
-        assert got == getattr(ref, method)(*args, b)
-        assert a.bit_comparisons == b.bit_comparisons, (method, args)
-        return got
-
-    def probe(self, new, ref, q, rnd, count):
-        """Lookups of stored keys, of keys one low bit away, and of random keys."""
-        stored = [k for k, _ in ref.items()]
-        for _ in range(count):
-            if stored:
-                key = rnd.choice(stored)
-                self.call_both(new, ref, "lookup", key, q)
-                if q:
-                    self.call_both(new, ref, "lookup", key ^ (1 << rnd.randrange(min(q, 3))), q)
-            self.call_both(new, ref, "lookup", rnd.getrandbits(q) if q else 0, q)
-
-    def test_interleaved_inserts_lookups_and_plane_appends(self):
-        rnd = random.Random(10)
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_random_interleavings(self, seed):
+        rnd = random.Random(seed)
         new, ref = OvIndex(), TwoListIndex()
-        self.probe(new, ref, 0, rnd, 2)  # the empty index
-        present = set()
-        for q in range(140):
-            for _ in range(4):
-                key = rnd.getrandbits(q) if q else 0
-                if key not in present:
-                    present.add(key)
-                    self.call_both(new, ref, "insert", key, len(present) - 1, q)
-            self.probe(new, ref, q, rnd, 4)
-            assert list(new.items()) == list(ref.items())
-            bits = np.array([rnd.random() < 0.5 for _ in present], dtype=bool)
-            new.extend_all(bits)
-            ref.extend_all(bits)
-            present = {k for k, _ in ref.items()}
-            assert list(new.items()) == list(ref.items())
-        assert len(new) == len(present) > 400
+        probe_both(new, ref, rnd, 2)  # the empty index at q = 0
+        insert_both(new, ref, 0, 0)
+        probe_both(new, ref, rnd, 2)
+        while ref.q < 140:
+            op = rnd.random()
+            if op < 0.55:
+                key = rnd.getrandbits(ref.q)
+                if ref.lookup(key) >= 0:
+                    with pytest.raises(AssertionError):
+                        new.insert(key, ref.q, OpCounters())
+                else:
+                    insert_both(new, ref, key, ref.q)
+            elif op < 0.75:
+                probe_both(new, ref, rnd, 1)
+            elif op < 0.85:
+                extend_both(new, ref, rnd)
+            elif op < 0.9:
+                new.sync()
+            else:
+                assert list(new.items()) == ref.items()
+        assert list(new.items()) == ref.items()
+        assert len(new) > 400
 
-    def test_insert_at_a_missed_lookups_position_skips_the_search(self):
-        """Keys stored at ~lookup(...) after a miss, as offer stores them:
-        the insert tallies no comparison and leaves the same items as the
-        reference's searching insert, at widths that realign the keys."""
-        rnd = random.Random(11)
-        new, ref = OvIndex.from_sorted([], 5), TwoListIndex()
-        for q in range(5, 71):
-            if q in (5, 40, 70):
-                present = {k for k, _ in ref.items()}
-                for _ in range(60):
-                    key = rnd.getrandbits(q)
-                    miss = self.call_both(new, ref, "lookup", key, q)
-                    if key in present:
-                        continue
-                    assert miss < 0
-                    present.add(key)
-                    skipped, searched = OpCounters(), OpCounters()
-                    new.insert(key, len(present) - 1, q, skipped, ~miss)
-                    ref.insert(key, len(present) - 1, q, searched)
-                    assert skipped.bit_comparisons == 0
-                    assert list(new.items()) == list(ref.items())
-            bits = np.array([rnd.random() < 0.5 for _ in range(len(new))], dtype=bool)
-            new.extend_all(bits)
-            ref.extend_all(bits)
-        assert list(new.items()) == list(ref.items())
-        assert len(new) > 140
-
-    @pytest.mark.parametrize("after_miss", [True, False], ids=["at-missed-pos", "searching"])
-    def test_insert_at_the_front_the_back_and_between(self, after_miss):
-        """Each width stores a key below every key (position 0), one above
-        every key (position len) and one between, from q = 27 past the
-        realigns at 30 and 60 bits.  The first keys sit far enough from 0
-        and 2**q that both edges stay free."""
+    def test_sync_places_keys_at_the_front_the_back_and_between(self):
+        """Each width stores a key below every key, one above every key and
+        one between, then syncs, from q = 27 past the realigns at 30 and 60
+        bits.  The first keys sit far enough from 0 and 2**q that both
+        edges stay free."""
         rnd = random.Random(12)
         new, ref = OvIndex(), TwoListIndex()
-        for pid, key in enumerate([5 << 20, 9 << 20, 13 << 20]):
-            self.call_both(new, ref, "insert", key, pid, 27)
+        for key in [5 << 20, 9 << 20, 13 << 20]:
+            insert_both(new, ref, key, 27)
         for q in range(27, 63):
-            present = {k for k, _ in ref.items()}
-            lowest, highest = min(present), max(present)
+            lowest, highest = ref.keys[0], ref.keys[-1]
             middle = lowest
-            while middle in present:
+            while ref.lookup(middle) >= 0:
                 middle = rnd.randrange(lowest, highest)
-            for key, edge in ((lowest - 1, "front"), (highest + 1, "back"), (middle, None)):
-                pid = len(new)
-                pos = {"front": 0, "back": pid}.get(edge)
-                if after_miss:
-                    miss = self.call_both(new, ref, "lookup", key, q)
-                    assert miss < 0 and pos in (None, ~miss)
-                    skipped = OpCounters()
-                    new.insert(key, pid, q, skipped, ~miss)
-                    ref.insert(key, pid, q, OpCounters())
-                    assert skipped.bit_comparisons == 0
-                else:
-                    self.call_both(new, ref, "insert", key, pid, q)
-                assert list(new.items()) == list(ref.items())
+            for key, pos in ((lowest - 1, 0), (highest + 1, len(new) + 1), (middle, None)):
+                pid = insert_both(new, ref, key, q)
+                new.sync()
+                assert list(new.items()) == ref.items()
                 assert pos in (None, [i for _, i in new.items()].index(pid))
-            self.probe(new, ref, q, rnd, 4)
-            bits = np.array([rnd.random() < 0.5 for _ in range(len(new))], dtype=bool)
-            new.extend_all(bits)
-            ref.extend_all(bits)
-            assert list(new.items()) == list(ref.items())
+            probe_both(new, ref, rnd, 4)
+            extend_both(new, ref, rnd)
+            assert list(new.items()) == ref.items()
         assert new._width == 90 and len(new) == 3 + 3 * 36
+
+    def test_many_new_ids_sync_in_one_sort(self):
+        """Past the point where sync sorts instead of insorting, and again
+        below it, the order is the reference's."""
+        rnd = random.Random(13)
+        new, ref = OvIndex(), TwoListIndex()
+        for batch in (500, 200, 3, 40, 1):
+            for _ in range(batch):
+                key = rnd.getrandbits(40)
+                if ref.lookup(key) < 0:
+                    insert_both(new, ref, key, 40)
+            new.sync()
+            assert list(new.items()) == ref.items()
 
     @pytest.mark.parametrize("q", [0, 64, 65])
     def test_bulk_load_then_grow(self, q):
         rnd = random.Random(q)
         keys = [0] if q == 0 else sorted({rnd.getrandbits(q) for _ in range(60)})
-        new, ref = OvIndex.from_sorted(list(keys), q), TwoListIndex.from_sorted(keys)
-        assert list(new.items()) == list(ref.items())
-        self.probe(new, ref, q, rnd, 20)
-        for step in range(3):
-            bits = np.array([rnd.random() < 0.5 for _ in range(len(ref._keys))], dtype=bool)
-            new.extend_all(bits)
-            ref.extend_all(bits)
-            q += 1
-            present = {k for k, _ in ref.items()}
+        new, ref = OvIndex.from_sorted(list(keys), q), TwoListIndex.from_sorted(keys, q)
+        assert list(new.items()) == ref.items()
+        probe_both(new, ref, rnd, 20)
+        for _ in range(3):
+            extend_both(new, ref, rnd)
             for _ in range(5):
-                key = rnd.getrandbits(q)
-                if key not in present:
-                    present.add(key)
-                    self.call_both(new, ref, "insert", key, len(present) - 1, q)
-            self.probe(new, ref, q, rnd, 20)
-            assert list(new.items()) == list(ref.items())
+                key = rnd.getrandbits(ref.q)
+                if ref.lookup(key) < 0:
+                    insert_both(new, ref, key, ref.q)
+            probe_both(new, ref, rnd, 20)
+            assert list(new.items()) == ref.items()
 
 
 class TestInit:
