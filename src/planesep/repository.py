@@ -87,8 +87,10 @@ def map_to_point(v: int, mapping: IntegerMapping) -> np.ndarray:
 def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
     """Rows of :func:`map_to_point` for many values, in one vectorised expansion.
 
-    Digits are peeled with int64 arithmetic when every value of the mapping
-    fits, and with Python integers (an object array) otherwise.
+    Digits are peeled with int64 arithmetic when every value fits, and
+    with Python integers (an object array) otherwise.  A lone value is
+    expanded by :func:`map_to_point`, whose pass over its digits costs
+    less than one numpy pass per digit.
     """
     vals = [int(v) for v in values]
     if vals and (min(vals) < 0 or max(vals) >= mapping.capacity):
@@ -96,17 +98,22 @@ def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
+    if len(vals) == 1:
+        return map_to_point(vals[0], mapping)[None, :]
     return _digit_rows(vals, mapping)
 
 
 def _digit_rows(vals: list[int], mapping: IntegerMapping) -> np.ndarray:
     """The digit expansion of Python ints already known to lie in [0, capacity)."""
-    wide = mapping.capacity > _INT64_MAX
+    wide = mapping.capacity > _INT64_MAX and max(vals, default=0) > _INT64_MAX
     rem = np.array(vals, dtype=object if wide else np.int64)
     out = np.zeros((len(vals), mapping.n))
     for i in range(mapping.n):
-        out[:, i] = rem % mapping.base
-        rem = rem // mapping.base
+        if not rem.any():
+            break  # every higher digit is 0
+        quotient = rem // mapping.base  # by a scalar, which numpy divides fast
+        out[:, i] = rem - quotient * mapping.base
+        rem = quotient
     return out
 
 
@@ -257,10 +264,11 @@ def insert(repo: Repository, values) -> InsertReport:
         fresh.append(v)
     q_before = state.q
     if fresh:
+        # an out-of-range value raises here, before anything changes
+        pts = map_to_points(fresh, repo.mapping)
         # deterministic resume: the stream order and any new free plane
         # coefficients depend only on the build seed and the store shape
         state.reseed([repo.seed, state.count, state.q, len(fresh)])
-        pts = np.array([map_to_point(v, repo.mapping) for v in fresh])
         # a permutation of one value draws nothing: a single-value insert
         # seeds the generator only if it emits a plane
         order = state.rng.permutation(len(fresh)) if len(fresh) > 1 else [0]

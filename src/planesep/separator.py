@@ -1,14 +1,14 @@
 """Incremental separation of a point stream by hyperplanes.
 
 Points are offered one at a time, in queue order, though the stream
-evaluates them in blocks.  A point whose sign vector is new is
-stored immediately; a point that lands in an occupied quadrant is parked
-on the occupant's pending chain (up to three deep, further arrivals are
-recycled to the caller).  Whenever n chains are pending, one plane fitted
-through the n segment midpoints separates every anchor from its first
-neighbour at once, and every stored sign vector gains one trailing bit.
-Existing bits are never rewritten, which is what makes later insertion
-resume-free.
+evaluates them in blocks and places each block's points in one loop.  A
+point whose sign vector is new is stored immediately; a point that
+lands in an occupied quadrant is parked on the occupant's pending chain
+(up to three deep, further arrivals are recycled to the caller).
+Whenever n chains are pending, one plane fitted through the n segment
+midpoints separates every anchor from its first neighbour at once, and
+every stored sign vector gains one trailing bit.  Existing bits are
+never rewritten, which is what makes later insertion resume-free.
 
 The state is single-owner and mutated sequentially; once finalized it is
 safe for concurrent readers.
@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -44,9 +43,6 @@ from .geometry import signs_from_residuals  # only for bench/spans.py, which tra
 _INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
-# bits per machine digit of a Python int: index keys aligned to a multiple
-# of it take no more digits, so compare no slower, than unaligned keys
-_DIGIT_BITS = sys.int_info.bits_per_digit
 _MIN_SLOTS = 8
 _FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
 _U64 = (1 << 64) - 1
@@ -61,39 +57,42 @@ class OvIndex:
     :meth:`lookup` answers "which stored point has key x?" with one
     slot probe.
 
-    A q-bit key is held MSB-aligned at a capacity width W >= q, as
-    ``key << (W - q)``.  A new plane's bit then lands at position W-1-q,
-    below every key's distinct prefix, so appending a plane ORs one bit
-    into the keys whose point lies on the plane's positive side and moves
-    nothing.  When q reaches W, every key is shifted left once, to the
-    next multiple of the Python int digit width (30 bits on 64-bit
-    CPython), so an aligned key is no wider in memory than the unaligned
-    one.  A bulk-loaded index starts at W = q, so loading shifts nothing.
+    A q-bit key is held in two parts: a Python int *head*, its first
+    q - t bits, and a *tail*, its last t <= 64 bits, MSB-aligned in a
+    uint64 word of an ``array("Q")`` indexed by point id.  A new plane's
+    bit lands at tail bit 63 - t of every key, so appending a plane is
+    one numpy OR of the plane's bit column into the tail array, and
+    moves nothing.  The heads absorb the tails, in one pass over the
+    keys, only when the tail word is full, when the slots are rebuilt,
+    and when whole keys are read: by a full :meth:`sync`, :meth:`items`
+    and :meth:`renumber`.  A bulk-loaded index starts with empty tails.
 
     The top P bits of a key, its prefix, pick one of S = 2**b slots: the
     top b bits of ``hash(prefix) * _FIB`` modulo 2**64, which spread every
     bit of the hash over the slot.  (An int below 2**61 hashes to itself,
     and its low bits are the last planes' bits, on which most points
-    agree.)  ``_head`` holds the last point stored in each slot and
+    agree.)  ``_slots`` holds the last point stored in each slot and
     ``_next`` links each point to the one stored in its slot before it
     (-1 ends a chain): two int32 arrays, where a dict would hold a Python
-    int or two per point.  A new plane's bit lies below the top P, so
-    appending a plane moves no point to another slot.  The slots are
-    rebuilt, with P = q and S the least power of two >= 4N (at least 8),
-    when q reaches 2P and when N reaches S/2.  Keys are distinct, so just
-    after a rebuild two keys share a slot only when their hashes collide.
-    A probe walks one chain; each key it compares is tallied as the bits
-    examined, up to and including the first differing bit (all q on a
-    match).
+    int or two per point.  The slots are rebuilt, with P = q and S the
+    least power of two >= 4N (at least 8), when q reaches 2P and when N
+    reaches S/2; a rebuild folds the tails first, so the head always
+    holds the prefix, and a new plane's bit, which lies below it, moves
+    no point to another slot.  Keys are distinct, so just after a rebuild
+    two keys share a slot only when their hashes collide.  A probe walks
+    one chain, comparing head and then tail; each key it compares is
+    tallied as the bits examined, up to and including the first
+    differing bit (all q on a match).
 
     :meth:`items` gives the keys in dictionary order, as ``save`` writes
     them, from an array of point ids in key order.  :meth:`sync` merges
     the ids stored since its last call into it: one sort when they are
-    many, one ``bisect.insort`` each when they are few.  Appending a
-    plane keeps the distinct keys in the same order.
+    many, one binary search by head each when they are few, and a step
+    past the keys of an equal head and a lower tail.  Appending a plane
+    keeps the distinct keys in the same order.
     """
 
-    __slots__ = ("_keys", "_q", "_width", "_bits", "_spread", "_head", "_next", "_order")
+    __slots__ = ("_keys", "_q", "_bits", "_spread", "_slots", "_next", "_order")
 
     def __init__(self):
         self._hold_sorted([], 0)
@@ -107,59 +106,72 @@ class OvIndex:
 
     def _hold_sorted(self, keys: list[int], q: int) -> None:
         """Hold strictly increasing q-bit keys, key i belonging to point id i."""
-        self._keys = keys  # aligned key by point id
-        self._q = self._width = q
+        # heads and tails by point id, and the tail width t: one tuple, which
+        # a fold replaces at once, so a concurrent lookup never mixes layouts
+        self._keys = (keys, array("Q", bytes(8 * len(keys))), 0)
+        self._q = q
         self._rehash()
         # ids in dictionary order of their keys, as of the last sync
         self._order = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._keys[0])
+
+    def _fold(self) -> None:
+        """Move every key's tail bits into its head, in one pass over the keys."""
+        heads, tails, t = self._keys
+        if t:
+            low = (np.frombuffer(tails, np.uint64) >> np.uint64(64 - t)).tolist()
+            heads = list(map(operator.or_, map(operator.lshift, heads, repeat(t)), low))
+            self._keys = (heads, array("Q", bytes(8 * len(heads))), 0)
 
     def _rehash(self) -> None:
         """Slot every key on all q of its bits, in at least 4 slots per key."""
-        keys = self._keys
+        self._fold()
+        keys = self._keys[0]
         n = len(keys)
         self._bits = self._q
         size = max(_MIN_SLOTS, 1 << (4 * n - 1).bit_length())
         self._spread = 65 - size.bit_length()  # slot = top b bits of the 64-bit product
-        shift = self._width - self._q
-        prefixes = map(operator.rshift, keys, repeat(shift)) if shift else keys
-        hashes = np.fromiter(map(hash, prefixes), np.uint64, n)
+        hashes = np.fromiter(map(hash, keys), np.uint64, n)
         slots = (hashes * np.uint64(_FIB) >> np.uint64(self._spread)).astype(np.intp)
-        head = np.full(size, -1, np.int32)
-        np.maximum.at(head, slots, np.arange(n, dtype=np.int32))  # a slot's last id heads it
+        first = np.full(size, -1, np.int32)
+        np.maximum.at(first, slots, np.arange(n, dtype=np.int32))  # a slot's last id heads it
         # each id in a shared slot links to the id before it there
         shared = np.flatnonzero(np.bincount(slots, minlength=size)[slots] > 1)
         shared = shared[np.argsort(slots[shared], kind="stable")]
         linked = slots[shared[1:]] == slots[shared[:-1]]
         nxt = np.full(n, -1, np.int32)
         nxt[shared[1:][linked]] = shared[:-1][linked]
-        self._head = array("i", head.tobytes())
+        self._slots = array("i", first.tobytes())
         self._next = array("i", nxt.tobytes())
 
-    def _slot(self, packed: int, q: int) -> int:
-        return (hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread
-
-    def _walk(self, pid: int, x: int, q: int, counters: OpCounters) -> int:
-        """The id on the chain from ``pid`` whose aligned key is ``x``, or -1."""
-        keys, nxt = self._keys, self._next
-        top = self._width + 1  # a comparison examines top - (key ^ x).bit_length() bits
+    def _walk(self, pid: int, keys, packed: int, counters: OpCounters) -> int:
+        """The id on the chain from ``pid`` whose key in ``keys`` is ``packed``, or -1."""
+        heads, tails, t = keys
+        xh, xt = packed >> t, (packed << (64 - t)) & _U64
+        nxt = self._next
+        # a head comparison examines top - (head ^ xh).bit_length() bits
+        top = self._q - t + 1
         bits = 0
         while pid >= 0:
-            key = keys[pid]
-            if key == x:
-                counters.bit_comparisons += bits + q
-                return pid
-            bits += top - (key ^ x).bit_length()
+            head = heads[pid]
+            if head != xh:
+                bits += top - (head ^ xh).bit_length()
+            else:
+                tail = tails[pid]
+                if tail == xt:
+                    counters.bit_comparisons += bits + self._q
+                    return pid
+                bits += top + 64 - (tail ^ xt).bit_length()
             pid = nxt[pid]
         counters.bit_comparisons += bits
         return -1
 
     def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
         """The point id stored under ``packed``, or -1 when it is absent."""
-        pid = self._head[self._slot(packed, q)]
-        return pid if pid < 0 else self._walk(pid, packed << (self._width - q), q, counters)
+        pid = self._slots[(hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread]
+        return pid if pid < 0 else self._walk(pid, self._keys, packed, counters)
 
     def insert(self, packed: int, q: int, counters: OpCounters) -> int:
         """Store ``packed`` for the next point id, len(self), and return it.
@@ -168,69 +180,75 @@ class OvIndex:
         """
         if q != self._q:
             # an empty index takes the width of its first key
-            if self._keys:
+            if len(self):
                 raise AssertionError(f"{q}-bit key inserted among {self._q}-bit keys")
             self._hold_sorted([], q)
-        slot = self._slot(packed, q)
-        x = packed << (self._width - q)
-        head = self._head[slot]
-        if head >= 0 and self._walk(head, x, q, counters) >= 0:
+        slot = (hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread
+        keys = heads, tails, t = self._keys
+        first = self._slots[slot]
+        if first >= 0 and self._walk(first, keys, packed, counters) >= 0:
             raise AssertionError("duplicate sign vector in index")
-        pid = len(self._keys)
-        self._keys.append(x)
-        self._next.append(head)
-        self._head[slot] = pid
-        if 2 * len(self._keys) >= len(self._head):
+        pid = len(heads)
+        heads.append(packed >> t)
+        tails.append((packed << (64 - t)) & _U64)
+        self._next.append(first)
+        self._slots[slot] = pid
+        if 2 * len(heads) >= len(self._slots):
             self._rehash()
         return pid
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key, bit_by_id[i] to point i's."""
-        q = self._q
-        if q == self._width:
-            width = (q // _DIGIT_BITS + 1) * _DIGIT_BITS
-            self._keys = [key << (width - q) for key in self._keys]
-            self._width = width
-        keys = self._keys
-        bit = 1 << (self._width - 1 - q)
-        for i in np.flatnonzero(bit_by_id).tolist():
-            keys[i] |= bit
-        self._q = q + 1
+        if self._keys[2] == 64:
+            self._fold()
+        heads, tails, t = self._keys
+        column = np.frombuffer(tails, np.uint64)
+        column |= np.asarray(bit_by_id, np.uint64) << np.uint64(63 - t)
+        del column  # an exported buffer cannot grow: release it before the next insert
+        self._keys = (heads, tails, t + 1)
+        self._q += 1
         if self._q >= 2 * self._bits:
             self._rehash()
 
     def sync(self) -> None:
         """Merge the ids stored since the last call into the key-ordered id array."""
         order = self._order
-        new = range(len(order), len(self._keys))
-        key = self._keys.__getitem__
+        new = range(len(order), len(self))
         # one insort moves the ids after it, a sort reads every key: on a
         # 2-CPU Xeon, 2,500 insorts among 80,000 random 180-bit keys take
         # as long as one sort
         if 32 * len(new) > len(order):
+            self._fold()  # whole keys sort faster as ints than as (head, tail) pairs
             # the ids already in order form one run, which the sort merges
-            self._order = array("i", sorted(chain(order, new), key=key))
+            self._order = array("i", sorted(chain(order, new), key=self._keys[0].__getitem__))
         else:
+            heads, tails, _ = self._keys
             for pid in new:
-                bisect.insort(order, pid, key=key)
+                head, tail = heads[pid], tails[pid]
+                pos = bisect.bisect_left(order, head, key=heads.__getitem__)
+                # past the ids of an equal head and a lower tail
+                while pos < len(order) and heads[order[pos]] == head and tails[order[pos]] < tail:
+                    pos += 1
+                order.insert(pos, pid)
 
     def items(self):
-        """(packed sign vector, point id) pairs in dictionary order, after
-        a :meth:`sync` (which finds nothing to do in a finalized state)."""
+        """(packed sign vector, point id) pairs in dictionary order.
+
+        A :meth:`sync` and a fold come first: a finalized state has
+        nothing to sync, and after one call nothing to fold.
+        """
         self.sync()
-        shift = self._width - self._q
-        return zip(map(operator.rshift, map(self._keys.__getitem__, self._order), repeat(shift)),
-                   self._order)
+        self._fold()
+        return zip(map(self._keys[0].__getitem__, self._order), self._order)
 
     def renumber(self) -> np.ndarray:
         """Give point id i to the i-th key in dictionary order, as
         :meth:`from_sorted` numbers them, and return each point's old id."""
         self.sync()
+        self._fold()
         old_ids = np.frombuffer(self._order, np.int32)
-        keys, shift = self._keys, self._width - self._q
-        self._keys = [keys[i] >> shift for i in self._order]
-        del keys  # freed before the slots are rebuilt
-        self._hold_sorted(self._keys, self._q)
+        keys = list(map(self._keys[0].__getitem__, self._order))
+        self._hold_sorted(keys, self._q)  # which frees the old keys before rebuilding the slots
         return old_ids
 
 
@@ -390,8 +408,8 @@ class SeparationState:
 
         One matmul, one band test and one packbits for the whole block.  A
         row with a residual inside the incidence band gets the key None: its
-        plane must be nudged first.  Nothing is tallied here; :func:`offer`
-        tallies each point's evaluation.
+        plane must be nudged first.  Nothing is tallied here; the window
+        that places the points tallies their evaluations.
         """
         r = kernels.residuals_block(pts, self.plane_matrix)
         q = self.q
@@ -605,30 +623,72 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     )
 
 
-def offer(state: SeparationState, p, r: np.ndarray | None = None,
-          packed: int | None = None) -> OfferResult:
+def _place(state: SeparationState, block: np.ndarray, keys: list[int | None],
+           recycled: list[np.ndarray]) -> tuple[int, tuple[PlaneReport, ...]]:
+    """Place a window of a block's points, in order, at the current planes.
+
+    ``keys[i]`` is point i's packed sign vector, None when a residual lies
+    in the incidence band.  A point whose key is new is stored; one whose
+    quadrant is occupied parks on the occupant's pending chain, or, when
+    that chain is full, is recycled onto ``recycled``.  The window ends
+    before the first point keyed None, which must nudge a plane first, or
+    after the first point that makes n chains pending; planes are then
+    emitted until fewer are.  The window's points are tallied together,
+    each as one sign-vector evaluation, n*q multiply-adds.
+
+    Returns the number of points placed and the emitted planes' reports.
+    """
+    n, q = state.n, state.q
+    index, counters = state.index, state.counters
+    chains = state.chains  # emit_plane replaces the dict, and emitting ends the window
+    placed = 0
+    for p, key in zip(block, keys):
+        if key is None:
+            break
+        placed += 1
+        pid = index.lookup(key, q, counters)
+        if pid < 0:
+            state._add_point(p, key)
+            continue
+        ch = chains.get(pid)
+        if ch is None:
+            chains[pid] = PendingChain(pid, key, state._midpoint(state._pts_buf[pid], p), [p])
+        elif len(ch.members) < 3:
+            ch.members.append(p)
+        else:
+            state.recycle_events += 1
+            recycled.append(p)
+            continue
+        if len(chains) >= n:
+            break
+
+    nq = n * q * placed
+    counters.multiplications += nq
+    counters.additions += nq
+    counters.ov_multiplications += nq
+    counters.sign_evals += q * placed
+    state.offers += placed
+    reports = []
+    while len(state.chains) >= n:
+        reports.append(emit_plane(state))
+    return placed, tuple(reports)
+
+
+def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult:
     """Place one point: accept into a fresh quadrant, park on a chain, or recycle.
 
-    :func:`stream_points` evaluates its points in blocks and passes each
-    one's residuals ``r`` at the current planes with its packed sign
-    vector, None when a residual lies in the incidence band.  Called with
-    a point alone, offer checks and evaluates it as a block of one.  Either
-    way the offer is tallied as one sign-vector evaluation, n*q
-    multiply-adds.
+    Called with a point alone, offer checks and evaluates it as a block of
+    one.  :func:`stream_points` calls it for a point with a residual in
+    the incidence band, passing the point's residuals ``r`` from its
+    block.  Any plane the point lies on is nudged off it, and the point is
+    then placed as a window of one, tallied as one sign-vector evaluation,
+    n*q multiply-adds.
     """
+    packed = None
     if r is None:
         p = state._check_point(p)
         rows, keys = state._evaluate(p[None, :])
         r, packed = rows[0], keys[0]
-    n = state.n
-    nq = n * state.q
-    c = state.counters
-    c.multiplications += nq
-    c.additions += nq
-    c.ov_multiplications += nq
-    c.sign_evals += state.q
-    state.offers += 1
-
     if packed is None:
         eps = state.config.epsilon
         # a nudged residual leaves the band, so r > eps below reads its side
@@ -636,28 +696,13 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None,
             r[j] = _nudge_plane(state, int(j), p, float(r[j]))
         packed = pack_sign_bits(r > eps)
 
-    anchor = state.index.lookup(packed, state.q, c)
-    if anchor < 0:
-        state._add_point(p, packed)
-        return OfferResult(OfferKind.ACCEPTED)
-
-    chain = state.chains.get(anchor)
-    if chain is None:
-        state.chains[anchor] = PendingChain(
-            anchor, packed, state._midpoint(state.points[anchor], p), [p]
-        )
-    elif len(chain.members) < 3:
-        chain.members.append(p)
-    else:
-        state.recycle_events += 1
-        return OfferResult(OfferKind.RECYCLED)
-
-    reports = []
-    while len(state.chains) >= n:
-        reports.append(emit_plane(state))
+    count, recycled = state.count, []
+    _, reports = _place(state, p[None, :], [packed], recycled)
     if reports:
-        return OfferResult(OfferKind.PLANE_EMITTED, reports=tuple(reports))
-    return OfferResult(OfferKind.PENDING)
+        return OfferResult(OfferKind.PLANE_EMITTED, reports=reports)
+    if recycled:
+        return OfferResult(OfferKind.RECYCLED)
+    return OfferResult(OfferKind.ACCEPTED if state.count > count else OfferKind.PENDING)
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +882,10 @@ def stream_points(state: SeparationState, pts) -> None:
     ``pts`` is an (N, n) array or a sequence of points.  The queue is
     evaluated in blocks of up to ``_OFFER_BLOCK`` points: one matmul gives
     their residuals at the current planes, one band test and one packbits
-    their keys, and each point then goes to :func:`offer` with its row.
-    When a plane is emitted, or nudged off an offered point, the block's
+    their keys.  One loop then places the block's points in turn, as a
+    window whose evaluations are tallied at once, until a plane is
+    emitted; a point in the incidence band goes to :func:`offer`, which
+    nudges the plane off it.  After an emission or a nudge the block's
     remaining points are evaluated again at the new planes, so every
     point meets exactly the planes it would meet offered alone.
 
@@ -869,17 +916,19 @@ def stream_points(state: SeparationState, pts) -> None:
             return
         while len(block):
             r, keys = state._evaluate(block)
-            for i, p in enumerate(block):
-                kind = offer(state, p, r[i], keys[i]).kind
-                if kind is OfferKind.RECYCLED:
+            placed, reports = _place(state, block, keys, bucket)
+            if not reports and placed < len(block):
+                # the window stopped at a point in the incidence band
+                p = block[placed]
+                res = offer(state, p, r[placed])
+                if res.kind is OfferKind.RECYCLED:
                     bucket.append(p)
-                elif kind is OfferKind.PLANE_EMITTED:
-                    requeued.extend(bucket)
-                    bucket.clear()
-                    break
-                if keys[i] is None:
-                    break  # a plane was nudged
-            block = block[i + 1:]
+                reports = res.reports
+                placed += 1
+            if reports:
+                requeued.extend(bucket)
+                bucket.clear()
+            block = block[placed:]
 
 
 def run(points, n: int, seed) -> SeparationState:

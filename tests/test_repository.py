@@ -102,6 +102,9 @@ class TestDigitMapping:
             (IntegerMapping(n=6), [0, 7, 37, 1729, 80917, 999999, 100000]),
             (IntegerMapping(n=8, base=2), list(range(256))),
             (IntegerMapping(n=25), [0, 2**63 - 1, 2**63, 2**64 + 12345, 10**25 - 1]),
+            # at n=25, int64 digits for values below 2**63, up to their top digit
+            (IntegerMapping(n=25), [0, 7, 10**18 + 3, 2**63 - 1]),
+            (IntegerMapping(n=25), [10**24 + 7]),  # a lone value
             (IntegerMapping(n=18), [0, 10**18 - 1, 2**59 + 3]),
         ],
     )
@@ -305,6 +308,20 @@ class TestInsert:
         assert report.added == 1
         assert sorted(report.skipped_duplicates) == [5, 11]
         assert query(repo, 11).found
+
+    def test_out_of_range_value_raises_and_changes_nothing(self):
+        repo = build(primes_below(50), 2, 3)
+        before = saved_text(repo)
+        count, q = repo.count, repo.q
+        with pytest.raises(DigitOverflowError, match="^100 "):
+            insert(repo, [53, 100, 59, -1])
+        assert (repo.count, repo.q) == (count, q)
+        assert saved_text(repo) == before
+        # and the store goes on as if the failed insert never happened
+        insert(repo, [53, 59])
+        fresh = build(primes_below(50), 2, 3)
+        insert(fresh, [53, 59])
+        assert saved_text(repo) == saved_text(fresh)
 
     def test_fresh_quadrant_insert_adds_no_planes(self):
         repo = build(primes_below(100), 2, 2)

@@ -342,9 +342,12 @@ class TestAlignedIndexAgainstTwoLists:
 
     def test_sync_places_keys_at_the_front_the_back_and_between(self):
         """Each width stores a key below every key, one above every key and
-        one between, then syncs, from q = 27 past the realigns at 30 and 60
-        bits.  The first keys sit far enough from 0 and 2**q that both
-        edges stay free."""
+        one between, syncing after each, from q = 27 to 62.  The items are
+        read, which folds the tails into the heads, only every fifth width,
+        so most syncs meet tail bits pending, and keys of equal heads: the
+        key just below the lowest or just above the highest mostly differs
+        from it in its tail alone.  The first keys sit far enough from 0
+        and 2**q that both edges stay free."""
         rnd = random.Random(12)
         new, ref = OvIndex(), TwoListIndex()
         for key in [5 << 20, 9 << 20, 13 << 20]:
@@ -354,15 +357,43 @@ class TestAlignedIndexAgainstTwoLists:
             middle = lowest
             while ref.lookup(middle) >= 0:
                 middle = rnd.randrange(lowest, highest)
-            for key, pos in ((lowest - 1, 0), (highest + 1, len(new) + 1), (middle, None)):
-                pid = insert_both(new, ref, key, q)
+            for key in (lowest - 1, highest + 1, middle):
+                insert_both(new, ref, key, q)
                 new.sync()
-                assert list(new.items()) == ref.items()
-                assert pos in (None, [i for _, i in new.items()].index(pid))
+            assert ref.keys[0] == lowest - 1 and ref.keys[-1] == highest + 1
             probe_both(new, ref, rnd, 4)
             extend_both(new, ref, rnd)
-            assert list(new.items()) == ref.items()
-        assert new._width == 90 and len(new) == 3 + 3 * 36
+            if q % 5 == 0:
+                assert list(new.items()) == ref.items()
+        assert list(new.items()) == ref.items()
+        # every key is held at all 63 of its bits, under its point id
+        assert ref.q == 63 and len(new) == 3 + 3 * 36
+        assert all(new.lookup(key, 63, OpCounters()) == pid for key, pid in ref.items())
+
+    @pytest.mark.parametrize("q0", [64, 70])
+    def test_tail_word_fills_between_slot_rebuilds(self, q0):
+        """From a bulk load at q0 bits, 64 planes are appended before the
+        next slot rebuild: from 64 the rebuild at q = 128 = 2 * 64 comes
+        with the tail word full, from 70 the tail word is full at q = 134,
+        before the rebuild at 140.  Every plane is followed by an insert,
+        a sync and lookups, with tail bits pending; the items are read at
+        the end, with the last two planes' bits pending."""
+        rnd = random.Random(q0)
+        keys = sorted({rnd.getrandbits(q0) for _ in range(40)})
+        new, ref = OvIndex.from_sorted(list(keys), q0), TwoListIndex.from_sorted(keys, q0)
+        full = 0
+        while ref.q < 2 * q0 + 2:
+            since = ref.p  # the key bits slotted at the last rebuild (or the load)
+            extend_both(new, ref, rnd)
+            full += ref.q - since == 64
+            key = rnd.getrandbits(ref.q)
+            if ref.lookup(key) < 0:
+                insert_both(new, ref, key, ref.q)
+                new.sync()
+            probe_both(new, ref, rnd, 3)
+        assert ref.q - ref.p == 2
+        assert list(new.items()) == ref.items()
+        assert full == 1 and len(new) < ref.slots // 2  # no insert rebuilt the slots
 
     def test_many_new_ids_sync_in_one_sort(self):
         """Past the point where sync sorts instead of insorting, and again
@@ -680,36 +711,40 @@ class TestStreamInBlocks:
 
     def test_block_stream_equals_offers_one_at_a_time(self, monkeypatch):
         # primes below 1000 at n=3, shuffled with seed 2: all 164 streamed
-        # points fit in one block, which emits planes, nudges planes off
-        # offered points and recycles points
+        # points fit in one block, whose windows emit planes, nudge planes
+        # off offered points and recycle points
         lattice = np.array([[(v // 10**i) % 10 for i in range(3)] for v in range(1000)],
                            dtype=float)
         pts = lattice[oracle.sieve(1000).primes()]
         pts = pts[np.random.default_rng(2).permutation(len(pts))]
-        assert len(pts) - 4 <= separator._OFFER_BLOCK
+        first_block = len(pts) - 4
+        assert first_block <= separator._OFFER_BLOCK
 
         scalar = init(pts[:4], 3, seed=2)
         offer_one_at_a_time(scalar, pts[4:])
 
-        kinds, nudged_at = [], []
-        real_offer, real_nudge = separator.offer, separator._nudge_plane
+        windows, nudged_at = [], []
+        real_place, real_nudge = separator._place, separator._nudge_plane
 
-        def traced_offer(*args):
-            res = real_offer(*args)
-            kinds.append(res.kind)
+        def traced_place(state, *args):
+            res = real_place(state, *args)
+            windows.append((state.offers, state.q, state.recycle_events))
             return res
 
-        def traced_nudge(*args):
-            nudged_at.append(len(kinds))  # the number of the offer under way
-            return real_nudge(*args)
+        def traced_nudge(state, *args):
+            nudged_at.append(state.offers)  # the offers placed before the one under way
+            return real_nudge(state, *args)
 
-        monkeypatch.setattr(separator, "offer", traced_offer)
+        monkeypatch.setattr(separator, "_place", traced_place)
         monkeypatch.setattr(separator, "_nudge_plane", traced_nudge)
         blocked = init(pts[:4], 3, seed=2)
+        q0 = blocked.q
         stream_points(blocked, pts[4:])
-        first_block = kinds[: len(pts) - 4]
-        assert OfferKind.PLANE_EMITTED in first_block and OfferKind.RECYCLED in first_block
-        assert nudged_at and nudged_at[0] < len(first_block)
+        # the window that places the first block's last point; only an
+        # emission adds a plane
+        _, q, recycled = next(w for w in windows if w[0] == first_block)
+        assert q > q0 and recycled > 0
+        assert nudged_at and nudged_at[0] < first_block
         assert scalar.recycle_events > 0
         assert_same_state(blocked, scalar)
 
@@ -723,6 +758,22 @@ class TestStreamInBlocks:
         stream_points(blocked, pair)
         offer_one_at_a_time(scalar, pair)
         assert len(nudged_at) > nudges
+        assert_same_state(blocked, scalar)
+
+    @pytest.mark.parametrize("seed, recycles", [(0, False), (5, True)])
+    def test_many_blocks_and_windows_equal_offers_one_at_a_time(self, seed, recycles):
+        # primes below 10^4 at n=4: five blocks, each placed in many
+        # windows, ended by some 60 plane emissions
+        n = 4
+        pts = map_to_points(oracle.sieve(10**4).primes(), IntegerMapping(n))
+        pts = pts[np.random.default_rng(seed).permutation(len(pts))]
+        assert len(pts) - (n + 1) > 4 * separator._OFFER_BLOCK
+        scalar = init(pts[: n + 1], n, seed=seed)
+        offer_one_at_a_time(scalar, pts[n + 1:])
+        blocked = init(pts[: n + 1], n, seed=seed)
+        stream_points(blocked, pts[n + 1:])
+        assert blocked.q - blocked.q0 > 50
+        assert (blocked.recycle_events > 0) == recycles
         assert_same_state(blocked, scalar)
 
     @pytest.mark.parametrize("bad, error", [
