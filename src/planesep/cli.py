@@ -241,7 +241,10 @@ def cmd_stats(args) -> int:
     # compared with that plus q0, and with the quoted 10n, neither of which
     # the algorithm promises to meet
     baseline = (base - 1) * n + state.q0
-    expected_nf = base**n / n
+    try:
+        expected_nf = base**n / n
+    except OverflowError:  # past the float range, the exact integer quotient
+        expected_nf = base**n // n
     # every stored point met every plane at least once, at the first width
     # or a later, wider one
     n_first = repo.dims_history[0]

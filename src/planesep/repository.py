@@ -12,6 +12,10 @@ or a load, and values inserted later take the next ids.
 
 Build and insert need exclusive access; queries are read-only and take a
 caller-owned counter accumulator, so concurrent readers never contend.
+The first read of the entries after an insert (``save``, say) sorts the
+new points into the index's cached key order; it replaces the cache in
+one assignment, as a fold of the key tails replaces the keys, so a read
+beside other readers stays safe.
 """
 
 from __future__ import annotations

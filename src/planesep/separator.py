@@ -11,12 +11,14 @@ every stored sign vector gains one trailing bit.  Existing bits are
 never rewritten, which is what makes later insertion resume-free.
 
 The state is single-owner and mutated sequentially; once finalized it is
-safe for concurrent readers.
+safe for concurrent readers.  A read of the index's key order may fill
+its cache, and the first whole-key read folds the key tails, but each
+replaces one attribute in one assignment with a value computed from the
+unchanged keys, so concurrent readers compute and see the same order.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from array import array
@@ -64,8 +66,8 @@ class OvIndex:
     one numpy OR of the plane's bit column into the tail array, and
     moves nothing.  The heads absorb the tails, in one pass over the
     keys, only when the tail word is full, when the slots are rebuilt,
-    and when whole keys are read: by a full :meth:`sync`, :meth:`items`
-    and :meth:`renumber`.  A bulk-loaded index starts with empty tails.
+    and when whole keys are read, by :meth:`items` and :meth:`renumber`.
+    A bulk-loaded index starts with empty tails.
 
     The top P bits of a key, its prefix, pick one of S = 2**b slots: the
     top b bits of ``hash(prefix) * _FIB`` modulo 2**64, which spread every
@@ -85,11 +87,10 @@ class OvIndex:
     differing bit (all q on a match).
 
     :meth:`items` gives the keys in dictionary order, as ``save`` writes
-    them, from an array of point ids in key order.  :meth:`sync` merges
-    the ids stored since its last call into it: one sort when they are
-    many, one binary search by head each when they are few, and a step
-    past the keys of an equal head and a lower tail.  Appending a plane
-    keeps the distinct keys in the same order.
+    them, from a cached array of point ids in key order.  Storing a point
+    does not touch it: the first read after new ids were stored sorts
+    them in, and appending a plane keeps the distinct keys in the same
+    order, so a plane leaves it valid.
     """
 
     __slots__ = ("_keys", "_q", "_bits", "_spread", "_slots", "_next", "_order")
@@ -111,7 +112,7 @@ class OvIndex:
         self._keys = (keys, array("Q", bytes(8 * len(keys))), 0)
         self._q = q
         self._rehash()
-        # ids in dictionary order of their keys, as of the last sync
+        # the first len(_order) ids in dictionary order of their keys
         self._order = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
 
     def __len__(self) -> int:
@@ -210,44 +211,32 @@ class OvIndex:
         if self._q >= 2 * self._bits:
             self._rehash()
 
-    def sync(self) -> None:
-        """Merge the ids stored since the last call into the key-ordered id array."""
+    def _sorted_ids(self) -> array:
+        """The point ids in dictionary order of their keys, the tails folded.
+
+        The ids stored since the order was last computed are sorted in
+        with it; the ids already in order form one run, which the sort
+        merges, so after a few inserts the sort is one pass over the keys.
+        """
+        self._fold()  # whole keys sort faster as ints than as (head, tail) pairs
         order = self._order
-        new = range(len(order), len(self))
-        # one insort moves the ids after it, a sort reads every key: on a
-        # 2-CPU Xeon, 2,500 insorts among 80,000 random 180-bit keys take
-        # as long as one sort
-        if 32 * len(new) > len(order):
-            self._fold()  # whole keys sort faster as ints than as (head, tail) pairs
-            # the ids already in order form one run, which the sort merges
-            self._order = array("i", sorted(chain(order, new), key=self._keys[0].__getitem__))
-        else:
-            heads, tails, _ = self._keys
-            for pid in new:
-                head, tail = heads[pid], tails[pid]
-                pos = bisect.bisect_left(order, head, key=heads.__getitem__)
-                # past the ids of an equal head and a lower tail
-                while pos < len(order) and heads[order[pos]] == head and tails[order[pos]] < tail:
-                    pos += 1
-                order.insert(pos, pid)
+        if len(order) < len(self):
+            new = range(len(order), len(self))
+            order = array("i", sorted(chain(order, new), key=self._keys[0].__getitem__))
+            self._order = order
+        return order
 
     def items(self):
-        """(packed sign vector, point id) pairs in dictionary order.
-
-        A :meth:`sync` and a fold come first: a finalized state has
-        nothing to sync, and after one call nothing to fold.
-        """
-        self.sync()
-        self._fold()
-        return zip(map(self._keys[0].__getitem__, self._order), self._order)
+        """(packed sign vector, point id) pairs in dictionary order."""
+        order = self._sorted_ids()
+        return zip(map(self._keys[0].__getitem__, order), order)
 
     def renumber(self) -> np.ndarray:
         """Give point id i to the i-th key in dictionary order, as
         :meth:`from_sorted` numbers them, and return each point's old id."""
-        self.sync()
-        self._fold()
-        old_ids = np.frombuffer(self._order, np.int32)
-        keys = list(map(self._keys[0].__getitem__, self._order))
+        order = self._sorted_ids()
+        old_ids = np.frombuffer(order, np.int32)
+        keys = list(map(self._keys[0].__getitem__, order))
         self._hold_sorted(keys, self._q)  # which frees the old keys before rebuilding the slots
         return old_ids
 
@@ -867,12 +856,11 @@ def finalize(state: SeparationState) -> SeparationState:
     """Flush pending chains with planes through however many midpoints remain.
 
     Each emission may leave re-homed chains behind, so planes are emitted
-    until none is pending.  The index's key order is then brought up to
-    date, so a finalized state is only read.
+    until none is pending.  The index's key order is left to its next
+    read, which sorts the points stored since the last one in.
     """
     while state.chains:
         emit_plane(state)
-    state.index.sync()
     return state
 
 
@@ -892,7 +880,8 @@ def stream_points(state: SeparationState, pts) -> None:
     Recycled points rejoin the queue after the next plane emission; if the
     queue drains while recycled points wait, one plane is forced through
     the pending midpoints to open fresh quadrants.  Pending chains may
-    remain afterwards; call :func:`finalize` to flush them.
+    remain afterwards; call :func:`finalize` to flush them.  The index's
+    key order is not kept up to date here: see :meth:`OvIndex.items`.
     """
     pts = state._check_block(pts)
     start = 0

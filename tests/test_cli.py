@@ -176,6 +176,18 @@ class TestStats:
         assert "q_lower_bound 18\n" in text
         assert "q_lower_bound_ok yes\n" in text
 
+    def test_expected_count_past_the_float_range(self, tmp_path, capsys):
+        src = tmp_path / "vals.txt"
+        src.write_text(f"7\n12345\n{10**330 + 7}\n{10**331 + 3}\n")
+        out = tmp_path / "wide.txt"
+        assert run_cli("build", "--source", str(src), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("stats", str(out), "--format", "jsonl") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 332 and payload["expected_N_f"] == 10**332 // 332
+        assert run_cli("stats", str(out)) == 0
+        assert f"expected_N_f {10**332 // 332}\n" in capsys.readouterr().out
+
     def test_ov_floor_uses_first_width_after_growth(self, tmp_path, capsys):
         repo = repository.build(list(oracle.sieve(1000).primes()), 3, 0)
         repository.grow_dimension(repo, 6)

@@ -2,6 +2,8 @@
 
 import bisect
 import random
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -308,10 +310,11 @@ class TestOvIndex:
 
 
 class TestAlignedIndexAgainstTwoLists:
-    """Random interleavings of inserts, lookups, plane appends and syncs:
-    the same hit or miss ids, the replayed bit tallies and the same items
-    in the same order as the two-list reference, as keys grow past 64 and
-    128 bits and are realigned and re-bucketed on the way."""
+    """Random interleavings of inserts, lookups, plane appends and reads
+    of the items: the same hit or miss ids, the replayed bit tallies and
+    the same items in the same order as the two-list reference, as keys
+    grow past 64 and 128 bits and are realigned and re-bucketed on the
+    way."""
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_random_interleavings(self, seed):
@@ -333,21 +336,21 @@ class TestAlignedIndexAgainstTwoLists:
                 probe_both(new, ref, rnd, 1)
             elif op < 0.85:
                 extend_both(new, ref, rnd)
-            elif op < 0.9:
-                new.sync()
             else:
                 assert list(new.items()) == ref.items()
         assert list(new.items()) == ref.items()
         assert len(new) > 400
 
-    def test_sync_places_keys_at_the_front_the_back_and_between(self):
+    def test_items_place_keys_at_the_front_the_back_and_between(self):
         """Each width stores a key below every key, one above every key and
-        one between, syncing after each, from q = 27 to 62.  The items are
-        read, which folds the tails into the heads, only every fifth width,
-        so most syncs meet tail bits pending, and keys of equal heads: the
-        key just below the lowest or just above the highest mostly differs
-        from it in its tail alone.  The first keys sit far enough from 0
-        and 2**q that both edges stay free."""
+        one between, reading the items after each, from q = 27 to 62.  A
+        read folds the tails into the heads, and a plane then leaves one
+        tail bit pending, so each width's first read sorts a new key in
+        with a tail bit pending, and often beside a key of an equal head:
+        the key just below the lowest differs from it in its tail alone
+        when the lowest is odd.  The items are read once more after the
+        plane, every fifth width.  The first keys sit far enough from 0 and
+        2**q that both edges stay free."""
         rnd = random.Random(12)
         new, ref = OvIndex(), TwoListIndex()
         for key in [5 << 20, 9 << 20, 13 << 20]:
@@ -359,7 +362,7 @@ class TestAlignedIndexAgainstTwoLists:
                 middle = rnd.randrange(lowest, highest)
             for key in (lowest - 1, highest + 1, middle):
                 insert_both(new, ref, key, q)
-                new.sync()
+                assert list(new.items()) == ref.items()
             assert ref.keys[0] == lowest - 1 and ref.keys[-1] == highest + 1
             probe_both(new, ref, rnd, 4)
             extend_both(new, ref, rnd)
@@ -375,9 +378,10 @@ class TestAlignedIndexAgainstTwoLists:
         """From a bulk load at q0 bits, 64 planes are appended before the
         next slot rebuild: from 64 the rebuild at q = 128 = 2 * 64 comes
         with the tail word full, from 70 the tail word is full at q = 134,
-        before the rebuild at 140.  Every plane is followed by an insert,
-        a sync and lookups, with tail bits pending; the items are read at
-        the end, with the last two planes' bits pending."""
+        before the rebuild at 140.  Every plane is followed by an insert
+        and lookups, with tail bits pending; the items are read, which
+        folds the tails, only at the end, with the last two planes' bits
+        pending."""
         rnd = random.Random(q0)
         keys = sorted({rnd.getrandbits(q0) for _ in range(40)})
         new, ref = OvIndex.from_sorted(list(keys), q0), TwoListIndex.from_sorted(keys, q0)
@@ -389,24 +393,58 @@ class TestAlignedIndexAgainstTwoLists:
             key = rnd.getrandbits(ref.q)
             if ref.lookup(key) < 0:
                 insert_both(new, ref, key, ref.q)
-                new.sync()
             probe_both(new, ref, rnd, 3)
         assert ref.q - ref.p == 2
         assert list(new.items()) == ref.items()
         assert full == 1 and len(new) < ref.slots // 2  # no insert rebuilt the slots
 
-    def test_many_new_ids_sync_in_one_sort(self):
-        """Past the point where sync sorts instead of insorting, and again
-        below it, the order is the reference's."""
+    def test_order_is_sorted_in_after_an_insert_and_kept_by_a_plane(self):
+        """The items read, a key inserted between two stored keys, a plane
+        appended, and the items read again: the read after the plane sorts
+        the new id in and keeps every earlier key's place."""
         rnd = random.Random(13)
-        new, ref = OvIndex(), TwoListIndex()
-        for batch in (500, 200, 3, 40, 1):
-            for _ in range(batch):
-                key = rnd.getrandbits(40)
-                if ref.lookup(key) < 0:
-                    insert_both(new, ref, key, 40)
-            new.sync()
+        keys = sorted({rnd.getrandbits(40) for _ in range(30)})
+        new, ref = OvIndex.from_sorted(list(keys), 40), TwoListIndex.from_sorted(keys, 40)
+        assert list(new.items()) == ref.items()
+        for _ in range(3):
+            key = rnd.randrange(ref.keys[0], ref.keys[-1])
+            if ref.lookup(key) < 0:
+                insert_both(new, ref, key, ref.q)
+            extend_both(new, ref, rnd)
             assert list(new.items()) == ref.items()
+
+    def test_concurrent_reads_sort_the_order_in_alike(self):
+        """Readers that meet new ids and tail bits pending each fold and sort
+        them in, replacing keys and order in one assignment each, so every
+        reader gets the reference's items."""
+        rnd = random.Random(14)
+        keys = sorted({rnd.getrandbits(70) for _ in range(2000)})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                new, ref = OvIndex.from_sorted(list(keys), 70), TwoListIndex.from_sorted(keys, 70)
+                for _ in range(50):
+                    key = rnd.getrandbits(70)
+                    if ref.lookup(key) < 0:
+                        insert_both(new, ref, key, 70)
+                extend_both(new, ref, rnd)
+                start, out = threading.Barrier(4), []
+
+                def read():
+                    start.wait(timeout=10)
+                    out.append(list(new.items()))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                expected = ref.items()
+                assert len(out) == 4 and all(items == expected for items in out)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("q", [0, 64, 65])
     def test_bulk_load_then_grow(self, q):
