@@ -14,7 +14,7 @@ Build and insert need exclusive access; queries are read-only and take a
 caller-owned counter accumulator, so concurrent readers never contend.
 The first read of the entries after an insert (``save``, say) sorts the
 new points into the index's cached key order; it replaces the cache in
-one assignment, as a fold of the key tails replaces the keys, so a read
+one assignment with an order computed from the unchanged keys, so a read
 beside other readers stays safe.
 """
 
@@ -346,8 +346,8 @@ def save(repo: Repository, sink) -> None:
         coeffs = " ".join(map(repr, state._alpha_buf[j].tolist()))
         w(f"plane {1 if state._saturated[j] else 0} {coeffs}\n")
     values = repo.values
-    for packed, pid in state.index.items():
-        w(f"entry {values[pid]} {packed:x}\n")
+    for key, pid in state.index.hex_items():
+        w(f"entry {values[pid]} {key}\n")
     w("end\n")
 
 
@@ -397,7 +397,28 @@ def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
     return value
 
 
-def _reject_entry_line(rd: _LineReader, capacity: int, key_limit: int) -> NoReturn:
+def _is_key(key: str, q: int) -> bool:
+    """Whether ``key`` is the hex of a q-bit key that fits its row."""
+    try:
+        separator.hex_rows([key], q)
+    except ValueError:
+        return False
+    return True
+
+
+def _entry_rows(keys: list[str], q: int) -> tuple[np.ndarray, int]:
+    """The rows of the entries' hex keys up to the first that is not a
+    q-bit key or does not rise above the key before it, and how many
+    keys that is."""
+    try:
+        rows = separator.hex_rows(keys, q)
+    except ValueError:
+        return _entry_rows(keys[:next(i for i, key in enumerate(keys) if not _is_key(key, q))], q)
+    good = separator.rows_in_order(rows)
+    return rows[:good], good
+
+
+def _reject_entry_line(rd: _LineReader, capacity: int, q: int) -> NoReturn:
     """Raise the error for the entry line at ``rd.pos``, which failed a check
     of :func:`load`'s entry loop: the line is read again one field at a
     time, so each fault is named with its line number."""
@@ -409,8 +430,10 @@ def _reject_entry_line(rd: _LineReader, capacity: int, key_limit: int) -> NoRetu
         packed = int(parts[2], 16)
     except (ValueError, IndexError) as exc:
         raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
-    if packed >= key_limit:
+    if packed >= 1 << q:
         raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
+    if not _is_key(parts[2], q):  # int() also reads spellings such as 0x1f
+        raise RepositoryFormatError("bad packed sign vector", line=rd.pos)
     # every other check passed, so the key is not above the one before it
     raise RepositoryFormatError("entries not in strict dictionary order", line=rd.pos)
 
@@ -418,7 +441,8 @@ def _reject_entry_line(rd: _LineReader, capacity: int, key_limit: int) -> NoRetu
 def load(source) -> Repository:
     """Read a repository written by :func:`save`.
 
-    The entry lines are parsed in one pass.  Every malformed line, one with
+    The entry lines are parsed in one pass, and their keys' hex becomes the
+    index's rows in one conversion.  Every malformed line, one with
     more fields than :func:`save` writes among them, raises
     :class:`RepositoryFormatError` with its line number, and so does input
     that is not UTF-8 text, without one.
@@ -516,29 +540,27 @@ def load(source) -> Repository:
             raise RepositoryFormatError("non-finite plane coefficient", line=rd.pos)
         state._append_plane(np.array(alpha), parts[1] == "1")
 
-    # one pass over the entry lines; the first line that fails any check
-    # ends it, and _reject_entry_line reads that line again to say why
+    # one pass over the entry lines, then one over their keys' hex; the
+    # first line that fails any check ends them, and _reject_entry_line
+    # reads that line again to say why
     values: list[int] = []
-    keys: list[int] = []
+    keys: list[str] = []
     capacity = mapping.capacity
-    key_limit = 1 << q
-    prev = -1
     first = rd.pos
     try:
         for line in rd.lines[first:first + count]:
             tag, value, key = line.split()
             v = int(value)
-            k = int(key, 16)
-            if tag != "entry" or not (0 <= v < capacity and prev < k < key_limit):
+            if tag != "entry" or not 0 <= v < capacity:
                 break
             values.append(v)
-            keys.append(k)
-            prev = k
+            keys.append(key)
     except ValueError:
         pass
-    rd.pos = first + len(keys)
-    if len(keys) < count:
-        _reject_entry_line(rd, capacity, key_limit)
+    rows, good = _entry_rows(keys, q)
+    rd.pos = first + good
+    if good < count:
+        _reject_entry_line(rd, capacity, q)
     rd.next("end", 1)
     del rd  # the lines are freed before the index builds its slots
     # entries arrive in strict dictionary order, so point id i is entry i
@@ -547,6 +569,6 @@ def load(source) -> Repository:
     if count:
         state._pts_buf = _digit_rows(values, mapping)
         state.count = count
-    state.index = separator.OvIndex.from_sorted(keys, q)
+    state.index = separator.OvIndex.from_sorted(rows, q)
     state.counters = counters
     return Repository(mapping, state, values, seed, dims_history)

@@ -1,7 +1,7 @@
 """Incremental separation of a point stream by hyperplanes.
 
 Points are offered one at a time, in queue order, though the stream
-evaluates them in blocks and places each block's points in one loop.  A
+evaluates them in blocks and places each block's points in windows.  A
 point whose sign vector is new is stored immediately; a point that
 lands in an occupied quadrant is parked on the occupant's pending chain
 (up to three deep, further arrivals are recycled to the caller).
@@ -12,20 +12,20 @@ never rewritten, which is what makes later insertion resume-free.
 
 The state is single-owner and mutated sequentially; once finalized it is
 safe for concurrent readers.  A read of the index's key order may fill
-its cache, and the first whole-key read folds the key tails, but each
-replaces one attribute in one assignment with a value computed from the
-unchanged keys, so concurrent readers compute and see the same order.
+its cache, but it replaces one attribute in one assignment with a value
+computed from the unchanged keys, so concurrent readers compute and see
+the same order.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from .errors import (
     IncidentPointError,
     InconsistentSystemError,
 )
-from .geometry import fit_plane_through, pack_sign_bits, shift_midpoints
-from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name
+from .geometry import fit_plane_through, shift_midpoints
+# only for bench/spans.py, which traces these names here
+from .geometry import pack_sign_bits, signs_from_residuals
 
 _INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
@@ -48,6 +49,92 @@ _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 _MIN_SLOTS = 8
 _FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
 _U64 = (1 << 64) - 1
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _width(q: int) -> int:
+    """Words in the row of a q-bit key: one per 64 planes begun, at least one."""
+    return max(1, -(-q // 64))
+
+
+def _shift_down(rows: np.ndarray, s: int) -> np.ndarray:
+    """Each row, read as one integer of its words, shifted right by s < 64
+    bits; s = 64 comes only with the 0-bit keys, which are 0."""
+    if s % 64 == 0:
+        return rows
+    out = rows >> np.uint64(s)
+    out[:, 1:] |= rows[:, :-1] << np.uint64(64 - s)
+    return out
+
+
+def _shift_up(rows: np.ndarray, s: int) -> np.ndarray:
+    """Each row, read as one integer of its words, shifted left by s < 64
+    bits; s = 64 comes only with the 0-bit keys, which are 0."""
+    if s % 64 == 0:
+        return rows
+    out = rows << np.uint64(s)
+    out[:, :-1] |= rows[:, 1:] >> np.uint64(64 - s)
+    return out
+
+
+def hex_rows(keys: list[str], q: int) -> np.ndarray:
+    """q-bit keys in hex, as ``save`` writes them, as the index holds them: a
+    (len(keys), W) uint64 array of rows, W = :func:`_width` (q), plane j at
+    bit 63 - j % 64 of word j // 64.
+
+    Raises ValueError when a key is not hex digits, has more than 16W of
+    them, or is 2**q or above.
+    """
+    width = _width(q)
+    raw = bytes.fromhex("".join(map(str.zfill, keys, repeat(16 * width))))
+    if len(raw) != 8 * width * len(keys):
+        raise ValueError("a key has more hex digits than its row holds")
+    right = np.frombuffer(raw, ">u8").reshape(-1, width).astype(np.uint64)
+    pad = 64 * width - q
+    if pad and np.count_nonzero(right[:, 0] >> np.uint64(64 - pad)):
+        raise ValueError("a key is wider than q bits")
+    return _shift_up(right, pad)
+
+
+def rows_in_order(rows: np.ndarray) -> int:
+    """How many key rows, from the first, rise strictly in dictionary order."""
+    keys = _byte_keys(rows)
+    falls = np.flatnonzero(keys[1:] <= keys[:-1])
+    return int(falls[0]) + 1 if len(falls) else len(rows)
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's big-endian bytes as one numpy bytes item: their order is
+    the keys' dictionary order."""
+    return rows.astype(">u8").view(f"S{8 * rows.shape[1]}").ravel()
+
+
+def key_rows(keys, q: int) -> np.ndarray:
+    """q-bit int keys as rows: see :func:`hex_rows`."""
+    return hex_rows(list(map("{:x}".format, keys)), q)
+
+
+def _pack_keys(r: np.ndarray, epsilon: float) -> np.ndarray:
+    """The keys of points with residuals ``r``, (B, q), as packed bytes: each
+    point's positive-side bits, first plane first, padded to 8W bytes.
+    Read as big-endian words, a point's bytes are its key's row."""
+    size, q = r.shape
+    positive = np.zeros((size, 64 * _width(q)), bool)
+    np.greater(r, epsilon, out=positive[:, :q])
+    return np.packbits(positive, axis=1)
+
+
+def _key_int(packed: np.ndarray, q: int) -> int:
+    """The q-bit int key of one point's packed bytes."""
+    return int.from_bytes(packed.tobytes(), "big") >> (8 * len(packed) - q)
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each uint64: frexp's exponent of a positive float is
+    its bit length, and each 32-bit half converts to float64 exactly."""
+    high = x >> np.uint64(32)
+    return np.where(high > 0, 32 + np.frexp(high.astype(np.float64))[1],
+                    np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1])
 
 
 class OvIndex:
@@ -55,87 +142,110 @@ class OvIndex:
 
     This is the only place a stored point's sign vector is held.  Point
     ids are 0, 1, 2, ... in the order points are stored, and each key is
-    held at its point's id, so storing a point moves no other entry and
-    :meth:`lookup` answers "which stored point has key x?" with one
-    slot probe.
+    held at its point's id, so storing points moves no other entry.
 
-    A q-bit key is held in two parts: a Python int *head*, its first
-    q - t bits, and a *tail*, its last t <= 64 bits, MSB-aligned in a
-    uint64 word of an ``array("Q")`` indexed by point id.  A new plane's
-    bit lands at tail bit 63 - t of every key, so appending a plane is
-    one numpy OR of the plane's bit column into the tail array, and
-    moves nothing.  The heads absorb the tails, in one pass over the
-    keys, only when the tail word is full, when the slots are rebuilt,
-    and when whole keys are read, by :meth:`items` and :meth:`renumber`.
-    A bulk-loaded index starts with empty tails.
+    The keys are the rows of an (N, W) uint64 array by point id, W =
+    ceil(q/64) words (at least one), held row-major in an ``array("Q")``:
+    a key is MSB-aligned in its row, plane j at bit 63 - j % 64 of word
+    j // 64.  A new plane's bit is one numpy OR into one column, and a
+    column is added when q reaches 64W.  The array has no Python int per
+    key; a probe for one key reads the words of the keys it compares as
+    Python ints straight from the ``array``, with no numpy call.
 
-    The top P bits of a key, its prefix, pick one of S = 2**b slots: the
-    top b bits of ``hash(prefix) * _FIB`` modulo 2**64, which spread every
-    bit of the hash over the slot.  (An int below 2**61 hashes to itself,
-    and its low bits are the last planes' bits, on which most points
-    agree.)  ``_slots`` holds the last point stored in each slot and
+    The top P bits of a key, its prefix, pick one of S = 2**b slots: its
+    prefix words (the last one cut to the prefix) are combined by
+    h = (h + word) * _FIB modulo 2**64 from h = 0, and the slot is the top
+    b bits of h, which spread every bit of the prefix over the slot.
+    :meth:`_slots_of` computes it for a block of rows and :meth:`_slot` for
+    one int key.  ``_slots`` holds the last point stored in each slot and
     ``_next`` links each point to the one stored in its slot before it
-    (-1 ends a chain): two int32 arrays, where a dict would hold a Python
-    int or two per point.  The slots are rebuilt, with P = q and S the
-    least power of two >= 4N (at least 8), when q reaches 2P and when N
-    reaches S/2; a rebuild folds the tails first, so the head always
-    holds the prefix, and a new plane's bit, which lies below it, moves
-    no point to another slot.  Keys are distinct, so just after a rebuild
-    two keys share a slot only when their hashes collide.  A probe walks
-    one chain, comparing head and then tail; each key it compares is
-    tallied as the bits examined, up to and including the first
-    differing bit (all q on a match).
+    (-1 ends a chain): two int32 ``array``s.  The slots are rebuilt, with
+    P = q and S the least power of two >= 4N (at least 8), when q reaches
+    2P and when N reaches S/2.  A new plane's bit lies below the prefix,
+    so it moves no point to another slot, and keys are distinct, so just
+    after a rebuild two keys share a slot only when their hashes collide.
+    A probe walks one chain; each key it compares is tallied as the bits
+    examined, up to and including the first differing bit (all q on a
+    match).  :meth:`lookup` probes for one int key and :meth:`lookup_many`
+    for a window of rows; :meth:`append` stores one int key and
+    :meth:`insert` a block of rows.
 
     :meth:`items` gives the keys in dictionary order, as ``save`` writes
-    them, from a cached array of point ids in key order.  Storing a point
-    does not touch it: the first read after new ids were stored sorts
-    them in, and appending a plane keeps the distinct keys in the same
-    order, so a plane leaves it valid.
+    them, from a cached array of point ids in key order.  Dictionary order
+    is the order of the rows' big-endian bytes, which one stable argsort
+    finds; storing a point does not touch the cache: the first read after
+    new ids were stored sorts them in, and the ids already in order form
+    one run, which the sort merges.  Appending a plane keeps the distinct
+    keys in the same order, so a plane leaves the cache valid.
     """
 
-    __slots__ = ("_keys", "_q", "_bits", "_spread", "_slots", "_next", "_order")
+    __slots__ = ("_rows", "_width", "_q", "_bits", "_pad", "_shifts", "_prefix", "_spread",
+                 "_slots", "_next", "_order")
 
     def __init__(self):
-        self._hold_sorted([], 0)
+        self._hold_sorted(np.zeros((0, 1), np.uint64), 0)
 
     @classmethod
-    def from_sorted(cls, keys: list[int], q: int) -> "OvIndex":
-        """Index over strictly increasing q-bit keys, key i belonging to point id i."""
+    def from_sorted(cls, rows: np.ndarray, q: int) -> "OvIndex":
+        """Index over the rows of strictly increasing q-bit keys, row i
+        belonging to point id i."""
         index = cls()
-        index._hold_sorted(keys, q)
+        index._hold_sorted(rows, q)
         return index
 
-    def _hold_sorted(self, keys: list[int], q: int) -> None:
-        """Hold strictly increasing q-bit keys, key i belonging to point id i."""
-        # heads and tails by point id, and the tail width t: one tuple, which
-        # a fold replaces at once, so a concurrent lookup never mixes layouts
-        self._keys = (keys, array("Q", bytes(8 * len(keys))), 0)
+    def _hold_sorted(self, rows: np.ndarray, q: int) -> None:
+        """Hold strictly increasing q-bit key rows, row i belonging to point id i."""
+        self._rows = array("Q", rows.tobytes())
+        self._width = rows.shape[1]
         self._q = q
         self._rehash()
         # the first len(_order) ids in dictionary order of their keys
-        self._order = array("i", np.arange(len(keys), dtype=np.int32).tobytes())
+        self._order = np.arange(len(rows))
 
     def __len__(self) -> int:
-        return len(self._keys[0])
+        return len(self._rows) // self._width
 
-    def _fold(self) -> None:
-        """Move every key's tail bits into its head, in one pass over the keys."""
-        heads, tails, t = self._keys
-        if t:
-            low = (np.frombuffer(tails, np.uint64) >> np.uint64(64 - t)).tolist()
-            heads = list(map(operator.or_, map(operator.lshift, heads, repeat(t)), low))
-            self._keys = (heads, array("Q", bytes(8 * len(heads))), 0)
+    def _view(self) -> np.ndarray:
+        """The keys as an (N, W) array on the ``array``'s buffer.  While a view
+        lives the ``array`` cannot grow, so none outlives the call that makes it."""
+        return np.frombuffer(self._rows, np.uint64).reshape(-1, self._width)
+
+    @property
+    def room(self) -> int:
+        """Keys that can be stored before the slots are rebuilt: storing the
+        room-th from now rebuilds them."""
+        return len(self._slots) // 2 - len(self)
+
+    def _slot(self, packed: int, q: int) -> int:
+        """The slot of the q-bit int key ``packed``: :meth:`_slots_of` in Python ints."""
+        x = packed >> (q - self._bits) << self._pad  # the prefix, MSB-aligned in its words
+        h = 0
+        for shift in self._shifts:
+            # x >> shift is its word plus a multiple of 2**64, which the product drops
+            h = (h + (x >> shift)) * _FIB
+        return (h & _U64) >> self._spread
+
+    def _slots_of(self, rows: np.ndarray) -> np.ndarray:
+        """The slot of each row's key: h expanded, the sum of word i times
+        _FIB ** (k - i) over the k prefix words, which uint64 arithmetic
+        takes modulo 2**64."""
+        words, mask, powers = self._prefix
+        return (rows[:, :words] & mask) @ powers >> np.uint64(self._spread)
 
     def _rehash(self) -> None:
         """Slot every key on all q of its bits, in at least 4 slots per key."""
-        self._fold()
-        keys = self._keys[0]
-        n = len(keys)
+        n = len(self)
         self._bits = self._q
+        words = -(-self._q // 64)
+        self._pad = 64 * words - self._q
+        self._shifts = tuple(range(64 * (words - 1), -1, -64))
+        mask = np.full(words, _U64, np.uint64)
+        mask[-1:] = _U64 << self._pad & _U64  # the last word cut to the prefix
+        powers = np.array([pow(_FIB, words - i, 1 << 64) for i in range(words)], np.uint64)
+        self._prefix = (words, mask, powers)
         size = max(_MIN_SLOTS, 1 << (4 * n - 1).bit_length())
-        self._spread = 65 - size.bit_length()  # slot = top b bits of the 64-bit product
-        hashes = np.fromiter(map(hash, keys), np.uint64, n)
-        slots = (hashes * np.uint64(_FIB) >> np.uint64(self._spread)).astype(np.intp)
+        self._spread = 65 - size.bit_length()  # slot = top b bits of the 64-bit hash
+        slots = self._slots_of(self._view()).astype(np.intp)
         first = np.full(size, -1, np.int32)
         np.maximum.at(first, slots, np.arange(n, dtype=np.int32))  # a slot's last id heads it
         # each id in a shared slot links to the id before it there
@@ -147,98 +257,208 @@ class OvIndex:
         self._slots = array("i", first.tobytes())
         self._next = array("i", nxt.tobytes())
 
-    def _walk(self, pid: int, keys, packed: int, counters: OpCounters) -> int:
-        """The id on the chain from ``pid`` whose key in ``keys`` is ``packed``, or -1."""
-        heads, tails, t = keys
-        xh, xt = packed >> t, (packed << (64 - t)) & _U64
-        nxt = self._next
-        # a head comparison examines top - (head ^ xh).bit_length() bits
-        top = self._q - t + 1
+    def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
+        """The point id stored under the q-bit int key ``packed``, or -1 when it is absent."""
+        pid = self._slots[self._slot(packed, q)]
+        if pid < 0:
+            return pid
+        rows, width, nxt = self._rows, self._width, self._next
+        x = packed << (64 * width - q)  # aligned as the rows hold it
+        first = x >> (64 * width - 64)  # its first word, which most compares end in
+        top = 64 * width + 1  # a compare examines top - (key ^ x).bit_length() bits
         bits = 0
         while pid >= 0:
-            head = heads[pid]
-            if head != xh:
-                bits += top - (head ^ xh).bit_length()
+            at = pid * width
+            key = rows[at]
+            if key != first:
+                bits += 65 - (key ^ first).bit_length()
             else:
-                tail = tails[pid]
-                if tail == xt:
-                    counters.bit_comparisons += bits + self._q
+                for at in range(at + 1, at + width):
+                    key = key << 64 | rows[at]
+                if key == x:
+                    counters.bit_comparisons += bits + q
                     return pid
-                bits += top + 64 - (tail ^ xt).bit_length()
+                bits += top - (key ^ x).bit_length()
             pid = nxt[pid]
         counters.bit_comparisons += bits
         return -1
 
-    def lookup(self, packed: int, q: int, counters: OpCounters) -> int:
-        """The point id stored under ``packed``, or -1 when it is absent."""
-        pid = self._slots[(hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread]
-        return pid if pid < 0 else self._walk(pid, self._keys, packed, counters)
+    def lookup_many(self, rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The id each row's key finds, and the bits its probe examines, as
+        if the rows were looked up in turn with every miss stored before
+        the next lookup.
 
-    def insert(self, packed: int, q: int, counters: OpCounters) -> int:
-        """Store ``packed`` for the next point id, len(self), and return it.
-
-        The key's chain is walked, and tallied, to check the key is new.
+        A miss finds -1, and a row repeating an earlier missed row finds
+        the id that row would be stored under: len(self) plus its rank
+        among the misses.  Every row is probed on the stored chains at
+        once; a row can meet an earlier row of the window only in its own
+        slot, so only rows that share a slot are walked in Python.
         """
-        if q != self._q:
-            # an empty index takes the width of its first key
-            if len(self):
-                raise AssertionError(f"{q}-bit key inserted among {self._q}-bit keys")
-            self._hold_sorted([], q)
-        slot = (hash(packed >> (q - self._bits)) * _FIB & _U64) >> self._spread
-        keys = heads, tails, t = self._keys
-        first = self._slots[slot]
-        if first >= 0 and self._walk(first, keys, packed, counters) >= 0:
-            raise AssertionError("duplicate sign vector in index")
-        pid = len(heads)
-        heads.append(packed >> t)
-        tails.append((packed << (64 - t)) & _U64)
-        self._next.append(first)
+        slots = self._slots_of(rows)
+        pids, bits = self._probe(rows, slots, q)
+        order = np.argsort(slots, kind="stable")
+        same = slots[order[1:]] == slots[order[:-1]]
+        if same.any():
+            shared = np.zeros(len(rows), bool)
+            shared[order[1:][same]] = shared[order[:-1][same]] = True
+            self._walk_window(rows, slots, np.flatnonzero(shared).tolist(), pids, bits, q)
+        return pids, bits
+
+    def _probe(self, rows, slots, q):
+        """Each row's id and tally on the stored chains: all chains are
+        walked one step at a time together, and every compare is tallied
+        at the end."""
+        stored, nxt = self._view(), np.frombuffer(self._next, np.int32)
+        pid = np.frombuffer(self._slots, np.int32)[slots]
+        live = np.flatnonzero(pid >= 0)
+        pid = pid[live]
+        steps = []  # per step: the rows compared, the ids they met, and the keys' XOR
+        while len(live):
+            diff = stored[pid] ^ rows[live]
+            steps.append((live, pid, diff))
+            pid = nxt[pid]
+            more = diff.any(axis=1) & (pid >= 0)
+            live, pid = live[more], pid[more]
+        pids = np.full(len(rows), -1, np.intp)
+        if not steps:
+            return pids, np.zeros(len(rows), np.int64)
+        live, met, diff = (np.concatenate(x) for x in zip(*steps))
+        word = (diff != 0).argmax(axis=1)  # the first word that differs, 0 on a match
+        first = diff[np.arange(len(live)), word]
+        hit = first == 0
+        pids[live[hit]] = met[hit]
+        examined = np.where(hit, q, 64 * word + 65 - _bit_length(first))
+        return pids, np.bincount(live, examined, len(rows)).astype(np.int64)
+
+    def _walk_window(self, rows, slots, shared: list[int], pids, bits, q) -> None:
+        """Walk the window rows ``shared`` (in order) through the earlier
+        missed rows of their slots, newest first, as they would meet them
+        stored, before the stored chain that :meth:`_probe` walked."""
+        top = 64 * self._width + 1
+        size = 8 * self._width
+        raw = rows[shared].astype(">u8").tobytes()
+        missed: dict[int, list[tuple[int, int]]] = {}  # slot -> (key, row) of earlier misses
+        repeats = {}
+        for n, (j, slot) in enumerate(zip(shared, slots[shared].tolist())):
+            key = int.from_bytes(raw[n * size:(n + 1) * size], "big")
+            earlier = missed.setdefault(slot, [])
+            walked = 0
+            for other, i in reversed(earlier):
+                if other == key:
+                    repeats[j] = i
+                    bits[j] = walked + q  # the walk ends here, before the stored chain
+                    break
+                walked += top - (other ^ key).bit_length()
+            else:
+                bits[j] += walked
+                if pids[j] < 0:
+                    earlier.append((key, j))
+        if repeats:
+            miss = pids < 0
+            miss[list(repeats)] = False
+            ids = len(self) + np.cumsum(miss) - 1
+            for j, i in repeats.items():
+                pids[j] = ids[i]
+
+    def insert(self, rows: np.ndarray, q: int) -> int:
+        """Store the q-bit keys of ``rows`` for the next point ids, and return the first.
+
+        Every key must be new: a caller stores a key after its lookup
+        missed, or one new by construction, so no chain is walked here.
+        """
+        self._take_width(q)
+        first = len(self)
+        heads, nxt = self._slots, self._next
+        for pid, slot in enumerate(self._slots_of(rows).tolist(), first):
+            nxt.append(heads[slot])
+            heads[slot] = pid
+        self._rows.frombytes(rows.tobytes())
+        if 2 * len(self) >= len(self._slots):
+            self._rehash()
+        return first
+
+    def append(self, packed: int, q: int) -> int:
+        """Store one new q-bit int key for the next point id, and return the id.
+
+        :meth:`insert` in Python ints, for the window of one point, which
+        holds its key as an int: for one key, numpy's calls would cost
+        more than the whole store.
+        """
+        self._take_width(q)
+        pid = len(self)
+        slot = self._slot(packed, q)
+        self._next.append(self._slots[slot])
         self._slots[slot] = pid
-        if 2 * len(heads) >= len(self._slots):
+        words = array("Q", (packed << (64 * self._width - q)).to_bytes(8 * self._width, "big"))
+        if _LITTLE_ENDIAN:
+            words.byteswap()  # the bytes are big-endian words
+        self._rows += words
+        if 2 * len(self) >= len(self._slots):
             self._rehash()
         return pid
 
+    def _take_width(self, q: int) -> None:
+        """Check that stored keys have q bits; an empty index takes that width."""
+        if q != self._q:
+            if len(self):
+                raise AssertionError(f"{q}-bit keys inserted among {self._q}-bit keys")
+            self._hold_sorted(np.zeros((0, _width(q)), np.uint64), q)
+
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key, bit_by_id[i] to point i's."""
-        if self._keys[2] == 64:
-            self._fold()
-        heads, tails, t = self._keys
-        column = np.frombuffer(tails, np.uint64)
-        column |= np.asarray(bit_by_id, np.uint64) << np.uint64(63 - t)
-        del column  # an exported buffer cannot grow: release it before the next insert
-        self._keys = (heads, tails, t + 1)
-        self._q += 1
+        q, width = self._q, self._width
+        if q == 64 * width:
+            grown = np.zeros((len(self), width + 1), np.uint64)
+            grown[:, :width] = self._view()
+            self._rows, self._width = array("Q", grown.tobytes()), width + 1
+        self._view()[:, q // 64] |= np.asarray(bit_by_id, np.uint64) << np.uint64(63 - q % 64)
+        self._q = q + 1
         if self._q >= 2 * self._bits:
             self._rehash()
 
-    def _sorted_ids(self) -> array:
-        """The point ids in dictionary order of their keys, the tails folded.
+    def _sorted_ids(self) -> np.ndarray:
+        """The point ids in dictionary order of their keys.
 
         The ids stored since the order was last computed are sorted in
-        with it; the ids already in order form one run, which the sort
-        merges, so after a few inserts the sort is one pass over the keys.
+        with it, by one stable argsort of the rows' big-endian bytes; the
+        ids already in order form one run, which the sort merges, so after
+        a few inserts the sort is about one pass over the keys.
         """
-        self._fold()  # whole keys sort faster as ints than as (head, tail) pairs
         order = self._order
         if len(order) < len(self):
-            new = range(len(order), len(self))
-            order = array("i", sorted(chain(order, new), key=self._keys[0].__getitem__))
+            ids = np.concatenate([order, np.arange(len(order), len(self))])
+            order = ids[np.argsort(_byte_keys(self._view()[ids]), kind="stable")]
             self._order = order
         return order
 
+    def _hex_keys(self) -> tuple[list[str], list[int]]:
+        """The keys in hex without leading zeros, and their point ids, in
+        dictionary order: one hex conversion of the right-aligned rows."""
+        order = self._sorted_ids()
+        width = self._width
+        rows = _shift_down(self._view()[order], 64 * width - self._q)
+        text = rows.astype(">u8").tobytes().hex(" ", 8 * width)
+        keys = list(map(str.lstrip, text.split(), repeat("0")))
+        if keys and not keys[0]:
+            keys[0] = "0"  # the key 0, which sorts first
+        return keys, order.tolist()
+
+    def hex_items(self):
+        """(packed sign vector in hex, point id) pairs in dictionary order,
+        as ``save`` writes them."""
+        return zip(*self._hex_keys())
+
     def items(self):
         """(packed sign vector, point id) pairs in dictionary order."""
-        order = self._sorted_ids()
-        return zip(map(self._keys[0].__getitem__, order), order)
+        keys, ids = self._hex_keys()
+        return zip(map(int, keys, repeat(16)), ids)
 
     def renumber(self) -> np.ndarray:
         """Give point id i to the i-th key in dictionary order, as
         :meth:`from_sorted` numbers them, and return each point's old id."""
         order = self._sorted_ids()
-        old_ids = np.frombuffer(order, np.int32)
-        keys = list(map(self._keys[0].__getitem__, order))
-        self._hold_sorted(keys, self._q)  # which frees the old keys before rebuilding the slots
-        return old_ids
+        self._hold_sorted(self._view()[order], self._q)
+        return order
 
 
 @dataclass
@@ -366,15 +586,26 @@ class SeparationState:
         self.q += 1
         return self.q - 1
 
-    def _add_point(self, p: np.ndarray, packed: int) -> int:
+    def _add_point(self, p: np.ndarray, packed: int) -> None:
+        """Store a point, and its int key in the index, under the next point id."""
         if self.count == self._pts_buf.shape[0]:
             grown = np.empty((2 * self.count, self.n))
             grown[: self.count] = self._pts_buf
             self._pts_buf = grown
         self._pts_buf[self.count] = p
-        self.index.insert(packed, self.q, self.counters)
+        self.index.append(packed, self.q)
         self.count += 1
-        return self.count - 1
+
+    def _add_points(self, pts: np.ndarray, keys: np.ndarray) -> None:
+        """Store points, and their keys' rows in the index, under the next point ids."""
+        end = self.count + len(pts)
+        if end > self._pts_buf.shape[0]:
+            grown = np.empty((max(end, 2 * self.count), self.n))
+            grown[: self.count] = self.points
+            self._pts_buf = grown
+        self._pts_buf[self.count:end] = pts
+        self.index.insert(keys, self.q)
+        self.count = end
 
     def _midpoint(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.counters.multiplications += self.n
@@ -392,30 +623,21 @@ class SeparationState:
         c.sign_evals += rows
         return r
 
-    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, list[int | None]]:
-        """Residuals of a block of points at the current planes, and their keys.
+    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Residuals of a block of points at the current planes, their keys
+        as packed bytes (see :func:`_pack_keys`), and the number of leading
+        points clear of the incidence band.
 
         One matmul, one band test and one packbits for the whole block.  A
-        row with a residual inside the incidence band gets the key None: its
-        plane must be nudged first.  Nothing is tallied here; the window
-        that places the points tallies their evaluations.
+        point with a residual inside the band has no key yet: its plane
+        must be nudged first.  Nothing is tallied here; the window that
+        places the points tallies their evaluations.
         """
         r = kernels.residuals_block(pts, self.plane_matrix)
-        q = self.q
-        if not q:
-            return r, [0] * len(pts)
         eps = self.config.epsilon
-        width = (q + 7) // 8
-        shift = -q % 8
-        raw = np.packbits(r > eps, axis=1).tobytes()
-        keys: list[int | None] = [
-            int.from_bytes(raw[i:i + width], "big") >> shift for i in range(0, len(raw), width)
-        ]
         band = np.abs(r) <= eps
-        if np.count_nonzero(band):
-            for i in np.flatnonzero(band.any(axis=1)).tolist():
-                keys[i] = None
-        return r, keys
+        clear = int(band.any(axis=1).argmax()) if np.count_nonzero(band) else len(pts)
+        return r, _pack_keys(r, eps), clear
 
     def _pending_points(self) -> np.ndarray | None:
         """Every pending point, chain by chain in member order; None if none."""
@@ -530,8 +752,7 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
             )
 
     state.q0 = state.q
-    for i in range(n0):
-        state._add_point(points0[i], packed[i])
+    state._add_points(points0, key_rows(packed, state.q))
 
 
 def _require_distinct(pts: np.ndarray) -> None:
@@ -612,36 +833,58 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     )
 
 
-def _place(state: SeparationState, block: np.ndarray, keys: list[int | None],
+def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
            recycled: list[np.ndarray]) -> tuple[int, tuple[PlaneReport, ...]]:
-    """Place a window of a block's points, in order, at the current planes.
+    """Place a window of points, in order, at the current planes.
 
-    ``keys[i]`` is point i's packed sign vector, None when a residual lies
-    in the incidence band.  A point whose key is new is stored; one whose
+    ``keys`` holds the points' keys as packed bytes (see
+    :func:`_pack_keys`); none of the points has a residual in the
+    incidence band.  A point whose key is new is stored; one whose
     quadrant is occupied parks on the occupant's pending chain, or, when
     that chain is full, is recycled onto ``recycled``.  The window ends
-    before the first point keyed None, which must nudge a plane first, or
-    after the first point that makes n chains pending; planes are then
-    emitted until fewer are.  The window's points are tallied together,
-    each as one sign-vector evaluation, n*q multiply-adds.
+    after the first point that makes n chains pending, and planes are
+    then emitted until fewer are.  It also ends after the point whose
+    store rebuilds the index's slots, since a later point must probe the
+    rebuilt table.
+
+    The window is probed with one :meth:`OvIndex.lookup_many` and its
+    new points go to the index in one :meth:`OvIndex.insert`; only the
+    points that find an occupant are handled one by one.  A window of one
+    point, which every one-value insert and every nudged offer places, is
+    probed with :meth:`OvIndex.lookup` and stored with
+    :meth:`OvIndex.append` on its int key instead: this is the one choice
+    made on the window's size, since for one point the numpy calls of the
+    block forms cost more than the whole Python walk and store.  Either
+    way a point's probe is tallied as it would be offered alone, and so
+    are the window's evaluations, each n*q multiply-adds.
 
     Returns the number of points placed and the emitted planes' reports.
     """
     n, q = state.n, state.q
     index, counters = state.index, state.counters
     chains = state.chains  # emit_plane replaces the dict, and emitting ends the window
-    placed = 0
-    for p, key in zip(block, keys):
-        if key is None:
-            break
-        placed += 1
+    first = len(index)
+    placed = len(block)
+    if placed == 1:
+        key = _key_int(keys[0], q)
         pid = index.lookup(key, q, counters)
-        if pid < 0:
-            state._add_point(p, key)
-            continue
+        missed, hits = ([0], []) if pid < 0 else ([], [(0, pid)])
+    else:
+        rows = keys.view(">u8").astype(np.uint64)
+        pids, bits = index.lookup_many(rows, q)
+        missed = np.flatnonzero(pids < 0)
+        room = index.room
+        if len(missed) >= room:
+            placed = int(missed[room - 1]) + 1
+        at = np.flatnonzero(pids[:placed] >= 0)
+        hits = zip(at.tolist(), pids[at].tolist())
+    for i, pid in hits:
+        p = block[i]
         ch = chains.get(pid)
         if ch is None:
-            chains[pid] = PendingChain(pid, key, state._midpoint(state._pts_buf[pid], p), [p])
+            # the occupant is a stored point or a point stored earlier in this window
+            anchor = state._pts_buf[pid] if pid < first else block[missed[pid - first]]
+            chains[pid] = PendingChain(pid, _key_int(keys[i], q), state._midpoint(anchor, p), [p])
         elif len(ch.members) < 3:
             ch.members.append(p)
         else:
@@ -649,7 +892,16 @@ def _place(state: SeparationState, block: np.ndarray, keys: list[int | None],
             recycled.append(p)
             continue
         if len(chains) >= n:
+            placed = i + 1
             break
+    if len(block) == 1:
+        if missed:
+            state._add_point(block[0], key)
+    else:
+        counters.bit_comparisons += int(bits[:placed].sum())
+        missed = missed[:np.searchsorted(missed, placed)]
+        if len(missed):
+            state._add_points(block[missed], rows[missed])
 
     nq = n * q * placed
     counters.multiplications += nq
@@ -673,20 +925,22 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult
     then placed as a window of one, tallied as one sign-vector evaluation,
     n*q multiply-adds.
     """
-    packed = None
+    keys = None
     if r is None:
         p = state._check_point(p)
-        rows, keys = state._evaluate(p[None, :])
-        r, packed = rows[0], keys[0]
-    if packed is None:
+        rows, keys, clear = state._evaluate(p[None, :])
+        r = rows[0]
+        if not clear:
+            keys = None
+    if keys is None:
         eps = state.config.epsilon
         # a nudged residual leaves the band, so r > eps below reads its side
         for j in np.nonzero(np.abs(r) <= eps)[0]:
             r[j] = _nudge_plane(state, int(j), p, float(r[j]))
-        packed = pack_sign_bits(r > eps)
+        keys = _pack_keys(r[None, :], eps)
 
     count, recycled = state.count, []
-    _, reports = _place(state, p[None, :], [packed], recycled)
+    _, reports = _place(state, p[None, :], keys, recycled)
     if reports:
         return OfferResult(OfferKind.PLANE_EMITTED, reports=reports)
     if recycled:
@@ -814,36 +1068,45 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     # the first member to fall across from the anchor, which is stored
     # outright since the anchor's old address extended by the opposite bit
     # is provably unoccupied.  A batch chain's first member falls across
-    # from its anchor by construction, so it is always stored.
-    promoted: list[int] = []
+    # from its anchor by construction, so it is always stored.  The stored
+    # members take the next point ids in turn, and go to the index in one
+    # insert after the loop.
+    promoted: list[np.ndarray] = []
+    promoted_keys: list[int] = []
     rehomed = 0
     state.chains = {}
     for ch, start in zip(chains, starts):
-        hosts: dict[bool, int] = {bool(bit_s[ch.anchor_id]): ch.anchor_id}
+        # the point of each side of the new plane, with its id
+        hosts = {bool(bit_s[ch.anchor_id]): (ch.anchor_id, state._pts_buf[ch.anchor_id])}
         for ri, pt in enumerate(ch.members):
             bit = bool(r_pend[start + ri] > 0)
             key = (ch.anchor_key << 1) | int(bit)
             host = hosts.get(bit)
             if host is None:
-                hosts[bit] = pid = state._add_point(pt, key)
-                promoted.append(pid)
-            elif host in state.chains:
+                hosts[bit] = (state.count + len(promoted), pt)
+                promoted.append(pt)
+                promoted_keys.append(key)
+                continue
+            host_id, host_pt = host
+            if host_id in state.chains:
                 rehomed += 1
-                state.chains[host].members.append(pt)
+                state.chains[host_id].members.append(pt)
             else:
-                if host == ch.anchor_id and ri == 0:
+                if host_id == ch.anchor_id and ri == 0:
                     mid = ch.midpoint_ab  # the pair is unchanged, keep its midpoint
                 else:
                     rehomed += 1
-                    mid = state._midpoint(state.points[host], pt)
-                state.chains[host] = PendingChain(host, key, mid, [pt])
+                    mid = state._midpoint(host_pt, pt)
+                state.chains[host_id] = PendingChain(host_id, key, mid, [pt])
+    first = state.count
+    state._add_points(np.array(promoted), key_rows(promoted_keys, state.q))
 
     return PlaneReport(
         plane_index=plane_index,
         constraint_count=k,
         retries=retries,
         delta=delta,
-        promoted_ids=promoted,
+        promoted_ids=list(range(first, state.count)),
         rehomed=rehomed,
     )
 
@@ -870,12 +1133,12 @@ def stream_points(state: SeparationState, pts) -> None:
     ``pts`` is an (N, n) array or a sequence of points.  The queue is
     evaluated in blocks of up to ``_OFFER_BLOCK`` points: one matmul gives
     their residuals at the current planes, one band test and one packbits
-    their keys.  One loop then places the block's points in turn, as a
-    window whose evaluations are tallied at once, until a plane is
-    emitted; a point in the incidence band goes to :func:`offer`, which
-    nudges the plane off it.  After an emission or a nudge the block's
-    remaining points are evaluated again at the new planes, so every
-    point meets exactly the planes it would meet offered alone.
+    their keys.  The block's points up to the first one in the incidence
+    band are then placed in windows (see :func:`_place`) until a plane is
+    emitted; a point in the band goes to :func:`offer`, which nudges the
+    plane off it.  After an emission or a nudge the block's remaining
+    points are evaluated again at the new planes, so every point meets
+    exactly the planes it would meet offered alone.
 
     Recycled points rejoin the queue after the next plane emission; if the
     queue drains while recycled points wait, one plane is forced through
@@ -904,10 +1167,14 @@ def stream_points(state: SeparationState, pts) -> None:
         else:
             return
         while len(block):
-            r, keys = state._evaluate(block)
-            placed, reports = _place(state, block, keys, bucket)
+            r, keys, clear = state._evaluate(block)
+            placed, reports = 0, ()
+            while placed < clear and not reports:
+                # a window that ends at a slot rebuild is followed by the next at the same planes
+                k, reports = _place(state, block[placed:clear], keys[placed:clear], bucket)
+                placed += k
             if not reports and placed < len(block):
-                # the window stopped at a point in the incidence band
+                # the windows stopped at a point in the incidence band
                 p = block[placed]
                 res = offer(state, p, r[placed])
                 if res.kind is OfferKind.RECYCLED:

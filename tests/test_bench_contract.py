@@ -72,8 +72,10 @@ def test_traced_build_records_the_index_layers():
     metrics = tracer.metrics()
     assert metrics["build.separator.emit_plane.calls"] == repo.q - repo.state.q0 > 0
     assert metrics["build.separator.OvIndex.extend_all.calls"] == repo.q - repo.state.q0
-    assert metrics["build.separator.OvIndex.insert.calls"] == repo.count
-    assert metrics["build.separator.OvIndex.lookup.calls"] > 0
+    # a call stores a whole window's new points, and a build probes most
+    # windows with lookup_many, which the tracer does not wrap; lookup
+    # itself is held to its one call per query above
+    assert 0 < metrics["build.separator.OvIndex.insert.calls"] <= repo.count
 
 
 def test_selftest_rejects_every_wrong_case():

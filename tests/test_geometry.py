@@ -18,10 +18,11 @@ from planesep import (
     fit_plane_through,
     kernels,
     repository,
+    separator,
     shift_midpoints,
 )
 from planesep.geometry import INCIDENT, pack_sign_bits, signs_from_residuals
-from planesep.separator import OvIndex, SeparationState, offer
+from planesep.separator import OvIndex, SeparationState, key_rows, offer
 
 EPS = 1e-9
 
@@ -36,7 +37,8 @@ def state_with_planes(planes, n):
 def empty_store(planes, n):
     """A store of no values behind the given planes: queries search an empty index."""
     state = state_with_planes(planes, n)
-    state.index = OvIndex.from_sorted([], state.q)  # as load leaves an empty store
+    # as load leaves an empty store
+    state.index = OvIndex.from_sorted(key_rows([], state.q), state.q)
     return repository.Repository(repository.IntegerMapping(n), state, [], 0, (n,))
 
 
@@ -157,8 +159,8 @@ class TestOrientationVector:
         packed = pack_sign_bits(r > EPS)
         bits = [(packed >> (q - 1 - i)) & 1 for i in range(q)]
         assert bits == (np.sign(r) > 0).astype(int).tolist()
-        _, keys = state_with_planes(planes, n)._evaluate(p[None, :])
-        assert keys == [packed]
+        _, keys, clear = state_with_planes(planes, n)._evaluate(p[None, :])
+        assert clear == 1 and separator._key_int(keys[0], q) == packed
 
 
 class TestPackedSignVectors:
@@ -207,8 +209,8 @@ class TestPackedSignVectors:
     def test_incident_signs_rejected(self):
         # a point inside the band of any plane gets no key: its plane is nudged first
         state = state_with_planes([[-0.5, 0.0], [0.0, 1.0]], 2)  # x = 2 and y = -1
-        _, keys = state._evaluate(np.array([[2.0, 5.0], [3.0, 5.0]]))
-        assert keys == [None, 0b01]
+        _, keys, clear = state._evaluate(np.array([[2.0, 5.0], [3.0, 5.0]]))
+        assert clear == 0 and separator._key_int(keys[1], 2) == 0b01
 
     def test_signs_from_residuals_band(self):
         out = signs_from_residuals(np.array([1.0, -2.0, 1e-12]), EPS)

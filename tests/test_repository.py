@@ -1,5 +1,6 @@
 """Digit mapping, the value store, incremental insert, growth, persistence."""
 
+import copy
 import io
 import re
 
@@ -384,6 +385,26 @@ class TestInsert:
         insert(r2, hi)
         assert saved_text(r1) == saved_text(r2)
 
+    def test_a_deep_copy_answers_and_grows_like_the_original(self):
+        # the benchmark copies a built repository for every run of its
+        # insert schedule: nothing the index holds may refuse a deep copy
+        primes = primes_below(3 * 10**4)
+        repo = build([p for p in primes if p < 10**4], 4, 0)
+        grow_dimension(repo, 5)
+        insert(repo, [p for p in primes if 10**4 <= p < 2 * 10**4])
+        insert(repo, [20011])
+        query(repo, 7)
+        saved_text(repo)  # fills the index's cached key order
+        twin = copy.deepcopy(repo)
+        for v in range(0, 2 * 10**4 + 100, 7):
+            assert query(twin, v) == query(repo, v)
+        for r in (repo, twin):
+            insert(r, [p for p in primes if 2 * 10**4 < p < 25000])
+            insert(r, [29989])
+        assert twin.count == repo.count > 2000
+        assert saved_text(twin) == saved_text(repo)
+        assert all(query(twin, p).found for p in primes if p < 25000)
+
 
 class TestGrowDimension:
     def test_identity_growth(self):
@@ -584,6 +605,8 @@ class TestPersistence:
         (22, "entry 5 7 junk", "extra fields ['junk'] on 'entry' line"),
         (22, "entry 5.0 7", "bad integer field: ['entry', '5.0', '7']"),
         (22, "entry 5 7g", "bad packed sign vector"),
+        (22, "entry 5 0x7", "bad packed sign vector"),
+        (22, "entry 5 " + "0" * 16 + "7", "bad packed sign vector"),
         (22, "entry 100 7", "value 100 out of range"),
         (22, "entry -5 7", "value -5 out of range"),
         (22, "entry 5 20", "sign vector wider than q"),
@@ -591,7 +614,8 @@ class TestPersistence:
         (23, None, "unexpected end of file"),
         (28, "end junk", "extra fields ['junk'] on 'end' line"),
     ], ids=["blank", "wrong-tag", "missing-key", "extra-field", "non-integer-value",
-            "non-hex-key", "value-at-capacity", "negative-value", "key-of-q-plus-one-bits",
+            "non-hex-key", "key-spelled-0x", "key-of-more-digits-than-a-row",
+            "value-at-capacity", "negative-value", "key-of-q-plus-one-bits",
             "repeated-key", "cut-inside-entries", "extra-field-on-end"])
     def test_malformed_entry_line_rejected_with_its_line(self, line, text, message):
         # entries are lines 19-27 (q = 5 planes, keys 0 2 5 7 a e f 1e 1f),

@@ -1,6 +1,7 @@
 """The incremental separation algorithm: chains, emissions, invariants."""
 
 import bisect
+import copy
 import random
 import sys
 import threading
@@ -26,6 +27,7 @@ from planesep.separator import (
     emit_plane,
     finalize,
     init,
+    key_rows,
     offer,
     run,
     stream_points,
@@ -91,11 +93,12 @@ class TwoListIndex:
 
     Beside them it keeps each key by point id and the bucketing OvIndex
     documents, which :meth:`replay_bits` reads: a key's top P bits pick
-    one of S = 2**b slots, the top b bits of ``hash(prefix) * FIB``
-    modulo 2**64, and the slots are rebuilt with P = q and S the least
-    power of two >= 4N (at least 8) when the index is bulk-loaded or
-    takes its first key, when a new plane brings q to 2P, and when an
-    insert brings N to S/2.
+    one of S = 2**b slots, the top b bits of the sum of the prefix's
+    64-bit words (the last one filled with zeros), word i of k times
+    FIB**(k - i), modulo 2**64.  The slots are rebuilt with P = q and S
+    the least power of two >= 4N (at least 8) when the index is
+    bulk-loaded or takes its first keys, when a new plane brings q to 2P,
+    and when an insert brings N to S/2.
     """
 
     FIB = 0x9E3779B97F4A7C15
@@ -120,8 +123,11 @@ class TwoListIndex:
             self.slots *= 2
 
     def slot(self, packed):
-        product = hash(packed >> (self.q - self.p)) * self.FIB % 2**64
-        return product >> (64 - self.slots.bit_length() + 1)
+        words = -(-self.p // 64)
+        prefix = (packed >> (self.q - self.p)) << (64 * words - self.p)
+        text = format(prefix, f"0{16 * words}x")
+        h = sum(int(text[16 * i:16 * i + 16], 16) * self.FIB ** (words - i) for i in range(words))
+        return h % 2**64 >> (64 - self.slots.bit_length() + 1)
 
     def lookup(self, packed):
         pos = bisect.bisect_left(self.keys, packed)
@@ -178,11 +184,8 @@ def lookup_both(new, ref, key):
 
 
 def insert_both(new, ref, key, q):
-    bits = ref.replay_bits(key) if q == ref.q else 0
-    c = OpCounters()
-    pid = new.insert(key, q, c)
+    pid = new.insert(key_rows([key], q), q)
     assert pid == ref.insert(key, q) == len(new) - 1
-    assert c.bit_comparisons == bits, key
     return pid
 
 
@@ -204,30 +207,49 @@ def probe_both(new, ref, rnd, count):
         lookup_both(new, ref, rnd.getrandbits(q) if q else 0)
 
 
+def window_both(new, ref, keys):
+    """lookup_many of a window against the reference looking the keys up in
+    turn, storing each miss before the next; then the misses stored in one
+    insert.  The window must end before the store that rebuilds the slots."""
+    q = ref.q
+    pids, bits = new.lookup_many(key_rows(keys, q), q)
+    want_pids, want_bits, missed = [], [], []
+    for key in keys:
+        want_bits.append(ref.replay_bits(key))
+        want_pids.append(ref.lookup(key))  # a repeat finds its first occurrence's new id
+        if want_pids[-1] < 0:
+            missed.append(key)
+            ref.insert(key, q)
+    assert pids.tolist() == want_pids
+    assert bits.tolist() == want_bits
+    new.insert(key_rows(missed, q), q)
+    assert list(new.items()) == ref.items()
+
+
 class TestOvIndex:
     def test_lookup_returns_the_id_or_minus_one(self):
         idx = OvIndex()
         c = OpCounters()
         for key in [0b100, 0b001, 0b111, 0b010]:
-            idx.insert(key, 3, c)
+            idx.insert(key_rows([key], 3), 3)
         assert idx.lookup(0b111, 3, c) == 2
         assert idx.lookup(0b001, 3, c) == 1
         assert idx.lookup(0b101, 3, c) == -1
         assert [pid for _, pid in idx.items()] == [1, 3, 0, 2]
 
     def test_a_hit_examines_all_q_bits(self):
-        idx = OvIndex.from_sorted([0b1011], 4)
+        idx = OvIndex.from_sorted(key_rows([0b1011], 4), 4)
         c = OpCounters()
         assert idx.lookup(0b1011, 4, c) == 0
         assert c.bit_comparisons == 4
 
     def test_tally_replays_the_bucket_walk(self):
         """Keys stored between rebuilds share slots with keys of the same
-        prefix and with keys whose prefixes hash alike; every lookup and
-        insert tallies exactly the walk :meth:`TwoListIndex.replay_bits`
-        replays, through the rebuilds as q and N double."""
+        prefix and with keys whose prefixes hash alike; every lookup
+        tallies exactly the walk :meth:`TwoListIndex.replay_bits` replays,
+        through the rebuilds as q and N double."""
         rnd = random.Random(3)
-        new, ref = OvIndex.from_sorted([], 4), TwoListIndex.from_sorted([], 4)
+        new, ref = OvIndex.from_sorted(key_rows([], 4), 4), TwoListIndex.from_sorted([], 4)
         walked = 0
         for _ in range(30):
             for _ in range(12):
@@ -238,7 +260,7 @@ class TestOvIndex:
             probe_both(new, ref, rnd, 10)
             extend_both(new, ref, rnd)
         assert ref.q == 34 and len(ref.by_id) > 300
-        assert walked > 20  # inserts that walked a chain
+        assert walked > 20  # new keys whose slot already held a chain
 
     def test_bulk_load_matches_one_built_by_insert(self):
         # the same ids and items; a bulk load sizes its slots for all its
@@ -248,17 +270,16 @@ class TestOvIndex:
         keys = sorted(int(k) for k in rng.choice(1 << q, size=200, replace=False))
         inserted = OvIndex()
         for key in keys:
-            inserted.insert(key, q, OpCounters())
-        bulk = OvIndex.from_sorted(list(keys), q)
+            inserted.insert(key_rows([key], q), q)
+        bulk = OvIndex.from_sorted(key_rows(keys, q), q)
         assert list(bulk.items()) == list(inserted.items())
         for probe in range(1 << q):
             assert bulk.lookup(probe, q, OpCounters()) == inserted.lookup(probe, q, OpCounters())
 
     def test_extend_preserves_dictionary_order(self):
         idx = OvIndex()
-        c = OpCounters()
         for key in [5, 1, 7, 3]:
-            idx.insert(key, 3, c)
+            idx.insert(key_rows([key], 3), 3)
         keys = [k for k, _ in idx.items()]
         assert keys == sorted(keys)
         bits = np.array([1, 0, 1, 0], dtype=bool)
@@ -269,52 +290,90 @@ class TestOvIndex:
 
     def test_renumber_numbers_points_in_dictionary_order(self):
         idx = OvIndex()
-        for key in [5, 1, 7, 3]:
-            idx.insert(key, 3, OpCounters())
+        idx.insert(key_rows([5, 1, 7, 3], 3), 3)
         idx.extend_all(np.array([1, 0, 1, 0], dtype=bool))
         assert idx.renumber().tolist() == [1, 3, 0, 2]
         assert list(idx.items()) == [(2, 0), (6, 1), (11, 2), (15, 3)]
         assert [idx.lookup(k, 4, OpCounters()) for k in (2, 6, 11, 15)] == [0, 1, 2, 3]
-        assert idx.insert(4, 4, OpCounters()) == 4
+        assert idx.insert(key_rows([4], 4), 4) == 4
         assert [pid for _, pid in idx.items()] == [0, 4, 1, 2, 3]
-
-    def test_duplicate_insert_is_a_bug(self):
-        idx = OvIndex()
-        c = OpCounters()
-        idx.insert(4, 3, c)
-        with pytest.raises(AssertionError):
-            idx.insert(4, 3, c)
-        assert len(idx) == 1 and list(idx.items()) == [(4, 0)]
+        assert list(idx.hex_items()) == [("2", 0), ("4", 4), ("6", 1), ("b", 2), ("f", 3)]
 
     def test_key_of_another_width_is_a_bug(self):
         idx = OvIndex()
-        c = OpCounters()
-        idx.insert(4, 3, c)
+        idx.insert(key_rows([4], 3), 3)
         with pytest.raises(AssertionError):
-            idx.insert(4, 4, c)
+            idx.insert(key_rows([4], 4), 4)
 
     def test_empty_index_and_zero_planes(self):
         c = OpCounters()
         idx = OvIndex()
         assert idx.lookup(0, 0, c) == -1 and list(idx.items()) == []
-        assert idx.insert(0, 0, c) == 0
+        assert idx.insert(key_rows([0], 0), 0) == 0
         assert idx.lookup(0, 0, c) == 0
         assert c.bit_comparisons == 0  # a 0-bit key matches without a bit examined
+        assert list(idx.hex_items()) == [("0", 0)]
         idx.extend_all(np.array([True]))
         assert idx.lookup(1, 1, c) == 0 and idx.lookup(0, 1, c) == -1
-        empty = OvIndex.from_sorted([], 5)
+        empty = OvIndex.from_sorted(key_rows([], 5), 5)
         assert empty.lookup(17, 5, c) == -1 and list(empty.items()) == []
-        assert empty.insert(3, 7, c) == 0  # an empty index takes its first key's width
+        assert empty.insert(key_rows([3], 7), 7) == 0  # an empty index takes its first keys' width
         assert list(empty.items()) == [(3, 0)]
         assert empty.lookup(3, 7, c) == 0
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 128, 129, 200])
+    def test_numpy_and_python_slots_agree(self, q):
+        """The slot of a block of rows and the slot of one int key, with the
+        slots built at P = q and at a P < q (P = q // 2 + 1, none below
+        q = 3): both agree with each other and with the reference's."""
+        rnd = random.Random(q)
+        for p in sorted({q, q // 2 + 1}):
+            stored = sorted({rnd.getrandbits(p) for _ in range(40)})
+            new = OvIndex.from_sorted(key_rows(stored, p), p)
+            ref = TwoListIndex.from_sorted(stored, p)
+            while ref.q < q:
+                extend_both(new, ref, rnd)
+            assert ref.p == p and ref.q == q
+            keys = [rnd.getrandbits(q) for _ in range(200)] + [0, (1 << q) - 1]
+            block = new._slots_of(key_rows(keys, q)).tolist()
+            assert block == [new._slot(key, q) for key in keys] == list(map(ref.slot, keys))
+
+    def test_lookup_many_replays_lookups_in_turn(self):
+        """Windows of stored keys, new keys, keys repeated inside the window
+        and keys one low bit from a stored key, as q grows past 64 and 128:
+        each row's id and tally are those of looking the keys up one at a
+        time, every miss stored before the next lookup."""
+        rnd = random.Random(21)
+        start = sorted({rnd.getrandbits(50) for _ in range(300)})
+        new, ref = OvIndex.from_sorted(key_rows(start, 50), 50), TwoListIndex.from_sorted(start, 50)
+        repeats = 0
+        while ref.q < 140:
+            while new.room < 3:
+                key = rnd.getrandbits(ref.q)
+                if ref.lookup(key) < 0:
+                    insert_both(new, ref, key, ref.q)
+            window = []
+            for _ in range(min(rnd.randrange(2, 40), new.room - 1)):
+                op = rnd.random()
+                if op < 0.3:
+                    window.append(rnd.choice(ref.by_id))
+                elif op < 0.45 and window:
+                    window.append(rnd.choice(window))
+                elif op < 0.6:
+                    window.append(rnd.choice(ref.by_id) ^ 1)
+                else:
+                    window.append(rnd.getrandbits(ref.q))
+            repeats += len(window) - len(set(window))
+            window_both(new, ref, window)
+            extend_both(new, ref, rnd)
+        assert repeats > 50
 
 
 class TestAlignedIndexAgainstTwoLists:
     """Random interleavings of inserts, lookups, plane appends and reads
     of the items: the same hit or miss ids, the replayed bit tallies and
     the same items in the same order as the two-list reference, as keys
-    grow past 64 and 128 bits and are realigned and re-bucketed on the
-    way."""
+    grow past 64 and 128 bits, gaining a word and re-bucketed on the way."""
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_random_interleavings(self, seed):
@@ -327,10 +386,7 @@ class TestAlignedIndexAgainstTwoLists:
             op = rnd.random()
             if op < 0.55:
                 key = rnd.getrandbits(ref.q)
-                if ref.lookup(key) >= 0:
-                    with pytest.raises(AssertionError):
-                        new.insert(key, ref.q, OpCounters())
-                else:
+                if ref.lookup(key) < 0:
                     insert_both(new, ref, key, ref.q)
             elif op < 0.75:
                 probe_both(new, ref, rnd, 1)
@@ -343,14 +399,12 @@ class TestAlignedIndexAgainstTwoLists:
 
     def test_items_place_keys_at_the_front_the_back_and_between(self):
         """Each width stores a key below every key, one above every key and
-        one between, reading the items after each, from q = 27 to 62.  A
-        read folds the tails into the heads, and a plane then leaves one
-        tail bit pending, so each width's first read sorts a new key in
-        with a tail bit pending, and often beside a key of an equal head:
-        the key just below the lowest differs from it in its tail alone
-        when the lowest is odd.  The items are read once more after the
-        plane, every fifth width.  The first keys sit far enough from 0 and
-        2**q that both edges stay free."""
+        one between, reading the items after each, from q = 27 to 62, so
+        each read sorts a new id in beside ids already in order, often
+        beside a key that differs from it in the last bit alone (the key
+        just below the lowest, when the lowest is odd).  The items are read
+        once more after the plane, every fifth width.  The first keys sit
+        far enough from 0 and 2**q that both edges stay free."""
         rnd = random.Random(12)
         new, ref = OvIndex(), TwoListIndex()
         for key in [5 << 20, 9 << 20, 13 << 20]:
@@ -375,16 +429,15 @@ class TestAlignedIndexAgainstTwoLists:
 
     @pytest.mark.parametrize("q0", [64, 70])
     def test_tail_word_fills_between_slot_rebuilds(self, q0):
-        """From a bulk load at q0 bits, 64 planes are appended before the
-        next slot rebuild: from 64 the rebuild at q = 128 = 2 * 64 comes
-        with the tail word full, from 70 the tail word is full at q = 134,
-        before the rebuild at 140.  Every plane is followed by an insert
-        and lookups, with tail bits pending; the items are read, which
-        folds the tails, only at the end, with the last two planes' bits
-        pending."""
+        """From a bulk load at q0 bits, 64 planes or more are appended before
+        the next slot rebuild, and the keys gain a word on the way: from 64
+        at the first plane, and again at q = 128, which rebuilds the slots;
+        from 70 at q = 128, before the rebuild at 140.  Every plane is
+        followed by an insert and lookups; the items are read only at the
+        end, two planes after the rebuild."""
         rnd = random.Random(q0)
         keys = sorted({rnd.getrandbits(q0) for _ in range(40)})
-        new, ref = OvIndex.from_sorted(list(keys), q0), TwoListIndex.from_sorted(keys, q0)
+        new, ref = OvIndex.from_sorted(key_rows(keys, q0), q0), TwoListIndex.from_sorted(keys, q0)
         full = 0
         while ref.q < 2 * q0 + 2:
             since = ref.p  # the key bits slotted at the last rebuild (or the load)
@@ -404,7 +457,7 @@ class TestAlignedIndexAgainstTwoLists:
         the new id in and keeps every earlier key's place."""
         rnd = random.Random(13)
         keys = sorted({rnd.getrandbits(40) for _ in range(30)})
-        new, ref = OvIndex.from_sorted(list(keys), 40), TwoListIndex.from_sorted(keys, 40)
+        new, ref = OvIndex.from_sorted(key_rows(keys, 40), 40), TwoListIndex.from_sorted(keys, 40)
         assert list(new.items()) == ref.items()
         for _ in range(3):
             key = rnd.randrange(ref.keys[0], ref.keys[-1])
@@ -414,16 +467,16 @@ class TestAlignedIndexAgainstTwoLists:
             assert list(new.items()) == ref.items()
 
     def test_concurrent_reads_sort_the_order_in_alike(self):
-        """Readers that meet new ids and tail bits pending each fold and sort
-        them in, replacing keys and order in one assignment each, so every
-        reader gets the reference's items."""
+        """Readers that meet new ids each sort them in, replacing the order
+        in one assignment, so every reader gets the reference's items."""
         rnd = random.Random(14)
         keys = sorted({rnd.getrandbits(70) for _ in range(2000)})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                new, ref = OvIndex.from_sorted(list(keys), 70), TwoListIndex.from_sorted(keys, 70)
+                new = OvIndex.from_sorted(key_rows(keys, 70), 70)
+                ref = TwoListIndex.from_sorted(keys, 70)
                 for _ in range(50):
                     key = rnd.getrandbits(70)
                     if ref.lookup(key) < 0:
@@ -450,7 +503,7 @@ class TestAlignedIndexAgainstTwoLists:
     def test_bulk_load_then_grow(self, q):
         rnd = random.Random(q)
         keys = [0] if q == 0 else sorted({rnd.getrandbits(q) for _ in range(60)})
-        new, ref = OvIndex.from_sorted(list(keys), q), TwoListIndex.from_sorted(keys, q)
+        new, ref = OvIndex.from_sorted(key_rows(keys, q), q), TwoListIndex.from_sorted(keys, q)
         assert list(new.items()) == ref.items()
         probe_both(new, ref, rnd, 20)
         for _ in range(3):
@@ -833,6 +886,81 @@ class TestStreamInBlocks:
         state = init(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
         with pytest.raises(DimensionMismatchError):
             stream_points(state, np.ones((5, 3)))
+
+
+class TestWindows:
+    """A window of a block's points is probed at once and its new points
+    stored in one insert; it ends where offering the same points one at a
+    time would stop agreeing with it, and the state and every counter are
+    then those of the offers."""
+
+    @staticmethod
+    def built():
+        """The primes below 1000 at n=3, and fresh points in their digit
+        cube: those in quadrants that hold no point, one per quadrant, and
+        one point in each of some occupied quadrants, by occupant."""
+        state = run(map_to_points(oracle.sieve(1000).primes(), IntegerMapping(3)), 3, seed=2)
+        pts = np.random.default_rng(5).uniform(0, 9, (3000, 3))
+        _, rows, clear = state._evaluate(pts)
+        assert clear == len(pts)
+        fresh, hits = {}, {}
+        for p, row in zip(pts, rows):
+            key = separator._key_int(row, state.q)
+            pid = state.index.lookup(key, state.q, OpCounters())
+            if pid < 0:
+                fresh.setdefault(key, []).append(p)
+            else:
+                hits.setdefault(pid, p)
+        return state, list(fresh.values()), list(hits.values())
+
+    @staticmethod
+    def both_ways(state, block, monkeypatch):
+        """The block streamed, and offered one at a time, from two copies of
+        ``state``; the same state and counters.  Returns the streamed copy
+        and each of its windows' (points placed, planes emitted)."""
+        blocked, scalar = copy.deepcopy(state), copy.deepcopy(state)
+        windows = []
+        real = separator._place
+
+        def traced(st, *args):
+            placed, reports = real(st, *args)
+            windows.append((placed, len(reports)))
+            return placed, reports
+
+        monkeypatch.setattr(separator, "_place", traced)
+        stream_points(blocked, block)
+        monkeypatch.undo()
+        offer_one_at_a_time(scalar, block)
+        assert_same_state(blocked, scalar)
+        return blocked, windows
+
+    def test_two_points_of_one_new_quadrant(self, monkeypatch):
+        # the second finds the first, stored earlier in the window
+        state, fresh, _ = self.built()
+        first, second = next(ps for ps in fresh if len(ps) >= 2)[:2]
+        other = next(ps for ps in fresh if len(ps) == 1)[0]
+        blocked, windows = self.both_ways(state, np.array([first, other, second]), monkeypatch)
+        assert windows == [(3, 0)]
+        assert blocked.count == state.count + 2
+        assert [pt.tolist() for pt in blocked.chains[state.count].members] == [second.tolist()]
+
+    def test_a_window_ends_at_the_store_that_rebuilds_the_slots(self, monkeypatch):
+        state, fresh, _ = self.built()
+        fresh = [ps[0] for ps in fresh]
+        while state.index.room > 4:
+            offer(state, fresh.pop())
+        room, slots = state.index.room, len(state.index._slots)
+        blocked, windows = self.both_ways(state, np.array(fresh[:room + 6]), monkeypatch)
+        assert windows == [(room, 0), (6, 0)]
+        assert len(blocked.index._slots) > slots
+
+    def test_a_window_ends_at_the_nth_pending_chain(self, monkeypatch):
+        state, fresh, hits = self.built()
+        fresh = [ps[0] for ps in fresh]
+        block = np.array([fresh[0], hits[0], hits[1], fresh[1], hits[2], fresh[2], fresh[3]])
+        _, windows = self.both_ways(state, block, monkeypatch)
+        placed, emitted = windows[0]
+        assert placed == 5 and emitted >= 1
 
 
 class TestRun:
