@@ -346,8 +346,9 @@ def save(repo: Repository, sink) -> None:
         coeffs = " ".join(map(repr, state._alpha_buf[j].tolist()))
         w(f"plane {1 if state._saturated[j] else 0} {coeffs}\n")
     values = repo.values
-    for key, pid in state.index.hex_items():
-        w(f"entry {values[pid]} {key}\n")
+    for keys, ids in state.index.hex_blocks():
+        for key, pid in zip(keys, ids):
+            w(f"entry {values[pid]} {key}\n")
     w("end\n")
 
 
@@ -406,14 +407,19 @@ def _is_key(key: str, q: int) -> bool:
     return True
 
 
-def _entry_rows(keys: list[str], q: int) -> tuple[np.ndarray, int]:
-    """The rows of the entries' hex keys up to the first that is not a
-    q-bit key or does not rise above the key before it, and how many
-    keys that is."""
+def _entry_rows(lines: list[str], q: int) -> tuple[np.ndarray, int]:
+    """The rows of the entry lines' hex keys up to the first that is not a
+    q-bit key or does not rise above the key before it, and how many keys
+    that is.  Each key is cut from its line as it is read, so the keys'
+    text is never held whole."""
+    def keys():
+        return (line.rsplit(None, 1)[1] for line in lines)
+
     try:
-        rows = separator.hex_rows(keys, q)
+        rows = separator.hex_rows(keys(), q)
     except ValueError:
-        return _entry_rows(keys[:next(i for i, key in enumerate(keys) if not _is_key(key, q))], q)
+        bad = next(i for i, key in enumerate(keys()) if not _is_key(key, q))
+        return _entry_rows(lines[:bad], q)
     good = separator.rows_in_order(rows)
     return rows[:good], good
 
@@ -442,8 +448,8 @@ def load(source) -> Repository:
     """Read a repository written by :func:`save`.
 
     The entry lines are parsed in one pass, and their keys' hex becomes the
-    index's rows in one conversion.  Every malformed line, one with
-    more fields than :func:`save` writes among them, raises
+    index's rows in another, a block of keys at a time.  Every malformed
+    line, one with more fields than :func:`save` writes among them, raises
     :class:`RepositoryFormatError` with its line number, and so does input
     that is not UTF-8 text, without one.
     """
@@ -544,20 +550,18 @@ def load(source) -> Repository:
     # first line that fails any check ends them, and _reject_entry_line
     # reads that line again to say why
     values: list[int] = []
-    keys: list[str] = []
     capacity = mapping.capacity
     first = rd.pos
     try:
         for line in rd.lines[first:first + count]:
-            tag, value, key = line.split()
+            tag, value, _ = line.split()
             v = int(value)
             if tag != "entry" or not 0 <= v < capacity:
                 break
             values.append(v)
-            keys.append(key)
     except ValueError:
         pass
-    rows, good = _entry_rows(keys, q)
+    rows, good = _entry_rows(rd.lines[first:first + len(values)], q)
     rd.pos = first + good
     if good < count:
         _reject_entry_line(rd, capacity, q)

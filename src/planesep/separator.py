@@ -25,7 +25,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .geometry import pack_sign_bits, signs_from_residuals
 
 _INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
+_HEX_BLOCK = 4096  # keys converted to or from hex together, which bounds the text held
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 _MIN_SLOTS = 8
 _FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
@@ -58,38 +60,50 @@ def _width(q: int) -> int:
 
 
 def _shift_down(rows: np.ndarray, s: int) -> np.ndarray:
-    """Each row, read as one integer of its words, shifted right by s < 64
-    bits; s = 64 comes only with the 0-bit keys, which are 0."""
-    if s % 64 == 0:
-        return rows
-    out = rows >> np.uint64(s)
-    out[:, 1:] |= rows[:, :-1] << np.uint64(64 - s)
-    return out
+    """Shift each row, read as one integer of its words, right by s < 64
+    bits in place; s = 64 comes only with the 0-bit keys, which are 0."""
+    if s % 64:
+        carry = rows[:, :-1] << np.uint64(64 - s)
+        rows >>= np.uint64(s)
+        rows[:, 1:] |= carry
+    return rows
 
 
 def _shift_up(rows: np.ndarray, s: int) -> np.ndarray:
-    """Each row, read as one integer of its words, shifted left by s < 64
-    bits; s = 64 comes only with the 0-bit keys, which are 0."""
-    if s % 64 == 0:
-        return rows
-    out = rows << np.uint64(s)
-    out[:, :-1] |= rows[:, 1:] >> np.uint64(64 - s)
-    return out
+    """Shift each row, read as one integer of its words, left by s < 64
+    bits in place; s = 64 comes only with the 0-bit keys, which are 0."""
+    if s % 64:
+        carry = rows[:, 1:] >> np.uint64(64 - s)
+        rows <<= np.uint64(s)
+        rows[:, :-1] |= carry
+    return rows
 
 
-def hex_rows(keys: list[str], q: int) -> np.ndarray:
+def _words(rows: np.ndarray) -> array:
+    """The words of C-contiguous uint64 rows in an ``array("Q")``."""
+    words = array("Q")
+    words.frombytes(rows.ravel().view(np.uint8))  # a 1-D byte view, not a copy
+    return words
+
+
+def hex_rows(keys: Iterable[str], q: int) -> np.ndarray:
     """q-bit keys in hex, as ``save`` writes them, as the index holds them: a
-    (len(keys), W) uint64 array of rows, W = :func:`_width` (q), plane j at
-    bit 63 - j % 64 of word j // 64.
+    (K, W) uint64 array of rows, W = :func:`_width` (q), plane j at bit
+    63 - j % 64 of word j // 64.
 
     Raises ValueError when a key is not hex digits, has more than 16W of
-    them, or is 2**q or above.
+    them, or is 2**q or above.  The keys are read ``_HEX_BLOCK`` at a
+    time, so the text of keys from an iterator is never held whole.
     """
     width = _width(q)
-    raw = bytes.fromhex("".join(map(str.zfill, keys, repeat(16 * width))))
-    if len(raw) != 8 * width * len(keys):
-        raise ValueError("a key has more hex digits than its row holds")
-    right = np.frombuffer(raw, ">u8").reshape(-1, width).astype(np.uint64)
+    blocks = [np.empty((0, width), np.uint64)]
+    keys = iter(keys)
+    while block := list(islice(keys, _HEX_BLOCK)):
+        raw = bytes.fromhex("".join(map(str.zfill, block, repeat(16 * width))))
+        if len(raw) != 8 * width * len(block):
+            raise ValueError("a key has more hex digits than its row holds")
+        blocks.append(np.frombuffer(raw, ">u8").reshape(-1, width))
+    right = np.concatenate(blocks, dtype=np.uint64)
     pad = 64 * width - q
     if pad and np.count_nonzero(right[:, 0] >> np.uint64(64 - pad)):
         raise ValueError("a key is wider than q bits")
@@ -109,11 +123,6 @@ def _byte_keys(rows: np.ndarray) -> np.ndarray:
     return rows.astype(">u8").view(f"S{8 * rows.shape[1]}").ravel()
 
 
-def key_rows(keys, q: int) -> np.ndarray:
-    """q-bit int keys as rows: see :func:`hex_rows`."""
-    return hex_rows(list(map("{:x}".format, keys)), q)
-
-
 def _pack_keys(r: np.ndarray, epsilon: float) -> np.ndarray:
     """The keys of points with residuals ``r``, (B, q), as packed bytes: each
     point's positive-side bits, first plane first, padded to 8W bytes.
@@ -126,7 +135,7 @@ def _pack_keys(r: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _key_int(packed: np.ndarray, q: int) -> int:
     """The q-bit int key of one point's packed bytes."""
-    return int.from_bytes(packed.tobytes(), "big") >> (8 * len(packed) - q)
+    return int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - q)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -195,7 +204,7 @@ class OvIndex:
 
     def _hold_sorted(self, rows: np.ndarray, q: int) -> None:
         """Hold strictly increasing q-bit key rows, row i belonging to point id i."""
-        self._rows = array("Q", rows.tobytes())
+        self._rows = _words(rows)
         self._width = rows.shape[1]
         self._q = q
         self._rehash()
@@ -372,7 +381,7 @@ class OvIndex:
         for pid, slot in enumerate(self._slots_of(rows).tolist(), first):
             nxt.append(heads[slot])
             heads[slot] = pid
-        self._rows.frombytes(rows.tobytes())
+        self._rows.frombytes(rows.ravel().view(np.uint8))
         if 2 * len(self) >= len(self._slots):
             self._rehash()
         return first
@@ -380,12 +389,13 @@ class OvIndex:
     def append(self, packed: int, q: int) -> int:
         """Store one new q-bit int key for the next point id, and return the id.
 
-        :meth:`insert` in Python ints, for the window of one point, which
-        holds its key as an int: for one key, numpy's calls would cost
-        more than the whole store.
+        :meth:`insert` in Python ints, for the stores that hold their key
+        as an int: a window of one point, initial accretion and a plane's
+        promotions.  For a few keys numpy's calls would cost more than the
+        whole store.
         """
         self._take_width(q)
-        pid = len(self)
+        pid = len(self._next)  # one link per stored key
         slot = self._slot(packed, q)
         self._next.append(self._slots[slot])
         self._slots[slot] = pid
@@ -393,7 +403,7 @@ class OvIndex:
         if _LITTLE_ENDIAN:
             words.byteswap()  # the bytes are big-endian words
         self._rows += words
-        if 2 * len(self) >= len(self._slots):
+        if 2 * pid + 2 >= len(self._slots):
             self._rehash()
         return pid
 
@@ -410,7 +420,7 @@ class OvIndex:
         if q == 64 * width:
             grown = np.zeros((len(self), width + 1), np.uint64)
             grown[:, :width] = self._view()
-            self._rows, self._width = array("Q", grown.tobytes()), width + 1
+            self._rows, self._width = _words(grown), width + 1
         self._view()[:, q // 64] |= np.asarray(bit_by_id, np.uint64) << np.uint64(63 - q % 64)
         self._q = q + 1
         if self._q >= 2 * self._bits:
@@ -431,27 +441,27 @@ class OvIndex:
             self._order = order
         return order
 
-    def _hex_keys(self) -> tuple[list[str], list[int]]:
-        """The keys in hex without leading zeros, and their point ids, in
-        dictionary order: one hex conversion of the right-aligned rows."""
+    def hex_blocks(self):
+        """The packed sign vectors in hex without leading zeros, as ``save``
+        writes them, and their point ids, in dictionary order: one pair of
+        lists for each ``_HEX_BLOCK`` keys, each from one hex conversion of
+        the block's right-aligned rows, so the text of all the keys is never
+        held at once."""
         order = self._sorted_ids()
         width = self._width
-        rows = _shift_down(self._view()[order], 64 * width - self._q)
-        text = rows.astype(">u8").tobytes().hex(" ", 8 * width)
-        keys = list(map(str.lstrip, text.split(), repeat("0")))
-        if keys and not keys[0]:
-            keys[0] = "0"  # the key 0, which sorts first
-        return keys, order.tolist()
-
-    def hex_items(self):
-        """(packed sign vector in hex, point id) pairs in dictionary order,
-        as ``save`` writes them."""
-        return zip(*self._hex_keys())
+        for start in range(0, len(order), _HEX_BLOCK):
+            ids = order[start:start + _HEX_BLOCK]
+            rows = _shift_down(self._view()[ids], 64 * width - self._q)
+            text = rows.astype(">u8").tobytes().hex(" ", 8 * width)
+            keys = list(map(str.lstrip, text.split(), repeat("0")))
+            if not keys[0]:
+                keys[0] = "0"  # the key 0, which sorts first
+            yield keys, ids.tolist()
 
     def items(self):
         """(packed sign vector, point id) pairs in dictionary order."""
-        keys, ids = self._hex_keys()
-        return zip(map(int, keys, repeat(16)), ids)
+        for keys, ids in self.hex_blocks():
+            yield from zip(map(int, keys, repeat(16)), ids)
 
     def renumber(self) -> np.ndarray:
         """Give point id i to the i-th key in dictionary order, as
@@ -586,8 +596,9 @@ class SeparationState:
         self.q += 1
         return self.q - 1
 
-    def _add_point(self, p: np.ndarray, packed: int) -> None:
-        """Store a point, and its int key in the index, under the next point id."""
+    def _add_point(self, p: np.ndarray, packed: int) -> int:
+        """Store a point, and its int key in the index, under the next point
+        id, and return the id."""
         if self.count == self._pts_buf.shape[0]:
             grown = np.empty((2 * self.count, self.n))
             grown[: self.count] = self._pts_buf
@@ -595,6 +606,7 @@ class SeparationState:
         self._pts_buf[self.count] = p
         self.index.append(packed, self.q)
         self.count += 1
+        return self.count - 1
 
     def _add_points(self, pts: np.ndarray, keys: np.ndarray) -> None:
         """Store points, and their keys' rows in the index, under the next point ids."""
@@ -752,7 +764,8 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
             )
 
     state.q0 = state.q
-    state._add_points(points0, key_rows(packed, state.q))
+    for i in range(n0):
+        state._add_point(points0[i], packed[i])
 
 
 def _require_distinct(pts: np.ndarray) -> None:
@@ -863,10 +876,10 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
     n, q = state.n, state.q
     index, counters = state.index, state.counters
     chains = state.chains  # emit_plane replaces the dict, and emitting ends the window
-    first = len(index)
+    first = state.count  # the id the window's first stored point takes
     placed = len(block)
     if placed == 1:
-        key = _key_int(keys[0], q)
+        key = _key_int(keys, q)
         pid = index.lookup(key, q, counters)
         missed, hits = ([0], []) if pid < 0 else ([], [(0, pid)])
     else:
@@ -1068,45 +1081,36 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     # the first member to fall across from the anchor, which is stored
     # outright since the anchor's old address extended by the opposite bit
     # is provably unoccupied.  A batch chain's first member falls across
-    # from its anchor by construction, so it is always stored.  The stored
-    # members take the next point ids in turn, and go to the index in one
-    # insert after the loop.
-    promoted: list[np.ndarray] = []
-    promoted_keys: list[int] = []
+    # from its anchor by construction, so it is always stored.
+    promoted: list[int] = []
     rehomed = 0
     state.chains = {}
     for ch, start in zip(chains, starts):
-        # the point of each side of the new plane, with its id
-        hosts = {bool(bit_s[ch.anchor_id]): (ch.anchor_id, state._pts_buf[ch.anchor_id])}
+        hosts: dict[bool, int] = {bool(bit_s[ch.anchor_id]): ch.anchor_id}
         for ri, pt in enumerate(ch.members):
             bit = bool(r_pend[start + ri] > 0)
             key = (ch.anchor_key << 1) | int(bit)
             host = hosts.get(bit)
             if host is None:
-                hosts[bit] = (state.count + len(promoted), pt)
-                promoted.append(pt)
-                promoted_keys.append(key)
-                continue
-            host_id, host_pt = host
-            if host_id in state.chains:
+                hosts[bit] = pid = state._add_point(pt, key)
+                promoted.append(pid)
+            elif host in state.chains:
                 rehomed += 1
-                state.chains[host_id].members.append(pt)
+                state.chains[host].members.append(pt)
             else:
-                if host_id == ch.anchor_id and ri == 0:
+                if host == ch.anchor_id and ri == 0:
                     mid = ch.midpoint_ab  # the pair is unchanged, keep its midpoint
                 else:
                     rehomed += 1
-                    mid = state._midpoint(host_pt, pt)
-                state.chains[host_id] = PendingChain(host_id, key, mid, [pt])
-    first = state.count
-    state._add_points(np.array(promoted), key_rows(promoted_keys, state.q))
+                    mid = state._midpoint(state.points[host], pt)
+                state.chains[host] = PendingChain(host, key, mid, [pt])
 
     return PlaneReport(
         plane_index=plane_index,
         constraint_count=k,
         retries=retries,
         delta=delta,
-        promoted_ids=list(range(first, state.count)),
+        promoted_ids=promoted,
         rehomed=rehomed,
     )
 

@@ -22,7 +22,7 @@ from planesep import (
     shift_midpoints,
 )
 from planesep.geometry import INCIDENT, pack_sign_bits, signs_from_residuals
-from planesep.separator import OvIndex, SeparationState, key_rows, offer
+from planesep.separator import OvIndex, SeparationState, offer
 
 EPS = 1e-9
 
@@ -38,7 +38,7 @@ def empty_store(planes, n):
     """A store of no values behind the given planes: queries search an empty index."""
     state = state_with_planes(planes, n)
     # as load leaves an empty store
-    state.index = OvIndex.from_sorted(key_rows([], state.q), state.q)
+    state.index = OvIndex.from_sorted(separator.hex_rows([], state.q), state.q)
     return repository.Repository(repository.IntegerMapping(n), state, [], 0, (n,))
 
 

@@ -30,17 +30,15 @@ its slot's chain too, to check that the key is new.  The other six
 counters stayed as they were.
 
 They were lowered a fourth time when the index began holding its keys
-as uint64 word rows (BUILT: 31,767 -> 15,934).  Two things moved them.
-An insert no longer walks its slot's chain to check that the key is
-new: every caller stores a key after its lookup missed or one that is
-new by construction, so that walk could never find the key; dropping
-it alone gives BUILT 15,184.  And the slot function changed: a slot is
-now the top bits of a multiplicative hash of the prefix's 64-bit words,
-not of Python's hash() of the prefix, and initial accretion and plane
-emission store their points in one insert each, which rebuilds the
-slots once per insert rather than once per key.  A window of offers is
-tallied exactly as the same offers made one at a time.  Every plane and
-entry line and the other six counters stayed as they were.
+as uint64 word rows (BUILT: 31,767 -> 15,212).  Two things moved them.
+A store no longer walks its slot's chain to check that the key is new:
+every caller stores a key after its lookup missed or one that is new by
+construction, so that walk could never find the key; dropping it alone
+gives BUILT 15,184.  And the slot function changed: a slot is now the
+top bits of a multiplicative hash of the prefix's 64-bit words, not of
+Python's hash() of the prefix, so other keys share chains.  A window of
+offers is tallied exactly as the same offers made one at a time.  Every
+plane and entry line and the other six counters stayed as they were.
 
 So that no counter re-pin can hide a change to a plane or entry line,
 each store is also pinned by the digest of its saved text without the
@@ -57,24 +55,24 @@ import pytest
 from planesep import oracle
 from planesep.repository import build, grow_dimension, insert, load, save
 
-BUILT_SHA256 = "6eee71b16fa0e6b243c50f51e7c8c0223a7e78e240fce073ae64a8e513d4de5a"
+BUILT_SHA256 = "59b3be2a056208ef812a1ddfd3f8565fb25db806d7f8111f4be5218f5621c9b7"
 BUILT_PLANES_AND_ENTRIES_SHA256 = "f685398380dace2b7b9d73d8d6c72c0a0d49c917c76c176bfa2172b0a0f3b205"
 BUILT_COUNTERS = {
     "multiplications": 346180,
     "additions": 345557,
     "sign_evals": 85746,
-    "bit_comparisons": 15934,
+    "bit_comparisons": 15212,
     "ov_multiplications": 202920,
     "extension_multiplications": 140064,
     "solve_multiplications": 2244,
 }
-GROWN_SHA256 = "34d05e3663b36de364f77f3782524801daac033beff38ae411cc7f1c963f596f"
+GROWN_SHA256 = "e49ad64d75f23e204aa1ad5fb51485f1e1efc8d9908e18f62ab62aced9030d66"
 GROWN_PLANES_AND_ENTRIES_SHA256 = "dae680b265325f6382a13cefc3d1400f6538a30da8dad0d91b591c8ddc420f7b"
 GROWN_COUNTERS = {
     "multiplications": 1464187,
     "additions": 1462534,
     "sign_evals": 308417,
-    "bit_comparisons": 37893,
+    "bit_comparisons": 37171,
     "ov_multiplications": 552015,
     "extension_multiplications": 904324,
     "solve_multiplications": 6726,
@@ -82,13 +80,13 @@ GROWN_COUNTERS = {
 
 # 400 distinct values below 10^4 at n=10: six dead digit coordinates, so the
 # batches are rank-deficient and the narrowing walk is exercised
-WIDE_SHA256 = "af5dcd676574a2de1e5e257c65ee2434231e82b5aa7102a7e51c0a9787f2e9da"
+WIDE_SHA256 = "cdead76ea7f5efd97dc892984b7c49d7abb8ea792e797423e9398e0377a34283"
 WIDE_PLANES_AND_ENTRIES_SHA256 = "7e01b8c18173213267570b53cf8e33686c7bd73074b6b6bca71856ea5d30ddf9"
 WIDE_COUNTERS = {
     "multiplications": 630610,
     "additions": 625421,
     "sign_evals": 58037,
-    "bit_comparisons": 5111,
+    "bit_comparisons": 4748,
     "ov_multiplications": 85280,
     "extension_multiplications": 495090,
     "solve_multiplications": 48810,
@@ -96,13 +94,13 @@ WIDE_COUNTERS = {
 
 # all 9,592 primes below 10^5 at n=5: q = 105, so the index's keys grow
 # past 64 bits during the build
-PRIMES5_SHA256 = "7a40748d37ab48953e3ce54061b8f9bb92fb4d5ae9f9915a9e5a84f5eec23296"
+PRIMES5_SHA256 = "30349217436252ebd49552af83f313e312424f05ad2d991b26c973442802b918"
 PRIMES5_PLANES_AND_ENTRIES_SHA256 = "d3a48e3a04e53629753962ca97c136dfe9ec41488598c563d804adea2db7e26e"
 PRIMES5_COUNTERS = {
     "multiplications": 5662381,
     "additions": 5660826,
     "sign_evals": 1130624,
-    "bit_comparisons": 66023,
+    "bit_comparisons": 58381,
     "ov_multiplications": 3642605,
     "extension_multiplications": 2010515,
     "solve_multiplications": 6741,

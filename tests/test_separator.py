@@ -27,7 +27,6 @@ from planesep.separator import (
     emit_plane,
     finalize,
     init,
-    key_rows,
     offer,
     run,
     stream_points,
@@ -174,6 +173,16 @@ class TwoListIndex:
         return bits
 
 
+def key_rows(keys, q):
+    """q-bit int keys as the index's rows, through the hex that save writes."""
+    return separator.hex_rows([format(key, "x") for key in keys], q)
+
+
+def hex_items(index):
+    """(hex key, point id) pairs, as save writes them, in dictionary order."""
+    return [item for keys, ids in index.hex_blocks() for item in zip(keys, ids)]
+
+
 def lookup_both(new, ref, key):
     """The same hit or miss from both indexes, and the replayed tally."""
     c = OpCounters()
@@ -297,7 +306,7 @@ class TestOvIndex:
         assert [idx.lookup(k, 4, OpCounters()) for k in (2, 6, 11, 15)] == [0, 1, 2, 3]
         assert idx.insert(key_rows([4], 4), 4) == 4
         assert [pid for _, pid in idx.items()] == [0, 4, 1, 2, 3]
-        assert list(idx.hex_items()) == [("2", 0), ("4", 4), ("6", 1), ("b", 2), ("f", 3)]
+        assert hex_items(idx) == [("2", 0), ("4", 4), ("6", 1), ("b", 2), ("f", 3)]
 
     def test_key_of_another_width_is_a_bug(self):
         idx = OvIndex()
@@ -312,7 +321,7 @@ class TestOvIndex:
         assert idx.insert(key_rows([0], 0), 0) == 0
         assert idx.lookup(0, 0, c) == 0
         assert c.bit_comparisons == 0  # a 0-bit key matches without a bit examined
-        assert list(idx.hex_items()) == [("0", 0)]
+        assert hex_items(idx) == [("0", 0)]
         idx.extend_all(np.array([True]))
         assert idx.lookup(1, 1, c) == 0 and idx.lookup(0, 1, c) == -1
         empty = OvIndex.from_sorted(key_rows([], 5), 5)
