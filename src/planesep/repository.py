@@ -7,15 +7,14 @@ family, one entry per stored value, and the sign-vector index, a hash
 table on the vectors' leading bits.  Membership of a candidate value is
 exact: compute its sign vector (q*n multiply-adds), probe the index's
 one slot for it, and, on a quadrant hit, compare the stored value.
-Point ids follow the dictionary order of the sign vectors after a build
-or a load, and values inserted later take the next ids.
+Point ids are the only order of the store: a build keeps the ids its
+stream gave the points, ``save`` writes entry i for point id i, ``load``
+numbers entry i as point id i, and values inserted later take the next
+ids.
 
-Build and insert need exclusive access; queries are read-only and take a
-caller-owned counter accumulator, so concurrent readers never contend.
-The first read of the entries after an insert (``save``, say) sorts the
-new points into the index's cached key order; it replaces the cache in
-one assignment with an order computed from the unchanged keys, so a read
-beside other readers stays safe.
+Build and insert need exclusive access; queries, ``save`` and the
+entries are read-only, and a query takes a caller-owned counter
+accumulator, so concurrent readers never contend.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -35,7 +35,6 @@ from .config import RunConfig
 from .counters import OpCounters
 from .errors import (
     DigitOverflowError,
-    DuplicatePointError,
     NotADigitPointError,
     RepositoryFormatError,
 )
@@ -184,13 +183,10 @@ class Repository:
         return self.state.counters
 
     def entries(self):
-        """(value, point, sign vector) triples in dictionary order of the index."""
-        for packed, pid in self.state.index.items():
-            yield (
-                self.values[pid],
-                self.state.points[pid].copy(),
-                OrientationVector(self.state.q, packed),
-            )
+        """(value, point, sign vector) triples by point id."""
+        state = self.state
+        for pid, packed in enumerate(state.index.items()):
+            yield self.values[pid], state.points[pid].copy(), OrientationVector(state.q, packed)
 
     def _register_new_points(self) -> None:
         """Record the value of every point the state gained since the last call."""
@@ -209,10 +205,9 @@ class Repository:
 def build(values, n: int, seed: int, *, base: int = 10) -> Repository:
     """Map values to base-``base`` digit points, separate them, and index the result."""
     mapping = IntegerMapping(n=n, base=base)
-    vals = [int(v) for v in values]
-    if len(set(vals)) != len(vals):
-        raise DuplicatePointError("input values are not pairwise distinct")
-    state = separator.run(map_to_points(vals, mapping), n, seed)
+    # values map one-to-one to digit points, so run rejects a repeated
+    # value as a repeated point, with DuplicatePointError
+    state = separator.run(map_to_points(values, mapping), n, seed)
     repo = Repository(mapping, state, [], seed, (n,))
     repo._register_new_points()
     return repo
@@ -345,10 +340,8 @@ def save(repo: Repository, sink) -> None:
     for j in range(state.q):
         coeffs = " ".join(map(repr, state._alpha_buf[j].tolist()))
         w(f"plane {1 if state._saturated[j] else 0} {coeffs}\n")
-    values = repo.values
-    for keys, ids in state.index.hex_blocks():
-        for key, pid in zip(keys, ids):
-            w(f"entry {values[pid]} {key}\n")
+    for v, key in zip(repo.values, chain.from_iterable(state.index.hex_blocks())):
+        w(f"entry {v} {key}\n")
     w("end\n")
 
 
@@ -407,21 +400,24 @@ def _is_key(key: str, q: int) -> bool:
     return True
 
 
-def _entry_rows(lines: list[str], q: int) -> tuple[np.ndarray, int]:
+def _entry_rows(lines: list[str], q: int) -> np.ndarray:
     """The rows of the entry lines' hex keys up to the first that is not a
-    q-bit key or does not rise above the key before it, and how many keys
-    that is.  Each key is cut from its line as it is read, so the keys'
+    q-bit key.  Each key is cut from its line as it is read, so the keys'
     text is never held whole."""
     def keys():
         return (line.rsplit(None, 1)[1] for line in lines)
 
     try:
-        rows = separator.hex_rows(keys(), q)
+        return separator.hex_rows(keys(), q)
     except ValueError:
         bad = next(i for i, key in enumerate(keys()) if not _is_key(key, q))
         return _entry_rows(lines[:bad], q)
-    good = separator.rows_in_order(rows)
-    return rows[:good], good
+
+
+def _first_repeat(values: list[int]) -> int:
+    """The index of the first value that an earlier one repeats, which exists."""
+    first: dict[int, int] = {}
+    return next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
 def _reject_entry_line(rd: _LineReader, capacity: int, q: int) -> NoReturn:
@@ -438,19 +434,20 @@ def _reject_entry_line(rd: _LineReader, capacity: int, q: int) -> NoReturn:
         raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
     if packed >= 1 << q:
         raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
-    if not _is_key(parts[2], q):  # int() also reads spellings such as 0x1f
-        raise RepositoryFormatError("bad packed sign vector", line=rd.pos)
-    # every other check passed, so the key is not above the one before it
-    raise RepositoryFormatError("entries not in strict dictionary order", line=rd.pos)
+    # every other check passed, so the key is not hex as save writes it:
+    # int() also reads spellings such as 0x1f
+    raise RepositoryFormatError("bad packed sign vector", line=rd.pos)
 
 
 def load(source) -> Repository:
     """Read a repository written by :func:`save`.
 
     The entry lines are parsed in one pass, and their keys' hex becomes the
-    index's rows in another, a block of keys at a time.  Every malformed
-    line, one with more fields than :func:`save` writes among them, raises
-    :class:`RepositoryFormatError` with its line number, and so does input
+    index's rows in another, a block of keys at a time; entry i is point
+    id i, and the entries may come in any order.  Every malformed line,
+    one with more fields than :func:`save` writes among them, raises
+    :class:`RepositoryFormatError` with its line number, and so does an
+    entry that repeats an earlier entry's sign vector or value, and input
     that is not UTF-8 text, without one.
     """
     if isinstance(source, (str, Path)):
@@ -561,18 +558,25 @@ def load(source) -> Repository:
             values.append(v)
     except ValueError:
         pass
-    rows, good = _entry_rows(rd.lines[first:first + len(values)], q)
-    rd.pos = first + good
-    if good < count:
+    rows = _entry_rows(rd.lines[first:first + len(values)], q)
+    rd.pos = first + len(rows)
+    if len(rows) < count:
         _reject_entry_line(rd, capacity, q)
     rd.next("end", 1)
     del rd  # the lines are freed before the index builds its slots
-    # entries arrive in strict dictionary order, so point id i is entry i
-    # and the index is the key list as read; an empty store keeps the
-    # default point buffer, which later inserts grow by doubling
+    # point id i is entry i; an empty store keeps the default point
+    # buffer, which later inserts grow by doubling
     if count:
         state._pts_buf = _digit_rows(values, mapping)
         state.count = count
-    state.index = separator.OvIndex.from_sorted(rows, q)
+    state.index = separator.OvIndex.from_rows(rows, q)
     state.counters = counters
-    return Repository(mapping, state, values, seed, dims_history)
+    # a repeated key or value would serve one of its entries and hide the other
+    repeat = state.index.first_repeat()
+    if repeat >= 0:
+        raise RepositoryFormatError("repeated packed sign vector", line=first + repeat + 1)
+    repo = Repository(mapping, state, values, seed, dims_history)
+    if len(repo.value_ids) < count:
+        repeat = _first_repeat(values)
+        raise RepositoryFormatError(f"repeated value {values[repeat]}", line=first + repeat + 1)
+    return repo

@@ -11,10 +11,7 @@ every stored sign vector gains one trailing bit.  Existing bits are
 never rewritten, which is what makes later insertion resume-free.
 
 The state is single-owner and mutated sequentially; once finalized it is
-safe for concurrent readers.  A read of the index's key order may fill
-its cache, but it replaces one attribute in one assignment with a value
-computed from the unchanged keys, so concurrent readers compute and see
-the same order.
+safe for concurrent readers, since a read writes nothing.
 """
 
 from __future__ import annotations
@@ -110,19 +107,6 @@ def hex_rows(keys: Iterable[str], q: int) -> np.ndarray:
     return _shift_up(right, pad)
 
 
-def rows_in_order(rows: np.ndarray) -> int:
-    """How many key rows, from the first, rise strictly in dictionary order."""
-    keys = _byte_keys(rows)
-    falls = np.flatnonzero(keys[1:] <= keys[:-1])
-    return int(falls[0]) + 1 if len(falls) else len(rows)
-
-
-def _byte_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row's big-endian bytes as one numpy bytes item: their order is
-    the keys' dictionary order."""
-    return rows.astype(">u8").view(f"S{8 * rows.shape[1]}").ravel()
-
-
 def _pack_keys(r: np.ndarray, epsilon: float) -> np.ndarray:
     """The keys of points with residuals ``r``, (B, q), as packed bytes: each
     point's positive-side bits, first plane first, padded to 8W bytes.
@@ -177,39 +161,30 @@ class OvIndex:
     examined, up to and including the first differing bit (all q on a
     match).  :meth:`lookup` probes for one int key and :meth:`lookup_many`
     for a window of rows; :meth:`append` stores one int key and
-    :meth:`insert` a block of rows.
-
-    :meth:`items` gives the keys in dictionary order, as ``save`` writes
-    them, from a cached array of point ids in key order.  Dictionary order
-    is the order of the rows' big-endian bytes, which one stable argsort
-    finds; storing a point does not touch the cache: the first read after
-    new ids were stored sorts them in, and the ids already in order form
-    one run, which the sort merges.  Appending a plane keeps the distinct
-    keys in the same order, so a plane leaves the cache valid.
+    :meth:`insert` a block of rows.  :meth:`items` and :meth:`hex_blocks`
+    read the keys by point id, the only order the index has.
     """
 
     __slots__ = ("_rows", "_width", "_q", "_bits", "_pad", "_shifts", "_prefix", "_spread",
-                 "_slots", "_next", "_order")
+                 "_slots", "_next")
 
     def __init__(self):
-        self._hold_sorted(np.zeros((0, 1), np.uint64), 0)
+        self._hold(np.zeros((0, 1), np.uint64), 0)
 
     @classmethod
-    def from_sorted(cls, rows: np.ndarray, q: int) -> "OvIndex":
-        """Index over the rows of strictly increasing q-bit keys, row i
-        belonging to point id i."""
+    def from_rows(cls, rows: np.ndarray, q: int) -> "OvIndex":
+        """Index over the rows of q-bit keys, row i belonging to point id i.
+        The keys must be distinct: :meth:`first_repeat` tells."""
         index = cls()
-        index._hold_sorted(rows, q)
+        index._hold(rows, q)
         return index
 
-    def _hold_sorted(self, rows: np.ndarray, q: int) -> None:
-        """Hold strictly increasing q-bit key rows, row i belonging to point id i."""
+    def _hold(self, rows: np.ndarray, q: int) -> None:
+        """Hold q-bit key rows, row i belonging to point id i."""
         self._rows = _words(rows)
         self._width = rows.shape[1]
         self._q = q
         self._rehash()
-        # the first len(_order) ids in dictionary order of their keys
-        self._order = np.arange(len(rows))
 
     def __len__(self) -> int:
         return len(self._rows) // self._width
@@ -412,7 +387,7 @@ class OvIndex:
         if q != self._q:
             if len(self):
                 raise AssertionError(f"{q}-bit keys inserted among {self._q}-bit keys")
-            self._hold_sorted(np.zeros((0, _width(q)), np.uint64), q)
+            self._hold(np.zeros((0, _width(q)), np.uint64), q)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key, bit_by_id[i] to point i's."""
@@ -426,49 +401,40 @@ class OvIndex:
         if self._q >= 2 * self._bits:
             self._rehash()
 
-    def _sorted_ids(self) -> np.ndarray:
-        """The point ids in dictionary order of their keys.
-
-        The ids stored since the order was last computed are sorted in
-        with it, by one stable argsort of the rows' big-endian bytes; the
-        ids already in order form one run, which the sort merges, so after
-        a few inserts the sort is about one pass over the keys.
-        """
-        order = self._order
-        if len(order) < len(self):
-            ids = np.concatenate([order, np.arange(len(order), len(self))])
-            order = ids[np.argsort(_byte_keys(self._view()[ids]), kind="stable")]
-            self._order = order
-        return order
+    def first_repeat(self) -> int:
+        """The first point id whose key an earlier id holds, or -1 when the
+        keys are distinct.  Equal keys share a slot, so only the ids on a
+        chain of more than one are sorted by key, and neighbours compared."""
+        nxt = np.frombuffer(self._next, np.int32)
+        linked = nxt >= 0
+        on_chain = linked.copy()
+        on_chain[nxt[linked]] = True
+        ids = np.flatnonzero(on_chain)
+        rows = self._view()[ids]
+        order = np.lexsort(rows.T[::-1])  # stable: equal keys keep their ids rising
+        same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+        return int(ids[order[1:][same]].min()) if same.any() else -1
 
     def hex_blocks(self):
         """The packed sign vectors in hex without leading zeros, as ``save``
-        writes them, and their point ids, in dictionary order: one pair of
-        lists for each ``_HEX_BLOCK`` keys, each from one hex conversion of
-        the block's right-aligned rows, so the text of all the keys is never
-        held at once."""
-        order = self._sorted_ids()
+        writes them, by point id: one list for each ``_HEX_BLOCK`` keys,
+        each from one hex conversion of the block's right-aligned rows, so
+        the text of all the keys is never held at once."""
         width = self._width
-        for start in range(0, len(order), _HEX_BLOCK):
-            ids = order[start:start + _HEX_BLOCK]
-            rows = _shift_down(self._view()[ids], 64 * width - self._q)
+        for start in range(0, len(self), _HEX_BLOCK):
+            # a copy, since the shift is in place and a slice is a view of the keys
+            rows = _shift_down(self._view()[start:start + _HEX_BLOCK].copy(),
+                               64 * width - self._q)
             text = rows.astype(">u8").tobytes().hex(" ", 8 * width)
             keys = list(map(str.lstrip, text.split(), repeat("0")))
-            if not keys[0]:
-                keys[0] = "0"  # the key 0, which sorts first
-            yield keys, ids.tolist()
+            if "" in keys:  # the key 0; keys are distinct, so there is one at most
+                keys[keys.index("")] = "0"
+            yield keys
 
     def items(self):
-        """(packed sign vector, point id) pairs in dictionary order."""
-        for keys, ids in self.hex_blocks():
-            yield from zip(map(int, keys, repeat(16)), ids)
-
-    def renumber(self) -> np.ndarray:
-        """Give point id i to the i-th key in dictionary order, as
-        :meth:`from_sorted` numbers them, and return each point's old id."""
-        order = self._sorted_ids()
-        self._hold_sorted(self._view()[order], self._q)
-        return order
+        """The packed sign vectors as ints, by point id."""
+        for keys in self.hex_blocks():
+            yield from map(int, keys, repeat(16))
 
 
 @dataclass
@@ -579,10 +545,7 @@ class SeparationState:
 
         An O(N) copy out of the index, for tests and inspection only.
         """
-        out = [0] * self.count
-        for key, pid in self.index.items():
-            out[pid] = key
-        return out
+        return list(self.index.items())
 
     # -- mutation helpers ---------------------------------------------------
 
@@ -1123,8 +1086,7 @@ def finalize(state: SeparationState) -> SeparationState:
     """Flush pending chains with planes through however many midpoints remain.
 
     Each emission may leave re-homed chains behind, so planes are emitted
-    until none is pending.  The index's key order is left to its next
-    read, which sorts the points stored since the last one in.
+    until none is pending.
     """
     while state.chains:
         emit_plane(state)
@@ -1147,8 +1109,7 @@ def stream_points(state: SeparationState, pts) -> None:
     Recycled points rejoin the queue after the next plane emission; if the
     queue drains while recycled points wait, one plane is forced through
     the pending midpoints to open fresh quadrants.  Pending chains may
-    remain afterwards; call :func:`finalize` to flush them.  The index's
-    key order is not kept up to date here: see :meth:`OvIndex.items`.
+    remain afterwards; call :func:`finalize` to flush them.
     """
     pts = state._check_block(pts)
     start = 0
@@ -1195,8 +1156,9 @@ def run(points, n: int, seed) -> SeparationState:
     """Shuffle, seed, stream every point, and flush: the full build driver.
 
     Returns a state in which every input point is stored under a unique
-    sign vector, point id i holding the i-th in dictionary order, as
-    :func:`planesep.repository.load` numbers them.
+    sign vector, with the ids the stream gave the points.  Its slots are
+    rebuilt at the end, at all q bits for the final N, so they are the
+    slots :func:`planesep.repository.load` builds for the same keys.
     """
     pts = _check_points(points, n)
     rng = np.random.default_rng(seed)
@@ -1209,6 +1171,5 @@ def run(points, n: int, seed) -> SeparationState:
     finalize(state)
     if state.count != pts.shape[0]:
         raise AssertionError("driver lost points; this is a bug")
-    if state.count:  # an empty state keeps its point buffer, as load leaves it
-        state._pts_buf = state.points[state.index.renumber()]
+    state.index._rehash()
     return state

@@ -3,6 +3,7 @@
 import copy
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestBuild:
     def test_25_primes(self):
         repo = build(primes_below(100), 2, 0)
         assert repo.count == 25
-        assert len({packed for packed, _ in repo.state.index.items()}) == 25
+        assert len(set(repo.state.index.items())) == 25
         verdict = oracle.verify_separation(
             repo.state.points, repo.state.plane_matrix, 1e-9
         )
@@ -156,9 +157,9 @@ class TestBuild:
     def test_entries_expose_value_point_address_triples(self):
         repo = build([2, 3, 5, 7, 11, 13], 2, 1)
         rows = list(repo.entries())
-        assert sorted(v for v, _, _ in rows) == [2, 3, 5, 7, 11, 13]
-        addresses = [ov.bits for _, _, ov in rows]
-        assert addresses == sorted(addresses)  # dictionary order
+        assert [v for v, _, _ in rows] == repo.values  # by point id
+        assert sorted(repo.values) == [2, 3, 5, 7, 11, 13]
+        assert [ov.bits for _, _, ov in rows] == repo.state.packed
         for v, point, ov in rows:
             assert point_to_integer(point, repo.mapping) == v
             assert len(ov) == repo.q
@@ -499,13 +500,36 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError):
             load(io.StringIO(hacked))
 
-    def test_entries_out_of_order_rejected(self):
-        text = saved_text(build([2, 3, 5, 7], 2, 0))
-        lines = text.splitlines(keepends=True)
-        first = next(i for i, l in enumerate(lines) if l.startswith("entry"))
-        lines[first], lines[first + 1] = lines[first + 1], lines[first]
-        with pytest.raises(RepositoryFormatError, match="order"):
-            load(io.StringIO("".join(lines)))
+    def test_entries_in_any_order_load_to_the_same_answers(self):
+        # entry i becomes point id i, whatever the order of the keys
+        repo = build(primes_below(1000), 3, 0)
+        lines = saved_text(repo).splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("entry "))
+        entries = lines[first:-1]
+        shuffled = [entries[i] for i in np.random.default_rng(5).permutation(len(entries))]
+        text = "".join(lines[:first] + shuffled + lines[-1:])
+        loaded = load(io.StringIO(text))
+        assert loaded.values == [int(line.split()[1]) for line in shuffled]
+        assert saved_text(loaded) == text
+        prime = oracle.sieve(1000).is_prime
+        built_c, loaded_c = OpCounters(), OpCounters()
+        for v in range(1000):
+            assert query(loaded, v, loaded_c).found == query(repo, v, built_c).found == prime[v]
+        assert loaded_c.multiplications == built_c.multiplications
+
+    def test_a_file_of_the_key_ordered_format_loads(self):
+        # written when save listed the entries in dictionary order of their
+        # keys (the primes below 100 at n = 2, seed 13); load numbers them
+        # in that order, so saving the store again gives the same bytes
+        path = Path(__file__).parent / "data" / "primes-below-100-n2-seed13.v1.txt"
+        text = path.read_text(encoding="utf-8")
+        entries = [line.split() for line in text.splitlines() if line.startswith("entry ")]
+        keys = [int(key, 16) for _, _, key in entries]
+        assert keys == sorted(keys) and len(entries) == 25
+        repo = load(path)
+        prime = oracle.sieve(100).is_prime
+        assert [query(repo, v).found for v in range(100)] == prime[:100].tolist()
+        assert saved_text(repo) == text
 
     def test_offers_line_disagreeing_with_counters_rejected(self):
         text = saved_text(build(primes_below(100), 2, 13))
@@ -600,29 +624,34 @@ class TestPersistence:
 
     @pytest.mark.parametrize("line, text, message", [
         (22, "", "blank line"),
-        (22, "entries 5 7", "expected 'entry', found 'entries'"),
-        (22, "entry 5", "bad packed sign vector"),
-        (22, "entry 5 7 junk", "extra fields ['junk'] on 'entry' line"),
-        (22, "entry 5.0 7", "bad integer field: ['entry', '5.0', '7']"),
-        (22, "entry 5 7g", "bad packed sign vector"),
-        (22, "entry 5 0x7", "bad packed sign vector"),
-        (22, "entry 5 " + "0" * 16 + "7", "bad packed sign vector"),
-        (22, "entry 100 7", "value 100 out of range"),
-        (22, "entry -5 7", "value -5 out of range"),
-        (22, "entry 5 20", "sign vector wider than q"),
-        (22, "entry 5 5", "entries not in strict dictionary order"),
+        (22, "entries 17 2", "expected 'entry', found 'entries'"),
+        (22, "entry 17", "bad packed sign vector"),
+        (22, "entry 17 2 junk", "extra fields ['junk'] on 'entry' line"),
+        (22, "entry 17.0 2", "bad integer field: ['entry', '17.0', '2']"),
+        (22, "entry 17 2g", "bad packed sign vector"),
+        (22, "entry 17 0x2", "bad packed sign vector"),
+        (22, "entry 17 " + "0" * 16 + "2", "bad packed sign vector"),
+        (22, "entry 100 2", "value 100 out of range"),
+        (22, "entry -5 2", "value -5 out of range"),
+        (22, "entry 17 20", "sign vector wider than q"),
+        (22, "entry 17 7", "repeated packed sign vector"),
+        (22, "entry 5 2", "repeated value 5"),
         (23, None, "unexpected end of file"),
         (28, "end junk", "extra fields ['junk'] on 'end' line"),
     ], ids=["blank", "wrong-tag", "missing-key", "extra-field", "non-integer-value",
             "non-hex-key", "key-spelled-0x", "key-of-more-digits-than-a-row",
             "value-at-capacity", "negative-value", "key-of-q-plus-one-bits",
-            "repeated-key", "cut-inside-entries", "extra-field-on-end"])
+            "repeated-key", "repeated-value", "cut-inside-entries", "extra-field-on-end"])
     def test_malformed_entry_line_rejected_with_its_line(self, line, text, message):
-        # entries are lines 19-27 (q = 5 planes, keys 0 2 5 7 a e f 1e 1f),
-        # so line 22 holds key 7 after key 5; None cuts the file after line 22
+        # entries are lines 19-27 (q = 5 planes) by point id, so line 22
+        # holds the fourth point, value 17 at key 2, after value 5 at key 7;
+        # a repeat is named on its later line.  None cuts the file after
+        # line 22.  A repeated value loaded before: the store counted it
+        # twice, answered the value it hid absent, and took it again on insert
         repo = build(primes_below(24), 2, 0)
         lines = saved_text(repo).splitlines(keepends=True)
-        assert repo.q == 5 and lines[21] == "entry 5 7\n" and lines[27] == "end\n"
+        assert repo.q == 5 and lines[20:22] == ["entry 5 7\n", "entry 17 2\n"]
+        assert lines[27] == "end\n"
         if text is None:
             del lines[line - 1:]
         else:
@@ -632,22 +661,20 @@ class TestPersistence:
             load(io.StringIO("".join(lines)))
 
     def test_load_restores_the_saved_state(self):
-        # a store built, inserted into and grown; load numbers its points
-        # in index order, so the original is compared through that order
+        # a store built, inserted into and grown; load keeps its point ids
         primes = primes_below(10**4)
         held = set(np.random.default_rng(0).choice(primes, 500, replace=False).tolist())
         repo = build([p for p in primes if p not in held], 4, 0)
         insert(repo, sorted(held))
         grow_dimension(repo, 5)
-        loaded = load(io.StringIO(saved_text(repo)))
+        text = saved_text(repo)
+        loaded = load(io.StringIO(text))
         again = load(io.StringIO(saved_text(loaded)))
-        order = [pid for _, pid in repo.state.index.items()]
-        assert loaded.values == [repo.values[pid] for pid in order]
-        assert loaded.value_ids == {v: i for i, v in enumerate(loaded.values)}
-        assert np.array_equal(loaded.state.points, repo.state.points[order])
-        assert list(loaded.state.index.items()) == [
-            (key, i) for i, (key, _) in enumerate(repo.state.index.items())
-        ]
+        assert loaded.values == repo.values
+        assert loaded.value_ids == repo.value_ids
+        assert np.array_equal(loaded.state.points, repo.state.points)
+        assert list(loaded.state.index.items()) == list(repo.state.index.items())
+        assert saved_text(loaded) == text
         for a, b in ((repo, loaded), (loaded, again)):
             assert b.q == a.q and b.state.q0 == a.state.q0 and b.count == a.count
             assert b.state._saturated == a.state._saturated
@@ -662,11 +689,11 @@ class TestPersistence:
         assert list(again.state.index.items()) == list(loaded.state.index.items())
 
     def test_a_built_store_is_numbered_as_load_numbers_it(self):
-        # build renumbers its points into dictionary order, so point id i
-        # holds the i-th entry, exactly as after load
+        # save writes point id i as entry i and load reads it back as id i;
+        # build rebuilds its slots at the end as load builds them, so the
+        # two stores walk the same chains
         repo = build(primes_below(10**4), 4, 0)
         loaded = load(io.StringIO(saved_text(repo)))
-        assert [pid for _, pid in repo.state.index.items()] == list(range(repo.count))
         assert repo.values == loaded.values
         assert np.array_equal(repo.state.points, loaded.state.points)
         assert list(repo.state.index.items()) == list(loaded.state.index.items())
@@ -687,8 +714,7 @@ class TestPersistence:
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"
         save(repo, path)
-        # entry order in the file is dictionary order, not insertion order
-        assert sorted(load(path).values) == sorted(repo.values)
+        assert load(path).values == repo.values
 
     def test_counters_survive_round_trip(self):
         repo = build(primes_below(100), 2, 13)

@@ -1,10 +1,7 @@
 """The incremental separation algorithm: chains, emissions, invariants."""
 
-import bisect
 import copy
 import random
-import sys
-import threading
 from collections import deque
 
 import numpy as np
@@ -85,13 +82,12 @@ class TestCmpBits:
         assert _cmp_bits(0b1010, 0b1011, 4) == 4
 
 
-class TwoListIndex:
-    """The reference for :class:`OvIndex`: q-bit keys in one sorted list
-    and point ids in another, every key rebuilt on each new plane, and a
-    binary search for every lookup and insert.
+class ListIndex:
+    """The reference for :class:`OvIndex`: q-bit keys in a list by point id
+    and a dict from key to point id, every key rebuilt on each new plane.
 
-    Beside them it keeps each key by point id and the bucketing OvIndex
-    documents, which :meth:`replay_bits` reads: a key's top P bits pick
+    Beside them it keeps the bucketing OvIndex documents, which
+    :meth:`replay_bits` reads: a key's top P bits pick
     one of S = 2**b slots, the top b bits of the sum of the prefix's
     64-bit words (the last one filled with zeros), word i of k times
     FIB**(k - i), modulo 2**64.  The slots are rebuilt with P = q and S
@@ -103,14 +99,15 @@ class TwoListIndex:
     FIB = 0x9E3779B97F4A7C15
 
     def __init__(self):
-        self.keys, self.ids, self.by_id = [], [], []
+        self.by_id, self.ids = [], {}
         self.q = 0
         self.rebuild()
 
     @classmethod
-    def from_sorted(cls, keys, q):
+    def from_rows(cls, keys, q):
         index = cls()
-        index.keys, index.ids, index.by_id = list(keys), list(range(len(keys))), list(keys)
+        index.by_id = list(keys)
+        index.ids = {key: pid for pid, key in enumerate(keys)}
         index.q = q
         index.rebuild()
         return index
@@ -129,21 +126,17 @@ class TwoListIndex:
         return h % 2**64 >> (64 - self.slots.bit_length() + 1)
 
     def lookup(self, packed):
-        pos = bisect.bisect_left(self.keys, packed)
-        return self.ids[pos] if self.keys[pos:pos + 1] == [packed] else -1
+        return self.ids.get(packed, -1)
 
     def insert(self, packed, q):
         if q != self.q:
-            if self.keys:
+            if self.by_id:
                 raise AssertionError("key of another width")
             self.q = q
             self.rebuild()
-        pos = bisect.bisect_left(self.keys, packed)
-        if self.keys[pos:pos + 1] == [packed]:
+        if packed in self.ids:
             raise AssertionError("duplicate sign vector in index")
-        pid = len(self.by_id)
-        self.keys.insert(pos, packed)
-        self.ids.insert(pos, pid)
+        pid = self.ids[packed] = len(self.by_id)
         self.by_id.append(packed)
         if 2 * len(self.by_id) >= self.slots:
             self.rebuild()
@@ -151,13 +144,13 @@ class TwoListIndex:
 
     def extend_all(self, bit_by_id):
         self.by_id = [(k << 1) | b for k, b in zip(self.by_id, bit_by_id.tolist())]
-        self.keys = [self.by_id[i] for i in self.ids]
+        self.ids = {key: pid for pid, key in enumerate(self.by_id)}
         self.q += 1
         if self.q >= 2 * self.p:
             self.rebuild()
 
     def items(self):
-        return list(zip(self.keys, self.ids))
+        return list(self.by_id)
 
     def replay_bits(self, packed):
         """The bits OvIndex tallies probing for ``packed``: the stored keys
@@ -178,9 +171,9 @@ def key_rows(keys, q):
     return separator.hex_rows([format(key, "x") for key in keys], q)
 
 
-def hex_items(index):
-    """(hex key, point id) pairs, as save writes them, in dictionary order."""
-    return [item for keys, ids in index.hex_blocks() for item in zip(keys, ids)]
+def hex_keys(index):
+    """The hex keys, as save writes them, by point id."""
+    return [key for keys in index.hex_blocks() for key in keys]
 
 
 def lookup_both(new, ref, key):
@@ -244,10 +237,10 @@ class TestOvIndex:
         assert idx.lookup(0b111, 3, c) == 2
         assert idx.lookup(0b001, 3, c) == 1
         assert idx.lookup(0b101, 3, c) == -1
-        assert [pid for _, pid in idx.items()] == [1, 3, 0, 2]
+        assert list(idx.items()) == [0b100, 0b001, 0b111, 0b010]
 
     def test_a_hit_examines_all_q_bits(self):
-        idx = OvIndex.from_sorted(key_rows([0b1011], 4), 4)
+        idx = OvIndex.from_rows(key_rows([0b1011], 4), 4)
         c = OpCounters()
         assert idx.lookup(0b1011, 4, c) == 0
         assert c.bit_comparisons == 4
@@ -255,10 +248,10 @@ class TestOvIndex:
     def test_tally_replays_the_bucket_walk(self):
         """Keys stored between rebuilds share slots with keys of the same
         prefix and with keys whose prefixes hash alike; every lookup
-        tallies exactly the walk :meth:`TwoListIndex.replay_bits` replays,
+        tallies exactly the walk :meth:`ListIndex.replay_bits` replays,
         through the rebuilds as q and N double."""
         rnd = random.Random(3)
-        new, ref = OvIndex.from_sorted(key_rows([], 4), 4), TwoListIndex.from_sorted([], 4)
+        new, ref = OvIndex.from_rows(key_rows([], 4), 4), ListIndex.from_rows([], 4)
         walked = 0
         for _ in range(30):
             for _ in range(12):
@@ -276,11 +269,11 @@ class TestOvIndex:
         # keys at once, so the two tally different chains
         q = 10
         rng = np.random.default_rng(4)
-        keys = sorted(int(k) for k in rng.choice(1 << q, size=200, replace=False))
+        keys = [int(k) for k in rng.choice(1 << q, size=200, replace=False)]
         inserted = OvIndex()
         for key in keys:
             inserted.insert(key_rows([key], q), q)
-        bulk = OvIndex.from_sorted(key_rows(keys, q), q)
+        bulk = OvIndex.from_rows(key_rows(keys, q), q)
         assert list(bulk.items()) == list(inserted.items())
         for probe in range(1 << q):
             assert bulk.lookup(probe, q, OpCounters()) == inserted.lookup(probe, q, OpCounters())
@@ -289,24 +282,27 @@ class TestOvIndex:
         idx = OvIndex()
         for key in [5, 1, 7, 3]:
             idx.insert(key_rows([key], 3), 3)
-        keys = [k for k, _ in idx.items()]
-        assert keys == sorted(keys)
         bits = np.array([1, 0, 1, 0], dtype=bool)
         idx.extend_all(bits)
-        keys2 = [k for k, _ in idx.items()]
-        assert keys2 == sorted(keys2)
-        assert keys2 == [(k << 1) | int(bits[i]) for k, i in zip(keys, [1, 3, 0, 2])]
+        keys = list(idx.items())
+        assert keys == [0b1011, 0b0010, 0b1111, 0b0110]  # each key gains its point's bit
+        assert sorted(range(4), key=keys.__getitem__) == [1, 3, 0, 2]  # as [5, 1, 7, 3] sort
 
-    def test_renumber_numbers_points_in_dictionary_order(self):
+    def test_keys_are_read_by_point_id(self):
+        # the key 0 stored after others, and more keys than one hex block holds
         idx = OvIndex()
-        idx.insert(key_rows([5, 1, 7, 3], 3), 3)
-        idx.extend_all(np.array([1, 0, 1, 0], dtype=bool))
-        assert idx.renumber().tolist() == [1, 3, 0, 2]
-        assert list(idx.items()) == [(2, 0), (6, 1), (11, 2), (15, 3)]
-        assert [idx.lookup(k, 4, OpCounters()) for k in (2, 6, 11, 15)] == [0, 1, 2, 3]
-        assert idx.insert(key_rows([4], 4), 4) == 4
-        assert [pid for _, pid in idx.items()] == [0, 4, 1, 2, 3]
-        assert hex_items(idx) == [("2", 0), ("4", 4), ("6", 1), ("b", 2), ("f", 3)]
+        idx.insert(key_rows([5, 0, 3], 3), 3)
+        assert hex_keys(idx) == ["5", "0", "3"] and list(idx.items()) == [5, 0, 3]
+        keys = list(range(separator._HEX_BLOCK + 5, 0, -1))
+        idx = OvIndex.from_rows(key_rows(keys, 14), 14)
+        assert list(idx.items()) == keys
+        assert hex_keys(idx) == [format(key, "x") for key in keys]
+
+    def test_first_repeat_names_the_later_of_two_equal_keys(self):
+        keys = [9, 4, 7, 12, 4, 1, 7]
+        assert OvIndex.from_rows(key_rows(keys, 70), 70).first_repeat() == 4
+        assert OvIndex.from_rows(key_rows(keys[:4], 70), 70).first_repeat() == -1
+        assert OvIndex.from_rows(key_rows([], 3), 3).first_repeat() == -1
 
     def test_key_of_another_width_is_a_bug(self):
         idx = OvIndex()
@@ -321,13 +317,13 @@ class TestOvIndex:
         assert idx.insert(key_rows([0], 0), 0) == 0
         assert idx.lookup(0, 0, c) == 0
         assert c.bit_comparisons == 0  # a 0-bit key matches without a bit examined
-        assert hex_items(idx) == [("0", 0)]
+        assert hex_keys(idx) == ["0"]
         idx.extend_all(np.array([True]))
         assert idx.lookup(1, 1, c) == 0 and idx.lookup(0, 1, c) == -1
-        empty = OvIndex.from_sorted(key_rows([], 5), 5)
+        empty = OvIndex.from_rows(key_rows([], 5), 5)
         assert empty.lookup(17, 5, c) == -1 and list(empty.items()) == []
         assert empty.insert(key_rows([3], 7), 7) == 0  # an empty index takes its first keys' width
-        assert list(empty.items()) == [(3, 0)]
+        assert list(empty.items()) == [3]
         assert empty.lookup(3, 7, c) == 0
 
     @pytest.mark.parametrize("q", [1, 63, 64, 65, 128, 129, 200])
@@ -337,9 +333,9 @@ class TestOvIndex:
         q = 3): both agree with each other and with the reference's."""
         rnd = random.Random(q)
         for p in sorted({q, q // 2 + 1}):
-            stored = sorted({rnd.getrandbits(p) for _ in range(40)})
-            new = OvIndex.from_sorted(key_rows(stored, p), p)
-            ref = TwoListIndex.from_sorted(stored, p)
+            stored = list({rnd.getrandbits(p) for _ in range(40)})
+            new = OvIndex.from_rows(key_rows(stored, p), p)
+            ref = ListIndex.from_rows(stored, p)
             while ref.q < q:
                 extend_both(new, ref, rnd)
             assert ref.p == p and ref.q == q
@@ -353,8 +349,8 @@ class TestOvIndex:
         each row's id and tally are those of looking the keys up one at a
         time, every miss stored before the next lookup."""
         rnd = random.Random(21)
-        start = sorted({rnd.getrandbits(50) for _ in range(300)})
-        new, ref = OvIndex.from_sorted(key_rows(start, 50), 50), TwoListIndex.from_sorted(start, 50)
+        start = list({rnd.getrandbits(50) for _ in range(300)})
+        new, ref = OvIndex.from_rows(key_rows(start, 50), 50), ListIndex.from_rows(start, 50)
         repeats = 0
         while ref.q < 140:
             while new.room < 3:
@@ -381,13 +377,13 @@ class TestOvIndex:
 class TestAlignedIndexAgainstTwoLists:
     """Random interleavings of inserts, lookups, plane appends and reads
     of the items: the same hit or miss ids, the replayed bit tallies and
-    the same items in the same order as the two-list reference, as keys
-    grow past 64 and 128 bits, gaining a word and re-bucketed on the way."""
+    the same keys by point id as the list reference, as keys grow past 64
+    and 128 bits, gaining a word and re-bucketed on the way."""
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_random_interleavings(self, seed):
         rnd = random.Random(seed)
-        new, ref = OvIndex(), TwoListIndex()
+        new, ref = OvIndex(), ListIndex()
         probe_both(new, ref, rnd, 2)  # the empty index at q = 0
         insert_both(new, ref, 0, 0)
         probe_both(new, ref, rnd, 2)
@@ -409,24 +405,23 @@ class TestAlignedIndexAgainstTwoLists:
     def test_items_place_keys_at_the_front_the_back_and_between(self):
         """Each width stores a key below every key, one above every key and
         one between, reading the items after each, from q = 27 to 62, so
-        each read sorts a new id in beside ids already in order, often
-        beside a key that differs from it in the last bit alone (the key
-        just below the lowest, when the lowest is odd).  The items are read
-        once more after the plane, every fifth width.  The first keys sit
-        far enough from 0 and 2**q that both edges stay free."""
+        new keys often differ from a stored key in the last bit alone (the
+        key just below the lowest, when the lowest is odd).  The items are
+        read once more after the plane, every fifth width.  The first keys
+        sit far enough from 0 and 2**q that both edges stay free."""
         rnd = random.Random(12)
-        new, ref = OvIndex(), TwoListIndex()
+        new, ref = OvIndex(), ListIndex()
         for key in [5 << 20, 9 << 20, 13 << 20]:
             insert_both(new, ref, key, 27)
         for q in range(27, 63):
-            lowest, highest = ref.keys[0], ref.keys[-1]
+            lowest, highest = min(ref.by_id), max(ref.by_id)
             middle = lowest
             while ref.lookup(middle) >= 0:
                 middle = rnd.randrange(lowest, highest)
             for key in (lowest - 1, highest + 1, middle):
                 insert_both(new, ref, key, q)
                 assert list(new.items()) == ref.items()
-            assert ref.keys[0] == lowest - 1 and ref.keys[-1] == highest + 1
+            assert min(ref.by_id) == lowest - 1 and max(ref.by_id) == highest + 1
             probe_both(new, ref, rnd, 4)
             extend_both(new, ref, rnd)
             if q % 5 == 0:
@@ -434,7 +429,7 @@ class TestAlignedIndexAgainstTwoLists:
         assert list(new.items()) == ref.items()
         # every key is held at all 63 of its bits, under its point id
         assert ref.q == 63 and len(new) == 3 + 3 * 36
-        assert all(new.lookup(key, 63, OpCounters()) == pid for key, pid in ref.items())
+        assert all(new.lookup(key, 63, OpCounters()) == pid for pid, key in enumerate(ref.items()))
 
     @pytest.mark.parametrize("q0", [64, 70])
     def test_tail_word_fills_between_slot_rebuilds(self, q0):
@@ -445,8 +440,8 @@ class TestAlignedIndexAgainstTwoLists:
         followed by an insert and lookups; the items are read only at the
         end, two planes after the rebuild."""
         rnd = random.Random(q0)
-        keys = sorted({rnd.getrandbits(q0) for _ in range(40)})
-        new, ref = OvIndex.from_sorted(key_rows(keys, q0), q0), TwoListIndex.from_sorted(keys, q0)
+        keys = list({rnd.getrandbits(q0) for _ in range(40)})
+        new, ref = OvIndex.from_rows(key_rows(keys, q0), q0), ListIndex.from_rows(keys, q0)
         full = 0
         while ref.q < 2 * q0 + 2:
             since = ref.p  # the key bits slotted at the last rebuild (or the load)
@@ -460,59 +455,11 @@ class TestAlignedIndexAgainstTwoLists:
         assert list(new.items()) == ref.items()
         assert full == 1 and len(new) < ref.slots // 2  # no insert rebuilt the slots
 
-    def test_order_is_sorted_in_after_an_insert_and_kept_by_a_plane(self):
-        """The items read, a key inserted between two stored keys, a plane
-        appended, and the items read again: the read after the plane sorts
-        the new id in and keeps every earlier key's place."""
-        rnd = random.Random(13)
-        keys = sorted({rnd.getrandbits(40) for _ in range(30)})
-        new, ref = OvIndex.from_sorted(key_rows(keys, 40), 40), TwoListIndex.from_sorted(keys, 40)
-        assert list(new.items()) == ref.items()
-        for _ in range(3):
-            key = rnd.randrange(ref.keys[0], ref.keys[-1])
-            if ref.lookup(key) < 0:
-                insert_both(new, ref, key, ref.q)
-            extend_both(new, ref, rnd)
-            assert list(new.items()) == ref.items()
-
-    def test_concurrent_reads_sort_the_order_in_alike(self):
-        """Readers that meet new ids each sort them in, replacing the order
-        in one assignment, so every reader gets the reference's items."""
-        rnd = random.Random(14)
-        keys = sorted({rnd.getrandbits(70) for _ in range(2000)})
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                new = OvIndex.from_sorted(key_rows(keys, 70), 70)
-                ref = TwoListIndex.from_sorted(keys, 70)
-                for _ in range(50):
-                    key = rnd.getrandbits(70)
-                    if ref.lookup(key) < 0:
-                        insert_both(new, ref, key, 70)
-                extend_both(new, ref, rnd)
-                start, out = threading.Barrier(4), []
-
-                def read():
-                    start.wait(timeout=10)
-                    out.append(list(new.items()))
-
-                threads = [threading.Thread(target=read) for _ in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                expected = ref.items()
-                assert len(out) == 4 and all(items == expected for items in out)
-        finally:
-            sys.setswitchinterval(interval)
-
     @pytest.mark.parametrize("q", [0, 64, 65])
     def test_bulk_load_then_grow(self, q):
         rnd = random.Random(q)
-        keys = [0] if q == 0 else sorted({rnd.getrandbits(q) for _ in range(60)})
-        new, ref = OvIndex.from_sorted(key_rows(keys, q), q), TwoListIndex.from_sorted(keys, q)
+        keys = [0] if q == 0 else list({rnd.getrandbits(q) for _ in range(60)})
+        new, ref = OvIndex.from_rows(key_rows(keys, q), q), ListIndex.from_rows(keys, q)
         assert list(new.items()) == ref.items()
         probe_both(new, ref, rnd, 20)
         for _ in range(3):
