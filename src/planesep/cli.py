@@ -12,7 +12,8 @@ wrong plotting dimension.  Commands let errors rise, and :func:`main`
 alone turns one into its exit code and one stderr line, so no failure
 exits 1, which reads as "absent".  Output files are written to a
 temporary sibling and renamed into place, so a failed command never
-leaves a partial file.
+leaves a partial file.  A new output file gets the mode ``open`` gives
+a new file, 0o666 less the umask, and a replaced file keeps its mode.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -159,12 +161,20 @@ def infer_dims(values: list[int], base: int) -> int:
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call ``write`` on a temporary sibling of ``path``, then rename it into place."""
+    """Call ``write`` on a temporary sibling of ``path``, then rename it into
+    place with the mode of the file it replaces, or of a new file."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")  # mode 0600
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 write(fh)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -26,7 +26,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -391,39 +390,15 @@ def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
     return value
 
 
-def _is_key(key: str, q: int) -> bool:
-    """Whether ``key`` is the hex of a q-bit key that fits its row."""
-    try:
-        separator.hex_rows([key], q)
-    except ValueError:
-        return False
-    return True
-
-
-def _entry_rows(lines: list[str], q: int) -> np.ndarray:
-    """The rows of the entry lines' hex keys up to the first that is not a
-    q-bit key.  Each key is cut from its line as it is read, so the keys'
-    text is never held whole."""
-    def keys():
-        return (line.rsplit(None, 1)[1] for line in lines)
-
-    try:
-        return separator.hex_rows(keys(), q)
-    except ValueError:
-        bad = next(i for i, key in enumerate(keys()) if not _is_key(key, q))
-        return _entry_rows(lines[:bad], q)
-
-
 def _first_repeat(values: list[int]) -> int:
     """The index of the first value that an earlier one repeats, which exists."""
     first: dict[int, int] = {}
     return next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
-def _reject_entry_line(rd: _LineReader, capacity: int, q: int) -> NoReturn:
-    """Raise the error for the entry line at ``rd.pos``, which failed a check
-    of :func:`load`'s entry loop: the line is read again one field at a
-    time, so each fault is named with its line number."""
+def _check_entry_line(rd: _LineReader, capacity: int, q: int) -> None:
+    """Read the entry line at ``rd.pos`` one field at a time, and raise for
+    its first fault with its line number; return when it has none."""
     parts = rd.next("entry", 3)
     v = _int_field(parts, 1, rd.pos)
     if not 0 <= v < capacity:
@@ -434,9 +409,11 @@ def _reject_entry_line(rd: _LineReader, capacity: int, q: int) -> NoReturn:
         raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
     if packed >= 1 << q:
         raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
-    # every other check passed, so the key is not hex as save writes it:
-    # int() also reads spellings such as 0x1f
-    raise RepositoryFormatError("bad packed sign vector", line=rd.pos)
+    try:
+        separator.hex_rows([parts[2]], q)
+    except ValueError as exc:
+        # int() also reads spellings save never writes, such as 0x1f
+        raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
 
 
 def load(source) -> Repository:
@@ -543,27 +520,34 @@ def load(source) -> Repository:
             raise RepositoryFormatError("non-finite plane coefficient", line=rd.pos)
         state._append_plane(np.array(alpha), parts[1] == "1")
 
-    # one pass over the entry lines, then one over their keys' hex; the
-    # first line that fails any check ends them, and _reject_entry_line
-    # reads that line again to say why
+    # one pass over the entry lines, then one over their keys' hex; when
+    # either fails, the lines are read again in order, one at a time, and
+    # the first faulty one raises
     values: list[int] = []
     capacity = mapping.capacity
     first = rd.pos
+    lines = rd.lines[first:first + count]
+    rows = None
     try:
-        for line in rd.lines[first:first + count]:
+        for line in lines:
             tag, value, _ = line.split()
             v = int(value)
             if tag != "entry" or not 0 <= v < capacity:
                 break
             values.append(v)
+        if len(values) == count:
+            # each key is cut from its line as it is read, so the keys'
+            # text is never held whole
+            rows = separator.hex_rows((line.rsplit(None, 1)[1] for line in lines), q)
     except ValueError:
         pass
-    rows = _entry_rows(rd.lines[first:first + len(values)], q)
-    rd.pos = first + len(rows)
-    if len(rows) < count:
-        _reject_entry_line(rd, capacity, q)
+    if rows is None:
+        for _ in range(count):
+            _check_entry_line(rd, capacity, q)
+        raise AssertionError("every entry line passed its check after the entries failed")
+    rd.pos = first + count
     rd.next("end", 1)
-    del rd  # the lines are freed before the index builds its slots
+    del rd, lines  # the lines are freed before the index builds its slots
     # point id i is entry i; an empty store keeps the default point
     # buffer, which later inserts grow by doubling
     if count:

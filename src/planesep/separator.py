@@ -160,9 +160,9 @@ class OvIndex:
     A probe walks one chain; each key it compares is tallied as the bits
     examined, up to and including the first differing bit (all q on a
     match).  :meth:`lookup` probes for one int key and :meth:`lookup_many`
-    for a window of rows; :meth:`append` stores one int key and
-    :meth:`insert` a block of rows.  :meth:`items` and :meth:`hex_blocks`
-    read the keys by point id, the only order the index has.
+    for a window of rows in distinct slots; :meth:`append` stores one int
+    key and :meth:`insert` rows in distinct slots.  :meth:`items` and
+    :meth:`hex_blocks` read the keys by point id, the only order it has.
     """
 
     __slots__ = ("_rows", "_width", "_q", "_bits", "_pad", "_shifts", "_prefix", "_spread",
@@ -268,25 +268,24 @@ class OvIndex:
         return -1
 
     def lookup_many(self, rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """The id each row's key finds, and the bits its probe examines, as
-        if the rows were looked up in turn with every miss stored before
-        the next lookup.
-
-        A miss finds -1, and a row repeating an earlier missed row finds
-        the id that row would be stored under: len(self) plus its rank
-        among the misses.  Every row is probed on the stored chains at
-        once; a row can meet an earlier row of the window only in its own
-        slot, so only rows that share a slot are walked in Python.
+        """The id each row of a window finds, -1 on a miss, and the bits its
+        probe examines.  The window is ``rows`` up to the first row whose
+        slot an earlier row holds, probed on the stored chains at once, and
+        ends sooner at the miss whose store rebuilds the slots.  Its rows
+        share no slot, so none meets another: each id and tally is that of
+        looking the rows up in turn with every miss stored before the next,
+        and the misses can be stored with one :meth:`insert`.
         """
         slots = self._slots_of(rows)
-        pids, bits = self._probe(rows, slots, q)
         order = np.argsort(slots, kind="stable")
         same = slots[order[1:]] == slots[order[:-1]]
-        if same.any():
-            shared = np.zeros(len(rows), bool)
-            shared[order[1:][same]] = shared[order[:-1][same]] = True
-            self._walk_window(rows, slots, np.flatnonzero(shared).tolist(), pids, bits, q)
-        return pids, bits
+        end = int(order[1:][same].min()) if same.any() else len(rows)
+        pids, bits = self._probe(rows[:end], slots[:end], q)
+        missed = np.flatnonzero(pids < 0)
+        room = self.room
+        if len(missed) >= room:
+            end = int(missed[room - 1]) + 1
+        return pids[:end], bits[:end]
 
     def _probe(self, rows, slots, q):
         """Each row's id and tally on the stored chains: all chains are
@@ -314,48 +313,21 @@ class OvIndex:
         examined = np.where(hit, q, 64 * word + 65 - _bit_length(first))
         return pids, np.bincount(live, examined, len(rows)).astype(np.int64)
 
-    def _walk_window(self, rows, slots, shared: list[int], pids, bits, q) -> None:
-        """Walk the window rows ``shared`` (in order) through the earlier
-        missed rows of their slots, newest first, as they would meet them
-        stored, before the stored chain that :meth:`_probe` walked."""
-        top = 64 * self._width + 1
-        size = 8 * self._width
-        raw = rows[shared].astype(">u8").tobytes()
-        missed: dict[int, list[tuple[int, int]]] = {}  # slot -> (key, row) of earlier misses
-        repeats = {}
-        for n, (j, slot) in enumerate(zip(shared, slots[shared].tolist())):
-            key = int.from_bytes(raw[n * size:(n + 1) * size], "big")
-            earlier = missed.setdefault(slot, [])
-            walked = 0
-            for other, i in reversed(earlier):
-                if other == key:
-                    repeats[j] = i
-                    bits[j] = walked + q  # the walk ends here, before the stored chain
-                    break
-                walked += top - (other ^ key).bit_length()
-            else:
-                bits[j] += walked
-                if pids[j] < 0:
-                    earlier.append((key, j))
-        if repeats:
-            miss = pids < 0
-            miss[list(repeats)] = False
-            ids = len(self) + np.cumsum(miss) - 1
-            for j, i in repeats.items():
-                pids[j] = ids[i]
-
     def insert(self, rows: np.ndarray, q: int) -> int:
         """Store the q-bit keys of ``rows`` for the next point ids, and return the first.
 
         Every key must be new: a caller stores a key after its lookup
         missed, or one new by construction, so no chain is walked here.
+        No two rows may share a slot, as in a window of :meth:`lookup_many`,
+        so one gather links each row to its slot's head and one scatter
+        makes it the head.
         """
         self._take_width(q)
         first = len(self)
-        heads, nxt = self._slots, self._next
-        for pid, slot in enumerate(self._slots_of(rows).tolist(), first):
-            nxt.append(heads[slot])
-            heads[slot] = pid
+        slots = self._slots_of(rows)
+        heads = np.frombuffer(self._slots, np.int32)
+        self._next.frombytes(heads[slots].tobytes())
+        heads[slots] = np.arange(first, first + len(rows), dtype=np.int32)
         self._rows.frombytes(rows.ravel().view(np.uint8))
         if 2 * len(self) >= len(self._slots):
             self._rehash()
@@ -817,11 +789,11 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
     :func:`_pack_keys`); none of the points has a residual in the
     incidence band.  A point whose key is new is stored; one whose
     quadrant is occupied parks on the occupant's pending chain, or, when
-    that chain is full, is recycled onto ``recycled``.  The window ends
-    after the first point that makes n chains pending, and planes are
-    then emitted until fewer are.  It also ends after the point whose
-    store rebuilds the index's slots, since a later point must probe the
-    rebuilt table.
+    that chain is full, is recycled onto ``recycled``.  The window is the
+    points :meth:`OvIndex.lookup_many` answers, which share no hash slot
+    and end at the store that rebuilds the slots; it also ends after the
+    first point that makes n chains pending, and planes are then emitted
+    until fewer are.
 
     The window is probed with one :meth:`OvIndex.lookup_many` and its
     new points go to the index in one :meth:`OvIndex.insert`; only the
@@ -839,27 +811,22 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
     n, q = state.n, state.q
     index, counters = state.index, state.counters
     chains = state.chains  # emit_plane replaces the dict, and emitting ends the window
-    first = state.count  # the id the window's first stored point takes
-    placed = len(block)
-    if placed == 1:
+    if len(block) == 1:
         key = _key_int(keys, q)
-        pid = index.lookup(key, q, counters)
-        missed, hits = ([0], []) if pid < 0 else ([], [(0, pid)])
+        pids = [index.lookup(key, q, counters)]
+        hits = [] if pids[0] < 0 else [(0, pids[0])]
     else:
         rows = keys.view(">u8").astype(np.uint64)
         pids, bits = index.lookup_many(rows, q)
-        missed = np.flatnonzero(pids < 0)
-        room = index.room
-        if len(missed) >= room:
-            placed = int(missed[room - 1]) + 1
-        at = np.flatnonzero(pids[:placed] >= 0)
+        at = np.flatnonzero(pids >= 0)
         hits = zip(at.tolist(), pids[at].tolist())
+    placed = len(pids)
     for i, pid in hits:
         p = block[i]
         ch = chains.get(pid)
         if ch is None:
-            # the occupant is a stored point or a point stored earlier in this window
-            anchor = state._pts_buf[pid] if pid < first else block[missed[pid - first]]
+            # the occupant is stored: a window's points share no slot
+            anchor = state._pts_buf[pid]
             chains[pid] = PendingChain(pid, _key_int(keys[i], q), state._midpoint(anchor, p), [p])
         elif len(ch.members) < 3:
             ch.members.append(p)
@@ -871,11 +838,11 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
             placed = i + 1
             break
     if len(block) == 1:
-        if missed:
+        if pids[0] < 0:
             state._add_point(block[0], key)
     else:
         counters.bit_comparisons += int(bits[:placed].sum())
-        missed = missed[:np.searchsorted(missed, placed)]
+        missed = np.flatnonzero(pids[:placed] < 0)
         if len(missed):
             state._add_points(block[missed], rows[missed])
 
@@ -1135,7 +1102,8 @@ def stream_points(state: SeparationState, pts) -> None:
             r, keys, clear = state._evaluate(block)
             placed, reports = 0, ()
             while placed < clear and not reports:
-                # a window that ends at a slot rebuild is followed by the next at the same planes
+                # a window that ends at a shared slot or a slot rebuild is
+                # followed by the next at the same planes, its points stored
                 k, reports = _place(state, block[placed:clear], keys[placed:clear], bucket)
                 placed += k
             if not reports and placed < len(block):

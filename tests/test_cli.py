@@ -1,6 +1,8 @@
 """CLI surface: exit codes, file handling, determinism, report formats."""
 
 import json
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -314,6 +316,43 @@ class TestPlot:
 
 def _geometry_exhausted(*args, **kwargs):
     raise GeometryExhaustedError("shift-and-refit budget spent")
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def mode_of(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.usefixtures("umask_022")
+class TestFileModes:
+    """A file the CLI writes has the mode ``open`` would give it: 0o666
+    less the umask when new, its own mode when replaced."""
+
+    def test_build_out_is_created_as_open_creates_it(self, tmp_path):
+        out = tmp_path / "r.txt"
+        assert run_cli("build", "--source", "primes:100", "--out", str(out)) == 0
+        assert mode_of(out) == 0o644
+
+    def test_insert_keeps_the_mode_of_the_file_it_rewrites(self, primes_repo_path):
+        primes_repo_path.chmod(0o640)
+        src = primes_repo_path.parent / "more.txt"
+        src.write_text("1\n4\n")
+        before = primes_repo_path.read_bytes()
+        assert run_cli("insert", str(primes_repo_path), "--source", str(src)) == 0
+        assert primes_repo_path.read_bytes() != before
+        assert mode_of(primes_repo_path) == 0o640
+
+    def test_plot_out_is_created_as_open_creates_it(self, primes_repo_path, tmp_path):
+        out = tmp_path / "f.svg"
+        assert run_cli("plot", str(primes_repo_path), str(out)) == 0
+        assert mode_of(out) == 0o644
 
 
 class TestExitCodes:

@@ -210,22 +210,34 @@ def probe_both(new, ref, rnd, count):
 
 
 def window_both(new, ref, keys):
-    """lookup_many of a window against the reference looking the keys up in
-    turn, storing each miss before the next; then the misses stored in one
-    insert.  The window must end before the store that rebuilds the slots."""
+    """lookup_many window by window against the reference looking the keys
+    up in turn, storing each miss before the next; each window's misses
+    stored in one insert.  A window's rows have distinct slots, and the row
+    that ends it has the slot of one of them.  The keys must not reach the
+    store that rebuilds the slots.  Returns the number of windows."""
     q = ref.q
-    pids, bits = new.lookup_many(key_rows(keys, q), q)
-    want_pids, want_bits, missed = [], [], []
-    for key in keys:
-        want_bits.append(ref.replay_bits(key))
-        want_pids.append(ref.lookup(key))  # a repeat finds its first occurrence's new id
-        if want_pids[-1] < 0:
-            missed.append(key)
-            ref.insert(key, q)
-    assert pids.tolist() == want_pids
-    assert bits.tolist() == want_bits
-    new.insert(key_rows(missed, q), q)
-    assert list(new.items()) == ref.items()
+    windows = 0
+    while keys:
+        rows = key_rows(keys, q)
+        pids, bits = new.lookup_many(rows, q)
+        end = len(pids)
+        slots = new._slots_of(rows).tolist()
+        assert end > 0 and len(set(slots[:end])) == end
+        assert end == len(keys) or slots[end] in slots[:end]
+        want_pids, want_bits, missed = [], [], []
+        for key in keys[:end]:
+            want_bits.append(ref.replay_bits(key))
+            want_pids.append(ref.lookup(key))
+            if want_pids[-1] < 0:
+                missed.append(key)
+                ref.insert(key, q)
+        assert pids.tolist() == want_pids
+        assert bits.tolist() == want_bits
+        new.insert(key_rows(missed, q), q)
+        assert list(new.items()) == ref.items()
+        keys = keys[end:]
+        windows += 1
+    return windows
 
 
 class TestOvIndex:
@@ -347,11 +359,13 @@ class TestOvIndex:
         """Windows of stored keys, new keys, keys repeated inside the window
         and keys one low bit from a stored key, as q grows past 64 and 128:
         each row's id and tally are those of looking the keys up one at a
-        time, every miss stored before the next lookup."""
+        time, every miss stored before the next lookup.  A repeat shares
+        its first occurrence's slot, so it starts a later window and finds
+        that occurrence stored."""
         rnd = random.Random(21)
         start = list({rnd.getrandbits(50) for _ in range(300)})
         new, ref = OvIndex.from_rows(key_rows(start, 50), 50), ListIndex.from_rows(start, 50)
-        repeats = 0
+        repeats = calls = windows = 0
         while ref.q < 140:
             while new.room < 3:
                 key = rnd.getrandbits(ref.q)
@@ -369,9 +383,35 @@ class TestOvIndex:
                 else:
                     window.append(rnd.getrandbits(ref.q))
             repeats += len(window) - len(set(window))
-            window_both(new, ref, window)
+            calls += 1
+            windows += window_both(new, ref, window)
             extend_both(new, ref, rnd)
-        assert repeats > 50
+        assert repeats > 50 and windows > calls + 50
+
+    def test_insert_of_rows_in_distinct_slots_equals_appends_in_turn(self):
+        """One gather and one scatter leave the slot heads, the chain links
+        and the keys as storing the keys one at a time does, also when a
+        row's slot already heads a chain."""
+        rnd = random.Random(8)
+        for q in (30, 64, 100):
+            start = list({rnd.getrandbits(q) for _ in range(200)})
+            by_rows = OvIndex.from_rows(key_rows(start, q), q)
+            by_ints = OvIndex.from_rows(key_rows(start, q), q)
+            held = {by_rows._slot(key, q) for key in start}
+            keys, slots = [], set()
+            while len(keys) < by_rows.room - 1:
+                key = rnd.getrandbits(q)
+                slot = by_rows._slot(key, q)
+                if key not in start and slot not in slots:
+                    keys.append(key)
+                    slots.add(slot)
+            assert len(slots & held) > 10
+            assert by_rows.insert(key_rows(keys, q), q) == len(start)
+            for key in keys:
+                by_ints.append(key, q)
+            assert by_rows._slots == by_ints._slots
+            assert by_rows._next == by_ints._next
+            assert by_rows._rows == by_ints._rows
 
 
 class TestAlignedIndexAgainstTwoLists:
@@ -846,9 +886,10 @@ class TestStreamInBlocks:
 
 class TestWindows:
     """A window of a block's points is probed at once and its new points
-    stored in one insert; it ends where offering the same points one at a
-    time would stop agreeing with it, and the state and every counter are
-    then those of the offers."""
+    stored in one insert; it ends before a point whose slot an earlier
+    point of it holds, or where offering the same points one at a time
+    would stop agreeing with it, and the state and every counter are then
+    those of the offers."""
 
     @staticmethod
     def built():
@@ -891,12 +932,13 @@ class TestWindows:
         return blocked, windows
 
     def test_two_points_of_one_new_quadrant(self, monkeypatch):
-        # the second finds the first, stored earlier in the window
+        # the second shares the first's slot, so it starts the next window
+        # and finds the first stored
         state, fresh, _ = self.built()
         first, second = next(ps for ps in fresh if len(ps) >= 2)[:2]
         other = next(ps for ps in fresh if len(ps) == 1)[0]
         blocked, windows = self.both_ways(state, np.array([first, other, second]), monkeypatch)
-        assert windows == [(3, 0)]
+        assert windows == [(2, 0), (1, 0)]
         assert blocked.count == state.count + 2
         assert [pt.tolist() for pt in blocked.chains[state.count].members] == [second.tolist()]
 
