@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -71,13 +72,17 @@ class IntegerMapping:
 
 
 def map_to_point(v: int, mapping: IntegerMapping) -> np.ndarray:
-    """Digits of v, least significant first, zero-padded to n coordinates."""
-    if not 0 <= v < mapping.capacity:
+    """Digits of v, least significant first, zero-padded to n coordinates.
+
+    v is read with :func:`operator.index`, so a float raises TypeError
+    instead of being truncated.
+    """
+    rem = operator.index(v)
+    if not 0 <= rem < mapping.capacity:
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
     out = np.zeros(mapping.n)
-    rem = int(v)
     i = 0
     while rem:
         rem, digit = divmod(rem, mapping.base)
@@ -89,19 +94,16 @@ def map_to_point(v: int, mapping: IntegerMapping) -> np.ndarray:
 def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
     """Rows of :func:`map_to_point` for many values, in one vectorised expansion.
 
-    Digits are peeled with int64 arithmetic when every value fits, and
-    with Python integers (an object array) otherwise.  A lone value is
-    expanded by :func:`map_to_point`, whose pass over its digits costs
-    less than one numpy pass per digit.
+    Values are read with :func:`operator.index`, as :func:`map_to_point`
+    reads one.  Digits are peeled with int64 arithmetic when every value
+    fits, and with Python integers (an object array) otherwise.
     """
-    vals = [int(v) for v in values]
+    vals = [operator.index(v) for v in values]
     if vals and (min(vals) < 0 or max(vals) >= mapping.capacity):
         v = next(v for v in vals if not 0 <= v < mapping.capacity)
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
-    if len(vals) == 1:
-        return map_to_point(vals[0], mapping)[None, :]
     return _digit_rows(vals, mapping)
 
 
@@ -247,30 +249,49 @@ def insert(repo: Repository, values) -> InsertReport:
 
     Existing sign vectors only ever gain trailing bits, so every old entry
     keeps its address prefix.  Duplicates (within the batch or against the
-    store) are skipped and reported, not errors.
+    store) are skipped and reported, not errors.  Values are read with
+    :func:`operator.index`: a float raises TypeError, and a value out of
+    range DigitOverflowError, before anything changes.
+
+    One fresh value is one :func:`separator.offer` of its point, then
+    :func:`separator.finalize`, and its value is registered under the next
+    point id.  A store holds no pending chains between calls, so the lone
+    point cannot be recycled: it is stored at once, or parked and promoted
+    by ``finalize``, and either way takes that id.  Several fresh values
+    are streamed in an order the build seed fixes, with
+    :func:`separator.stream_points`.
     """
     state = repo.state
     skipped: list[int] = []
     fresh: list[int] = []
     seen = set()
     for v in values:
-        v = int(v)
+        v = operator.index(v)
         if v in repo.value_ids or v in seen:
             skipped.append(v)
             continue
         seen.add(v)
         fresh.append(v)
     q_before = state.q
-    if fresh:
-        # an out-of-range value raises here, before anything changes
+    if len(fresh) == 1:
+        v = fresh[0]
+        p = map_to_point(v, repo.mapping)
+        # deterministic resume: any new free plane coefficients depend only
+        # on the build seed and the store shape; the generator is seeded
+        # only if a plane is emitted
+        state.reseed([repo.seed, state.count, state.q, 1])
+        pid = state.count
+        separator.offer(state, p)
+        separator.finalize(state)
+        if state.count != pid + 1:
+            raise AssertionError("a lone value was not stored under the next id; this is a bug")
+        repo.values.append(v)
+        repo.value_ids[v] = pid
+    elif fresh:
         pts = map_to_points(fresh, repo.mapping)
-        # deterministic resume: the stream order and any new free plane
-        # coefficients depend only on the build seed and the store shape
+        # the stream order depends only on the build seed and the store shape
         state.reseed([repo.seed, state.count, state.q, len(fresh)])
-        # a permutation of one value draws nothing: a single-value insert
-        # seeds the generator only if it emits a plane
-        order = state.rng.permutation(len(fresh)) if len(fresh) > 1 else [0]
-        separator.stream_points(state, pts[order])
+        separator.stream_points(state, pts[state.rng.permutation(len(fresh))])
         separator.finalize(state)
         repo._register_new_points()
     return InsertReport(

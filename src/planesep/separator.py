@@ -37,9 +37,8 @@ from .errors import (
     IncidentPointError,
     InconsistentSystemError,
 )
-from .geometry import fit_plane_through, shift_midpoints
-# only for bench/spans.py, which traces these names here
-from .geometry import pack_sign_bits, signs_from_residuals
+from .geometry import fit_plane_through, pack_sign_bits, shift_midpoints
+from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name here
 
 _INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
@@ -781,6 +780,53 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     )
 
 
+def _park(state: SeparationState, pid: int, p: np.ndarray, key: int,
+          recycled: list[np.ndarray]) -> None:
+    """Park p, whose int key ``key`` stored point ``pid`` holds, on pid's
+    pending chain, which it opens when there is none; when the chain is
+    full, p is recycled onto ``recycled``."""
+    ch = state.chains.get(pid)
+    if ch is None:
+        anchor = state._pts_buf[pid]
+        state.chains[pid] = PendingChain(pid, key, state._midpoint(anchor, p), [p])
+    elif len(ch.members) < 3:
+        ch.members.append(p)
+    else:
+        state.recycle_events += 1
+        recycled.append(p)
+
+
+def _close_window(state: SeparationState, placed: int) -> tuple[PlaneReport, ...]:
+    """Tally ``placed`` offers, each one sign-vector evaluation of n*q
+    multiply-adds, and emit planes until fewer than n chains are pending."""
+    nq = state.n * state.q * placed
+    counters = state.counters
+    counters.multiplications += nq
+    counters.additions += nq
+    counters.ov_multiplications += nq
+    counters.sign_evals += state.q * placed
+    state.offers += placed
+    reports = []
+    while len(state.chains) >= state.n:
+        reports.append(emit_plane(state))
+    return tuple(reports)
+
+
+def _place_one(state: SeparationState, p: np.ndarray, key: int,
+               recycled: list[np.ndarray]) -> tuple[PlaneReport, ...]:
+    """Place one point, clear of the incidence band, with int key ``key``:
+    :func:`_place` for a window of one, probed with :meth:`OvIndex.lookup`
+    and stored with :meth:`OvIndex.append`, since for one point the numpy
+    calls of the block forms cost more than the whole Python walk and
+    store.  Returns the emitted planes' reports."""
+    pid = state.index.lookup(key, state.q, state.counters)
+    if pid < 0:
+        state._add_point(p, key)
+    else:
+        _park(state, pid, p, key, recycled)
+    return _close_window(state, 1)
+
+
 def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
            recycled: list[np.ndarray]) -> tuple[int, tuple[PlaneReport, ...]]:
     """Place a window of points, in order, at the current planes.
@@ -798,92 +844,55 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
     The window is probed with one :meth:`OvIndex.lookup_many` and its
     new points go to the index in one :meth:`OvIndex.insert`; only the
     points that find an occupant are handled one by one.  A window of one
-    point, which every one-value insert and every nudged offer places, is
-    probed with :meth:`OvIndex.lookup` and stored with
-    :meth:`OvIndex.append` on its int key instead: this is the one choice
-    made on the window's size, since for one point the numpy calls of the
-    block forms cost more than the whole Python walk and store.  Either
-    way a point's probe is tallied as it would be offered alone, and so
-    are the window's evaluations, each n*q multiply-adds.
+    point goes to :func:`_place_one` on its int key instead: this is the
+    one choice made on the window's size.  Either way a point's probe is
+    tallied as it would be offered alone, and so are the window's
+    evaluations.
 
     Returns the number of points placed and the emitted planes' reports.
     """
-    n, q = state.n, state.q
-    index, counters = state.index, state.counters
-    chains = state.chains  # emit_plane replaces the dict, and emitting ends the window
+    q = state.q
     if len(block) == 1:
-        key = _key_int(keys, q)
-        pids = [index.lookup(key, q, counters)]
-        hits = [] if pids[0] < 0 else [(0, pids[0])]
-    else:
-        rows = keys.view(">u8").astype(np.uint64)
-        pids, bits = index.lookup_many(rows, q)
-        at = np.flatnonzero(pids >= 0)
-        hits = zip(at.tolist(), pids[at].tolist())
+        return 1, _place_one(state, block[0], _key_int(keys, q), recycled)
+    rows = keys.view(">u8").astype(np.uint64)
+    pids, bits = state.index.lookup_many(rows, q)
     placed = len(pids)
-    for i, pid in hits:
-        p = block[i]
-        ch = chains.get(pid)
-        if ch is None:
-            # the occupant is stored: a window's points share no slot
-            anchor = state._pts_buf[pid]
-            chains[pid] = PendingChain(pid, _key_int(keys[i], q), state._midpoint(anchor, p), [p])
-        elif len(ch.members) < 3:
-            ch.members.append(p)
-        else:
-            state.recycle_events += 1
-            recycled.append(p)
-            continue
-        if len(chains) >= n:
+    at = np.flatnonzero(pids >= 0)
+    for i, pid in zip(at.tolist(), pids[at].tolist()):
+        # the occupant is stored: a window's points share no slot
+        _park(state, pid, block[i], _key_int(keys[i], q), recycled)
+        if len(state.chains) >= state.n:
             placed = i + 1
             break
-    if len(block) == 1:
-        if pids[0] < 0:
-            state._add_point(block[0], key)
-    else:
-        counters.bit_comparisons += int(bits[:placed].sum())
-        missed = np.flatnonzero(pids[:placed] < 0)
-        if len(missed):
-            state._add_points(block[missed], rows[missed])
-
-    nq = n * q * placed
-    counters.multiplications += nq
-    counters.additions += nq
-    counters.ov_multiplications += nq
-    counters.sign_evals += q * placed
-    state.offers += placed
-    reports = []
-    while len(state.chains) >= n:
-        reports.append(emit_plane(state))
-    return placed, tuple(reports)
+    state.counters.bit_comparisons += int(bits[:placed].sum())
+    missed = np.flatnonzero(pids[:placed] < 0)
+    if len(missed):
+        state._add_points(block[missed], rows[missed])
+    return placed, _close_window(state, placed)
 
 
 def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult:
     """Place one point: accept into a fresh quadrant, park on a chain, or recycle.
 
-    Called with a point alone, offer checks and evaluates it as a block of
-    one.  :func:`stream_points` calls it for a point with a residual in
-    the incidence band, passing the point's residuals ``r`` from its
-    block.  Any plane the point lies on is nudged off it, and the point is
-    then placed as a window of one, tallied as one sign-vector evaluation,
-    n*q multiply-adds.
+    Called with a point alone, offer checks it and evaluates its
+    residuals with one :func:`kernels.residuals_block` call on its row,
+    the arithmetic of a block.  :func:`stream_points` calls it for a
+    point with a residual in the incidence band, passing the point's
+    residuals ``r`` from its block.  Any plane the point lies on is nudged
+    off it, the point's int key is packed from its residuals, and the
+    point is placed by :func:`_place_one`, tallied as one sign-vector
+    evaluation, n*q multiply-adds.
     """
-    keys = None
     if r is None:
         p = state._check_point(p)
-        rows, keys, clear = state._evaluate(p[None, :])
-        r = rows[0]
-        if not clear:
-            keys = None
-    if keys is None:
-        eps = state.config.epsilon
-        # a nudged residual leaves the band, so r > eps below reads its side
-        for j in np.nonzero(np.abs(r) <= eps)[0]:
-            r[j] = _nudge_plane(state, int(j), p, float(r[j]))
-        keys = _pack_keys(r[None, :], eps)
+        r = kernels.residuals_block(p[None, :], state.plane_matrix)[0]
+    eps = state.config.epsilon
+    # a nudged residual leaves the band, so r > eps below reads its side
+    for j in np.nonzero(np.abs(r) <= eps)[0]:
+        r[j] = _nudge_plane(state, int(j), p, float(r[j]))
 
     count, recycled = state.count, []
-    _, reports = _place(state, p[None, :], keys, recycled)
+    reports = _place_one(state, p, pack_sign_bits(r > eps), recycled)
     if reports:
         return OfferResult(OfferKind.PLANE_EMITTED, reports=reports)
     if recycled:

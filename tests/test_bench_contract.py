@@ -78,6 +78,25 @@ def test_traced_build_records_the_index_layers():
     assert 0 < metrics["build.separator.OvIndex.insert.calls"] <= repo.count
 
 
+def test_traced_one_value_insert_is_one_offer():
+    """A one-value insert maps its value with map_to_point and places it
+    with one offer, so the insert phase's per-layer figures for both read
+    one call per one-value insert."""
+    spans = import_bench("spans")
+    repo = repository.build(list(range(2, 400, 3)), 3, 0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "insert"
+        assert repository.insert(repo, [401]).added == 1
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["insert.repository.insert.calls"] == 1
+    assert metrics["insert.separator.offer.calls"] == 1
+    assert metrics["insert.repository.map_to_point.calls"] == 1
+
+
 def test_selftest_rejects_every_wrong_case():
     # bench/selftest.py feeds each correctness checker true outputs and
     # deliberately wrong ones; main() returns 0 when every case behaves

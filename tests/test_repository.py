@@ -20,6 +20,7 @@ from planesep import (
 from planesep.geometry import INCIDENT, pack_sign_bits, signs_from_residuals
 from planesep.repository import (
     AbsenceReason,
+    InsertReport,
     IntegerMapping,
     QueryResult,
     Repository,
@@ -405,6 +406,82 @@ class TestInsert:
         assert twin.count == repo.count > 2000
         assert saved_text(twin) == saved_text(repo)
         assert all(query(twin, p).found for p in primes if p < 25000)
+
+
+def stream_one(repo, v):
+    """A one-value insert through the block path: the value's row streamed,
+    finalized and registered, with the seed insert gives it."""
+    state = repo.state
+    q_before = state.q
+    state.reseed([repo.seed, state.count, state.q, 1])
+    separator.stream_points(state, map_to_points([v], repo.mapping))
+    separator.finalize(state)
+    repo._register_new_points()
+    return InsertReport(added=1, skipped_duplicates=[], planes_added=state.q - q_before)
+
+
+class TestOneValueInsert:
+    """A one-value insert is one offer of the value's point: it leaves the
+    state, counters and report that streaming the point as a block of one
+    leaves."""
+
+    @pytest.mark.parametrize("stored, n, seed, values, nudges", [
+        # 98 lies on a stored plane and nudges it
+        (primes_below(100), 2, 2, [98, 4, 9, 27, 51, 63, 75, 81, 87, 99], True),
+        (primes_below(1000), 3, 0,
+         np.random.default_rng(3).choice(1000, 60, replace=False).tolist(), True),
+        (np.random.default_rng(25).choice(10**6, 500, replace=False).tolist(), 25, 0,
+         np.random.default_rng(26).choice(10**6, 40, replace=False).tolist(), False),
+    ])
+    def test_equals_a_streamed_block_of_one(self, stored, n, seed, values, nudges):
+        repo = build(stored, n, seed)
+        twin = copy.deepcopy(repo)
+        nudged = emitted = False
+        for v in values:
+            if v in repo.value_ids:
+                continue
+            planes = repo.state.plane_matrix.copy()
+            report = insert(repo, [v])
+            assert report == stream_one(twin, v)
+            assert repo.counters == twin.counters
+            assert saved_text(repo) == saved_text(twin)
+            assert not repo.state.chains
+            assert query(repo, v).found
+            nudged |= not np.array_equal(repo.state.plane_matrix[:len(planes)], planes)
+            emitted |= report.planes_added > 0
+        assert emitted
+        assert nudged == nudges
+
+    def test_a_store_holds_no_pending_chains_between_calls(self):
+        repo = build(primes_below(1000), 3, 0)
+        assert not repo.state.chains
+        for values in ([4], [6, 8, 10, 12], [9]):
+            insert(repo, values)
+            assert not repo.state.chains
+        loaded = load(io.StringIO(saved_text(repo)))
+        assert not loaded.state.chains
+        grow_dimension(loaded, 4)
+        assert not loaded.state.chains
+        insert(loaded, [1001])
+        assert not loaded.state.chains
+
+    def test_non_integral_values_raise_before_anything_changes(self):
+        # int() would truncate them: 2.5 and 7.9 stored as 2 and 7
+        with pytest.raises(TypeError):
+            build([2.5, 3, 7.9], 2, 0)
+        repo = build(primes_below(50), 2, 3)
+        before = saved_text(repo)
+        for values in ([11.99], [53, 2.0], [np.float64(59.0)]):
+            with pytest.raises(TypeError):
+                insert(repo, values)
+            assert saved_text(repo) == before
+        with pytest.raises(TypeError):
+            query(repo, 2.0)
+        assert saved_text(repo) == before
+        # numpy integer scalars are integers
+        assert query(repo, np.int64(47)).found
+        assert insert(repo, [np.int64(53)]).added == 1
+        assert type(repo.values[-1]) is int and query(repo, 53).found
 
 
 class TestGrowDimension:

@@ -811,10 +811,11 @@ class TestStreamInBlocks:
         offer_one_at_a_time(scalar, pts[4:])
 
         windows, nudged_at = [], []
-        real_place, real_nudge = separator._place, separator._nudge_plane
+        # every window ends in _close_window, a nudged offer's window of one too
+        real_close, real_nudge = separator._close_window, separator._nudge_plane
 
-        def traced_place(state, *args):
-            res = real_place(state, *args)
+        def traced_close(state, *args):
+            res = real_close(state, *args)
             windows.append((state.offers, state.q, state.recycle_events))
             return res
 
@@ -822,7 +823,7 @@ class TestStreamInBlocks:
             nudged_at.append(state.offers)  # the offers placed before the one under way
             return real_nudge(state, *args)
 
-        monkeypatch.setattr(separator, "_place", traced_place)
+        monkeypatch.setattr(separator, "_close_window", traced_close)
         monkeypatch.setattr(separator, "_nudge_plane", traced_nudge)
         blocked = init(pts[:4], 3, seed=2)
         q0 = blocked.q
