@@ -82,10 +82,7 @@ def _run_report(state, scenario: str, seed: int, wall: float, base: int | None =
         "n": state.n,
         "q_total": state.q,
         "q_emitted": state.q_emitted,
-        "multiplications": c.multiplications,
-        "additions": c.additions,
-        "sign_evals": c.sign_evals,
-        "bit_comparisons": c.bit_comparisons,
+        **c.as_dict(),
         "wall_time_s": round(wall, 6),
         "verified": verdict.ok,
     }

@@ -46,8 +46,8 @@ def gauss_solve(
     where status is GAUSS_OK or GAUSS_INCONSISTENT and mults/adds tally the
     arithmetic actually performed.
     """
-    a = m.astype(np.float64).copy()
-    b = rhs.astype(np.float64).copy()
+    a = m.astype(np.float64)
+    b = rhs.astype(np.float64)
     k, n = a.shape
     col_order = np.arange(n)
     mults = 0
@@ -83,11 +83,7 @@ def gauss_solve(
             adds += rows * (n - t - 1) + rows
         rank = t + 1
 
-    status = GAUSS_OK
-    for i in range(rank, k):
-        if abs(b[i]) > consistency_tol:
-            status = GAUSS_INCONSISTENT
-            break
+    status = GAUSS_INCONSISTENT if np.any(np.abs(b[rank:]) > consistency_tol) else GAUSS_OK
 
     xv = np.empty(n)
     xv[rank:] = free_vals[col_order[rank:]]

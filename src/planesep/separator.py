@@ -904,6 +904,12 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult
 # plane emission
 # ---------------------------------------------------------------------------
 
+def _segments_in_span(mids: np.ndarray, segs: np.ndarray, rank: int) -> bool:
+    """Whether every segment direction lies in the span of the midpoints,
+    whose elimination rank is ``rank``: the rank of both stacked is no more."""
+    return int(np.linalg.matrix_rank(np.vstack([mids, segs]))) <= rank
+
+
 def _try_separating_plane(state, batch, starts, pend_mat):
     """Fit a plane through the batch midpoints that clears every live point
     and splits every batch segment.
@@ -914,18 +920,19 @@ def _try_separating_plane(state, batch, starts, pend_mat):
     refits (doubling delta along the failed normal) handle incidences on
     the digit lattice.
 
-    Returns the fit, or on failure the batch size to try next: r+1 when
-    the exact fit through the k midpoints is inconsistent at elimination
-    rank r with r+1 < k, without trying the shifted refits, and k-1 when
-    every attempt failed (see :func:`emit_plane` for why r+1).
+    Returns the fit, or on failure the batch size to try next.  When the
+    exact fit through the k midpoints is inconsistent at elimination rank
+    r, no shifted refit is tried if it provably splits nothing: the result
+    is r+1 when r+1 < k, and k-1 when r = k-1 and every segment lies in
+    the midpoints' span.  Otherwise it is k-1 once every attempt failed
+    (see :func:`emit_plane` for both proofs).
     """
     cfg = state.config
     eps = cfg.epsilon
     n = state.n
     mids0 = np.stack([ch.midpoint_ab for ch in batch])
-    seg_lens = [
-        float(np.linalg.norm(state.points[ch.anchor_id] - ch.members[0])) for ch in batch
-    ]
+    segs = np.stack([state.points[ch.anchor_id] - ch.members[0] for ch in batch])
+    seg_lens = [float(np.linalg.norm(s)) for s in segs]
     delta_base = cfg.delta0 * (sum(seg_lens) / len(seg_lens))
 
     k = len(batch)
@@ -942,8 +949,11 @@ def _try_separating_plane(state, batch, starts, pend_mat):
         try:
             cand = fit_plane_through(mids, n, state.rng, state.counters)
         except InconsistentSystemError as exc:
-            if attempt == 0 and exc.rank is not None and exc.rank + 1 < k:
-                return exc.rank + 1
+            if attempt == 0 and exc.rank is not None:
+                if exc.rank + 1 < k:
+                    return exc.rank + 1
+                if _segments_in_span(mids0, segs, exc.rank):
+                    return k - 1
             direction = None
             continue
         r_s = state._sweep(state.points, cand) if state.count else np.empty(0)
@@ -982,7 +992,11 @@ def emit_plane(state: SeparationState) -> PlaneReport:
     solve the exact system), so it can split a segment only along
     directions outside the midpoints' span; when that span covers the
     coordinates the points differ in, as on values stored with dead
-    leading digits, it splits nothing.  Batches of rank k-1 keep their
+    leading digits, it splits nothing.  For the same reason a batch of
+    rank k-1 whose segment directions all lie in its midpoints' span
+    narrows to k-1 without refits: with alpha . m = 0 and alpha . d = 0
+    both ends of every segment have residual 1, so every refit would
+    fail.  A batch of rank k-1 with a segment outside the span keeps its
     shifted refits, which do rescue some of them.
 
     Chains are keyed by anchor and anchors hold distinct sign vectors, so

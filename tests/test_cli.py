@@ -86,6 +86,14 @@ class TestBuild:
         assert payload["N_f"] == 15
         assert payload["verified"] is True
 
+    def test_report_prints_every_counter(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        assert run_cli("--format", "jsonl", "build", "--source", "primes:500",
+                       "--dims", "3", "--out", str(out)) == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        counters = repository.load(out).counters.as_dict()
+        assert {k: payload[k] for k in counters} == counters
+
     def test_deterministic_repository_bytes(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

@@ -33,6 +33,15 @@ def test_gauss_detects_inconsistency_on_scaled_rows():
     assert rank == 1
 
 
+def test_gauss_leaves_its_float64_inputs_unchanged():
+    m = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.0, 1.0, 3.0]])
+    rhs = np.full(3, -1.0)
+    m0, rhs0 = m.copy(), rhs.copy()
+    _, status, rank, _, _ = kernels.gauss_solve(m, rhs, np.zeros(3), 1e-10, 1e-8)
+    assert (status, rank) == (kernels.GAUSS_INCONSISTENT, 2)
+    assert np.array_equal(m, m0) and np.array_equal(rhs, rhs0)
+
+
 def test_gauss_zero_matrix_is_inconsistent_for_unit_rhs():
     m = np.zeros((2, 3))
     _, status, rank, _, _ = kernels.gauss_solve(

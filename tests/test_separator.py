@@ -1028,12 +1028,16 @@ class TestRun:
 
 
 class TestRankAwareNarrowing:
-    def test_inconsistent_batch_jumps_to_rank_plus_one(self, monkeypatch):
-        # values below 10^4 as 10-digit points: 6 coordinates are dead, so
-        # batches of 10 midpoints are rank-deficient
+    @staticmethod
+    def wide_points():
+        """400 values below 10^4 as 10-digit points: 6 coordinates are dead,
+        so batches of 10 midpoints are rank-deficient."""
         values = np.random.default_rng(0).choice(10**4, 400, replace=False)
-        pts = np.array([[(int(v) // 10**i) % 10 for i in range(10)] for v in values],
-                       dtype=float)
+        return np.array([[(int(v) // 10**i) % 10 for i in range(10)] for v in values],
+                        dtype=float)
+
+    def test_inconsistent_batch_jumps_to_rank_plus_one(self, monkeypatch):
+        pts = self.wide_points()
         fits = []
         reports = []
         fit = separator.fit_plane_through
@@ -1043,14 +1047,83 @@ class TestRankAwareNarrowing:
         monkeypatch.setattr(separator, "emit_plane",
                             lambda state: reports.append(emit(state)) or reports[-1])
         state = run(pts, 10, 0)
-        assert state.count == len(values)
+        assert state.count == len(pts)
         assert_state_separated(state)
 
         # stepping k down one chain at a time from 10 would take 52.5 fits
         # per plane here; the jump costs one exact fit, and the walk from
-        # r+1 keeps the shifted refits of rank k-1 batches
+        # r+1 keeps the shifted refits of rank k-1 batches with a segment
+        # outside their midpoints' span
         retries = state.config.max_retries
         assert len(fits) <= (retries + 3) * len(reports)
         # 4 live digits span at most 4 dimensions, one more for the shift
         assert max(r.constraint_count for r in reports) <= 5
         assert state.q <= 37  # the one-step walk's plane count
+
+    # three midpoints in R^4 with m3 = m1 + m2: the exact fit asks for
+    # alpha . m3 = -2 and -1 at once, so it is inconsistent at rank 2 = k-1
+    M1 = np.array([2.0, 1.0, 0.0, 1.0])
+    M2 = np.array([1.0, 3.0, 1.0, 0.0])
+    MIDS = [M1, M2, M1 + M2]
+    OFF_SPAN = np.array([0.0, 0.0, 1.0, -1.0])  # no combination of M1 and M2
+
+    def try_batch(self, monkeypatch, segs):
+        """Stage a chain per midpoint, its anchor and first member half a
+        segment either side, and try one plane through the three."""
+        anchors = np.array([m + d / 2 for m, d in zip(self.MIDS, segs)])
+        members = np.array([m - d / 2 for m, d in zip(self.MIDS, segs)])
+        state = init(anchors, 4, 0)
+        batch = [PendingChain(i, state.packed[i], m, [b])
+                 for i, (m, b) in enumerate(zip(self.MIDS, members))]
+        fits = []
+        fit = separator.fit_plane_through
+        monkeypatch.setattr(separator, "fit_plane_through",
+                            lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+        result = separator._try_separating_plane(state, batch, [0, 1, 2], members)
+        return state, result, len(fits)
+
+    def test_batch_with_every_segment_in_the_span_narrows_after_one_fit(self, monkeypatch):
+        segs = [self.M1 - self.M2, self.M2, self.M1]
+        _, result, fits = self.try_batch(monkeypatch, segs)
+        assert (result, fits) == (2, 1)
+
+    def test_batch_with_a_segment_outside_the_span_keeps_its_refits(self, monkeypatch):
+        # the two segments in the span still cannot be split by any refit,
+        # so all eight run and fail
+        segs = [self.M1 - self.M2, self.M2, self.OFF_SPAN]
+        state, result, fits = self.try_batch(monkeypatch, segs)
+        assert (result, fits) == (2, 1 + state.config.max_retries)
+
+    def test_refit_rescues_a_batch_with_no_segment_in_the_span(self, monkeypatch):
+        segs = [self.OFF_SPAN, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 2.0])]
+        _, result, fits = self.try_batch(monkeypatch, segs)
+        alpha, r_s, r_pend, retries, delta = result
+        assert retries == fits - 1 >= 1 and delta > 0
+        assert np.all((r_s > 0) != (r_pend > 0))
+
+    def test_skipped_refits_never_rescued_a_batch(self, monkeypatch):
+        """With the span check disabled, as before it existed, every batch
+        the check would have narrowed at once still ends at k-1 after its
+        refits, on the fixed-seed store of 400 values below 10^4 at n=10."""
+        pts = self.wide_points()
+        tries = []
+        in_span = separator._segments_in_span
+        attempt = separator._try_separating_plane
+
+        def never_fires(mids, segs, rank):
+            tries[-1]["flagged"] = in_span(mids, segs, rank)
+            return False
+
+        def recorded(state, batch, starts, pend_mat):
+            tries.append({"k": len(batch), "flagged": False})
+            tries[-1]["result"] = attempt(state, batch, starts, pend_mat)
+            return tries[-1]["result"]
+
+        monkeypatch.setattr(separator, "_segments_in_span", never_fires)
+        monkeypatch.setattr(separator, "_try_separating_plane", recorded)
+        state = run(pts, 10, 0)
+        assert_state_separated(state)
+        flagged = [t for t in tries if t["flagged"]]
+        assert len(flagged) >= 20
+        assert all(isinstance(t["result"], int) and t["result"] == t["k"] - 1
+                   for t in flagged)
