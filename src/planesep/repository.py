@@ -167,7 +167,6 @@ class Repository:
         self.mapping = mapping
         self.state = state
         self.values = values
-        self.value_ids = {v: i for i, v in enumerate(values)}
         self.seed = seed
         self.dims_history = dims_history
 
@@ -191,16 +190,13 @@ class Repository:
 
     def _register_new_points(self) -> None:
         """Record the value of every point the state gained since the last call."""
-        start = len(self.values)
-        new = self.state.points[start:]
+        new = self.state.points[len(self.values):]
         mapping = self.mapping
         is_digit = (new >= 0) & (new < mapping.base) & (new == np.floor(new))
         if not is_digit.all():
             bad = int(np.nonzero(~is_digit.all(axis=1))[0][0])
             point_to_integer(new[bad], mapping)  # raises NotADigitPointError
-        vals = (new.astype(np.int64) @ mapping.powers).tolist()
-        self.values.extend(vals)
-        self.value_ids.update(zip(vals, range(start, start + len(vals))))
+        self.values.extend((new.astype(np.int64) @ mapping.powers).tolist())
 
 
 def build(values, n: int, seed: int, *, base: int = 10) -> Repository:
@@ -248,54 +244,45 @@ def insert(repo: Repository, values) -> InsertReport:
     """Add values to a built repository without disturbing stored bits.
 
     Existing sign vectors only ever gain trailing bits, so every old entry
-    keeps its address prefix.  Duplicates (within the batch or against the
-    store) are skipped and reported, not errors.  Values are read with
+    keeps its address prefix.  A value already stored or given earlier in
+    the call is dropped where its point meets its twin, and reported, in
+    input order, in ``skipped_duplicates``.  Values are read with
     :func:`operator.index`: a float raises TypeError, and a value out of
     range DigitOverflowError, before anything changes.
 
-    One fresh value is one :func:`separator.offer` of its point, then
+    One value is one :func:`separator.offer` of its point, then
     :func:`separator.finalize`, and its value is registered under the next
     point id.  A store holds no pending chains between calls, so the lone
     point cannot be recycled: it is stored at once, or parked and promoted
-    by ``finalize``, and either way takes that id.  Several fresh values
+    by ``finalize``, and takes that id, or it is dropped.  Several values
     are streamed in an order the build seed fixes, with
     :func:`separator.stream_points`.
     """
     state = repo.state
-    skipped: list[int] = []
-    fresh: list[int] = []
-    seen = set()
-    for v in values:
-        v = operator.index(v)
-        if v in repo.value_ids or v in seen:
-            skipped.append(v)
-            continue
-        seen.add(v)
-        fresh.append(v)
-    q_before = state.q
-    if len(fresh) == 1:
-        v = fresh[0]
-        p = map_to_point(v, repo.mapping)
+    vals = [operator.index(v) for v in values]
+    q_before, count = state.q, state.count
+    if len(vals) == 1:
+        p = map_to_point(vals[0], repo.mapping)
         # deterministic resume: any new free plane coefficients depend only
         # on the build seed and the store shape; the generator is seeded
         # only if a plane is emitted
         state.reseed([repo.seed, state.count, state.q, 1])
-        pid = state.count
-        separator.offer(state, p)
-        separator.finalize(state)
-        if state.count != pid + 1:
-            raise AssertionError("a lone value was not stored under the next id; this is a bug")
-        repo.values.append(v)
-        repo.value_ids[v] = pid
-    elif fresh:
-        pts = map_to_points(fresh, repo.mapping)
+        if separator.offer(state, p).kind is not separator.OfferKind.REPEATED:
+            separator.finalize(state)
+            if state.count != count + 1:
+                raise AssertionError("a lone value did not take the next id; this is a bug")
+            repo.values.append(vals[0])
+    elif vals:
+        pts = map_to_points(vals, repo.mapping)
         # the stream order depends only on the build seed and the store shape
-        state.reseed([repo.seed, state.count, state.q, len(fresh)])
-        separator.stream_points(state, pts[state.rng.permutation(len(fresh))])
+        state.reseed([repo.seed, state.count, state.q, len(vals)])
+        separator.stream_points(state, pts[state.rng.permutation(len(vals))])
         separator.finalize(state)
         repo._register_new_points()
+    unclaimed = dict.fromkeys(repo.values[count:], True)  # its first copy is the one added
+    skipped = [v for v in vals if not unclaimed.pop(v, False)]
     return InsertReport(
-        added=len(fresh),
+        added=state.count - count,
         skipped_duplicates=skipped,
         planes_added=state.q - q_before,
     )
@@ -580,8 +567,7 @@ def load(source) -> Repository:
     repeat = state.index.first_repeat()
     if repeat >= 0:
         raise RepositoryFormatError("repeated packed sign vector", line=first + repeat + 1)
-    repo = Repository(mapping, state, values, seed, dims_history)
-    if len(repo.value_ids) < count:
+    if len(set(values)) < count:
         repeat = _first_repeat(values)
         raise RepositoryFormatError(f"repeated value {values[repeat]}", line=first + repeat + 1)
-    return repo
+    return Repository(mapping, state, values, seed, dims_history)

@@ -2,10 +2,10 @@
 
 Points are offered one at a time, in queue order, though the stream
 evaluates them in blocks and places each block's points in windows.  A
-point whose sign vector is new is stored immediately; a point that
-lands in an occupied quadrant is parked on the occupant's pending chain
-(up to three deep, further arrivals are recycled to the caller).
-Whenever n chains are pending, one plane fitted through the n segment
+point whose sign vector is new is stored immediately; one that lands in
+an occupied quadrant is dropped if it equals the occupant, else parked
+on the occupant's pending chain (up to three deep, further arrivals are
+recycled to the caller).  Whenever n chains are pending, one plane fitted through the n segment
 midpoints separates every anchor from its first neighbour at once, and
 every stored sign vector gains one trailing bit.  Existing bits are
 never rewritten, which is what makes later insertion resume-free.
@@ -438,6 +438,7 @@ class OfferKind(Enum):
     PENDING = "pending"
     RECYCLED = "recycled"
     PLANE_EMITTED = "plane_emitted"
+    REPEATED = "repeated"
 
 
 @dataclass
@@ -476,6 +477,7 @@ class SeparationState:
 
         self.offers = 0
         self.recycle_events = 0
+        self.repeat_events = 0  # points dropped as a stored or pending point's copy; not saved
 
     def reseed(self, seed) -> None:
         """Draw from ``numpy.random.default_rng(seed)`` from now on.
@@ -657,7 +659,8 @@ def _draw_split_plane(state: SeparationState, pts: np.ndarray, pair, attempt: in
 
 def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
     """Seed the state with random saturated planes giving all points distinct
-    sign vectors, with at least ceil(log2(max(N0, n+1))) planes."""
+    sign vectors, with at least ceil(log2(max(N0, n+1))) planes; a point
+    equal to the other of the pair a draw would aim at is dropped."""
     n0 = points0.shape[0]
     if n0 == 0:
         return
@@ -670,10 +673,15 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
         groups = _collision_groups(packed)
         if not groups and state.q >= q_min:
             break
+        pair = groups[0][:2] if groups else None
+        if pair and points0[pair[0]].tolist() == points0[pair[1]].tolist():
+            points0 = np.delete(points0, pair[1], axis=0)
+            del packed[pair[1]]
+            state.repeat_events += 1
+            continue
         rounds += 1
         if rounds > n0 + q_min + 8:
             raise GeometryExhaustedError("initial plane accretion failed to converge")
-        pair = groups[0][:2] if groups else None
         for attempt in range(_INIT_DRAW_BUDGET):
             alpha = _draw_split_plane(state, points0, pair, attempt)
             if alpha is None:
@@ -689,7 +697,7 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
                 if not splits:
                     continue
             state._append_plane(alpha, saturated=True)
-            for i in range(n0):
+            for i in range(len(packed)):
                 packed[i] = (packed[i] << 1) | int(bits[i])
             break
         else:
@@ -698,24 +706,12 @@ def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
             )
 
     state.q0 = state.q
-    for i in range(n0):
+    for i in range(len(packed)):
         state._add_point(points0[i], packed[i])
 
 
-def _require_distinct(pts: np.ndarray) -> None:
-    if pts.shape[0] < 2:
-        return
-    order = np.lexsort(pts.T)
-    eq = np.all(pts[order[1:]] == pts[order[:-1]], axis=1)
-    if np.any(eq):
-        i = int(np.nonzero(eq)[0][0])
-        raise DuplicatePointError(
-            f"points {order[i]} and {order[i + 1]} are coordinate-identical"
-        )
-
-
 def _check_points(points, n: int) -> np.ndarray:
-    """Input as an (N, n) float array of finite, distinct rows; empty input is N=0."""
+    """Input as an (N, n) float array of finite rows; empty input is N=0."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         return pts.reshape(0, n)
@@ -723,17 +719,23 @@ def _check_points(points, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"expected shape (N, {n}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
-    _require_distinct(pts)
     return pts
 
 
+def _require_no_repeats(state: SeparationState) -> None:
+    if state.repeat_events:  # tallied where each repeat met its twin
+        raise DuplicatePointError(f"{state.repeat_events} input points repeat another point")
+
+
 def init(points0, n: int, seed) -> SeparationState:
-    """Fresh state seeded with enough random planes to tell the first batch apart.
+    """Fresh state seeded with enough random planes to tell the first batch
+    apart; raises DuplicatePointError when two of its points are equal.
 
     ``seed`` goes to :func:`numpy.random.default_rng`; a ``Generator`` is used as is.
     """
     state = SeparationState(n=n, seed=seed)
     _accrete_initial(state, _check_points(points0, n))
+    _require_no_repeats(state)
     return state
 
 
@@ -784,10 +786,14 @@ def _park(state: SeparationState, pid: int, p: np.ndarray, key: int,
           recycled: list[np.ndarray]) -> None:
     """Park p, whose int key ``key`` stored point ``pid`` holds, on pid's
     pending chain, which it opens when there is none; when the chain is
-    full, p is recycled onto ``recycled``."""
+    full, p is recycled onto ``recycled``.  A p equal to pid's point, which
+    no plane can split from it, is dropped as a repeat and tallied."""
+    anchor = state._pts_buf[pid]
+    if anchor.tolist() == p.tolist():
+        state.repeat_events += 1
+        return
     ch = state.chains.get(pid)
     if ch is None:
-        anchor = state._pts_buf[pid]
         state.chains[pid] = PendingChain(pid, key, state._midpoint(anchor, p), [p])
     elif len(ch.members) < 3:
         ch.members.append(p)
@@ -872,7 +878,7 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
 
 
 def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult:
-    """Place one point: accept into a fresh quadrant, park on a chain, or recycle.
+    """Place one point: accept, park on a chain, recycle, or drop as a repeat.
 
     Called with a point alone, offer checks it and evaluates its
     residuals with one :func:`kernels.residuals_block` call on its row,
@@ -891,12 +897,14 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult
     for j in np.nonzero(np.abs(r) <= eps)[0]:
         r[j] = _nudge_plane(state, int(j), p, float(r[j]))
 
-    count, recycled = state.count, []
+    count, repeats, recycled = state.count, state.repeat_events, []
     reports = _place_one(state, p, pack_sign_bits(r > eps), recycled)
     if reports:
         return OfferResult(OfferKind.PLANE_EMITTED, reports=reports)
     if recycled:
         return OfferResult(OfferKind.RECYCLED)
+    if state.repeat_events > repeats:
+        return OfferResult(OfferKind.REPEATED)
     return OfferResult(OfferKind.ACCEPTED if state.count > count else OfferKind.PENDING)
 
 
@@ -1001,7 +1009,8 @@ def emit_plane(state: SeparationState) -> PlaneReport:
 
     Chains are keyed by anchor and anchors hold distinct sign vectors, so
     no two chains share a quadrant: nothing is merged before the fit, and
-    every pending point ends up stored or still pending, never recycled.
+    every pending point ends up stored or still pending, never recycled;
+    one equal to the point it joins is dropped as a repeat.
     """
     if not state.chains:
         raise ValueError("no pending chains to separate")
@@ -1047,6 +1056,8 @@ def emit_plane(state: SeparationState) -> PlaneReport:
             if host is None:
                 hosts[bit] = pid = state._add_point(pt, key)
                 promoted.append(pid)
+            elif state._pts_buf[host].tolist() == pt.tolist():
+                state.repeat_events += 1
             elif host in state.chains:
                 rehomed += 1
                 state.chains[host].members.append(pt)
@@ -1149,7 +1160,9 @@ def run(points, n: int, seed) -> SeparationState:
     Returns a state in which every input point is stored under a unique
     sign vector, with the ids the stream gave the points.  Its slots are
     rebuilt at the end, at all q bits for the final N, so they are the
-    slots :func:`planesep.repository.load` builds for the same keys.
+    slots :func:`planesep.repository.load` builds for the same keys.  A
+    point is dropped where it meets its twin, and once the stream is
+    flushed any drop raises DuplicatePointError.
     """
     pts = _check_points(points, n)
     rng = np.random.default_rng(seed)
@@ -1160,6 +1173,7 @@ def run(points, n: int, seed) -> SeparationState:
     _accrete_initial(state, pts[order[:n0]])
     stream_points(state, pts[order[n0:]])
     finalize(state)
+    _require_no_repeats(state)
     if state.count != pts.shape[0]:
         raise AssertionError("driver lost points; this is a bug")
     state.index._rehash()

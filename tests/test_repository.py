@@ -121,7 +121,6 @@ class TestDigitMapping:
         repo._register_new_points()
         assert repo.values == values
         assert all(type(v) is int for v in repo.values)
-        assert repo.value_ids == {v: i for i, v in enumerate(values)}
 
     def test_batched_expansion_of_nothing(self):
         assert map_to_points([], self.M4).shape == (0, 4)
@@ -182,6 +181,16 @@ class TestBuild:
     def test_duplicate_values_rejected(self):
         with pytest.raises(DuplicatePointError):
             build([3, 5, 3], 2, 0)
+
+    def test_a_value_repeated_past_the_initial_batch_is_rejected(self):
+        values = primes_below(1000)
+        # build streams its values in the order its seed draws; the first
+        # n+1 = 4 of them are the initial batch
+        order = np.random.default_rng(0).permutation(len(values) + 1).tolist()
+        twin = next(i for i in order[4:] if i < len(values))
+        assert len(values) in order[4:]
+        with pytest.raises(DuplicatePointError, match="^1 input points repeat"):
+            build(values + [values[twin]], 3, 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_arbitrary_integer_sets_separate(self, seed):
@@ -312,6 +321,27 @@ class TestInsert:
         assert sorted(report.skipped_duplicates) == [5, 11]
         assert query(repo, 11).found
 
+    @pytest.mark.parametrize("calls", [
+        # batches: stored 5, fresh 11, 4 and 6, and repeats within the call
+        [([5, 11, 4, 11, 5, 6, 4], 3, [5, 11, 5, 4])],
+        # lone values: a stored one, a fresh one, then that one again
+        [([5], 0, [5]), ([11], 1, []), ([11], 0, [11])],
+        # a batch whose only fresh value is repeated, then one of stored values
+        [([11, 11], 1, [11]), ([2, 3, 11], 0, [2, 3, 11])],
+    ])
+    def test_stored_repeated_and_fresh_values_mixed(self, calls):
+        repo = build([2, 3, 5, 7], 2, 0)
+        stored = set(repo.values)
+        for values, added, skipped in calls:
+            q = repo.q
+            report = insert(repo, values)
+            assert (report.added, report.skipped_duplicates) == (added, skipped)
+            assert report.planes_added == repo.q - q
+            stored |= set(values)
+            assert repo.count == len(stored) and set(repo.values) == stored
+            assert not repo.state.chains
+        assert [v for v in range(100) if query(repo, v).found] == sorted(stored)
+
     def test_out_of_range_value_raises_and_changes_nothing(self):
         repo = build(primes_below(50), 2, 3)
         before = saved_text(repo)
@@ -438,7 +468,7 @@ class TestOneValueInsert:
         twin = copy.deepcopy(repo)
         nudged = emitted = False
         for v in values:
-            if v in repo.value_ids:
+            if v in repo.values:
                 continue
             planes = repo.state.plane_matrix.copy()
             report = insert(repo, [v])
@@ -748,7 +778,6 @@ class TestPersistence:
         loaded = load(io.StringIO(text))
         again = load(io.StringIO(saved_text(loaded)))
         assert loaded.values == repo.values
-        assert loaded.value_ids == repo.value_ids
         assert np.array_equal(loaded.state.points, repo.state.points)
         assert list(loaded.state.index.items()) == list(repo.state.index.items())
         assert saved_text(loaded) == text
@@ -761,7 +790,7 @@ class TestPersistence:
                 a.state.offers, a.state.recycle_events)
             assert (b.mapping, b.seed, b.dims_history) == (a.mapping, a.seed, a.dims_history)
         # a second round trip keeps the point ids as well
-        assert again.values == loaded.values and again.value_ids == loaded.value_ids
+        assert again.values == loaded.values
         assert np.array_equal(again.state.points, loaded.state.points)
         assert list(again.state.index.items()) == list(loaded.state.index.items())
 

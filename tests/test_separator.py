@@ -48,6 +48,8 @@ def find_same_quadrant_points(state, anchor_id, count, lo=0.0, hi=9.0):
     for _ in range(20000):
         cand = anchor + rng.uniform(-1.5, 1.5, size=state.n)
         cand = np.clip(cand, lo, hi)
+        if any(np.array_equal(cand, x) for x in [anchor, *found]):
+            continue  # a clipped corner repeats a point
         r = 1.0 + state.plane_matrix @ cand
         if np.any(np.abs(r) <= EPS):
             continue
@@ -523,9 +525,12 @@ class TestInit:
         assert all(state._saturated)
 
     def test_duplicate_points_rejected(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        with pytest.raises(DuplicatePointError):
-            init(pts, 2, seed=0)
+        pts = [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]
+        with pytest.raises(DuplicatePointError, match="^1 input points repeat"):
+            init(np.array(pts), 2, seed=0)
+        # each copy is dropped and counted
+        with pytest.raises(DuplicatePointError, match="^2 input points repeat"):
+            init(np.array(pts + [[5.0, 0.0], [1.0, 2.0]]), 2, seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plane_floor_holds(self, seed):
@@ -612,6 +617,50 @@ class TestOffer:
             offer(state, p)
             expected += 2 * q_now
         assert state.counters.ov_multiplications == expected
+
+
+def primes_state():
+    """All primes below 1000 as digit points, run at n=3 with seed 0."""
+    primes = [int(p) for p in oracle.sieve(1000).primes()]
+    return run(map_to_points(primes, IntegerMapping(n=3)), 3, 0)
+
+
+class TestRepeats:
+    """A point equal to one the state holds is dropped where it meets its
+    twin, and tallied; no plane is fitted for it."""
+
+    def test_offer_of_a_stored_points_copy_is_dropped(self):
+        state = primes_state()
+        count, q, keys, offers = state.count, state.q, state.packed, state.offers
+        res = offer(state, state.points[100].copy())
+        assert not state.chains
+        finalize(state)
+        assert res.kind is OfferKind.REPEATED
+        assert (state.repeat_events, state.offers) == (1, offers + 1)
+        assert (state.count, state.q, state.packed) == (count, q, keys)
+
+    def test_stream_drops_a_stored_points_copy(self):
+        state = primes_state()
+        count = state.count
+        fresh = map_to_points([4, 6, 8, 9, 10, 12], IntegerMapping(n=3))
+        block = np.vstack([fresh[:3], state.points[7], fresh[3:]])
+        stream_points(state, block)
+        finalize(state)
+        assert (state.repeat_events, state.count) == (1, count + len(fresh))
+        assert_state_separated(state)
+
+    def test_a_pending_points_copy_is_dropped_at_rehome(self):
+        state = TestOffer().make_state()
+        (b,) = find_same_quadrant_points(state, 0, 1)
+        count = state.count
+        assert offer(state, b).kind is OfferKind.PENDING
+        # the copy meets the anchor, which it does not equal, so it parks too
+        assert offer(state, b.copy()).kind is OfferKind.PENDING
+        assert [len(ch.members) for ch in state.chains.values()] == [2]
+        finalize(state)
+        # the plane stores b, and the copy falls on b's side
+        assert (state.repeat_events, state.count) == (1, count + 1)
+        assert_state_separated(state)
 
 
 class TestEmitPlane:
