@@ -29,7 +29,9 @@ def residuals_block(points: np.ndarray, planes: np.ndarray) -> np.ndarray:
 
 def residuals_plane(points: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Residuals 1 + alpha . x_i of N points against one plane; shape (N,)."""
-    return 1.0 + points @ alpha
+    r = points @ alpha
+    r += 1.0
+    return r
 
 
 def gauss_solve(
@@ -57,10 +59,10 @@ def gauss_solve(
     pivot0 = 0.0
     for t in range(min(k, n)):
         sub = np.abs(a[t:, t:])
-        flat = int(np.argmax(sub))
-        pi = t + flat // (n - t)
-        pj = t + flat % (n - t)
-        piv = sub[pi - t, pj - t]
+        pi, pj = divmod(int(sub.argmax()), n - t)
+        piv = float(sub[pi, pj])
+        pi += t
+        pj += t
         if t == 0:
             pivot0 = piv
             if piv == 0.0:
@@ -68,15 +70,17 @@ def gauss_solve(
         elif piv <= rank_rtol * pivot0:
             break
         if pi != t:
-            a[[t, pi]] = a[[pi, t]]
+            row = a[t].copy()
+            a[t], a[pi] = a[pi], row
             b[t], b[pi] = b[pi], b[t]
         if pj != t:
-            a[:, [t, pj]] = a[:, [pj, t]]
+            col = a[:, t].copy()
+            a[:, t], a[:, pj] = a[:, pj], col
             col_order[t], col_order[pj] = col_order[pj], col_order[t]
         rows = k - t - 1
         if rows > 0:
             lam = a[t + 1:, t] / a[t, t]
-            a[t + 1:, t + 1:] -= np.outer(lam, a[t, t + 1:])
+            a[t + 1:, t + 1:] -= lam[:, None] * a[t, t + 1:]
             b[t + 1:] -= lam * b[t]
             a[t + 1:, t] = 0.0
             mults += rows + rows * (n - t - 1) + rows

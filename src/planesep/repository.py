@@ -189,14 +189,24 @@ class Repository:
             yield self.values[pid], state.points[pid].copy(), OrientationVector(state.q, packed)
 
     def _register_new_points(self) -> None:
-        """Record the value of every point the state gained since the last call."""
+        """Record the value of every point the state gained since the last call.
+
+        Only the digit columns up to the last nonzero one are multiplied
+        out: in int64 when every value they can hold fits in it, else in
+        Python integers.
+        """
         new = self.state.points[len(self.values):]
         mapping = self.mapping
         is_digit = (new >= 0) & (new < mapping.base) & (new == np.floor(new))
         if not is_digit.all():
             bad = int(np.nonzero(~is_digit.all(axis=1))[0][0])
             point_to_integer(new[bad], mapping)  # raises NotADigitPointError
-        self.values.extend((new.astype(np.int64) @ mapping.powers).tolist())
+        live = np.flatnonzero(new.any(axis=0))
+        width = int(live[-1]) + 1 if len(live) else 0
+        powers = mapping.powers[:width]
+        if mapping.base**width - 1 <= _INT64_MAX:
+            powers = powers.astype(np.int64, copy=False)
+        self.values.extend((new[:, :width].astype(np.int64) @ powers).tolist())
 
 
 def build(values, n: int, seed: int, *, base: int = 10) -> Repository:

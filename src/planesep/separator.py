@@ -367,7 +367,8 @@ class OvIndex:
             grown = np.zeros((len(self), width + 1), np.uint64)
             grown[:, :width] = self._view()
             self._rows, self._width = _words(grown), width + 1
-        self._view()[:, q // 64] |= np.asarray(bit_by_id, np.uint64) << np.uint64(63 - q % 64)
+        self._view()[:, q // 64] |= np.left_shift(bit_by_id, np.uint64(63 - q % 64),
+                                                  dtype=np.uint64)
         self._q = q + 1
         if self._q >= 2 * self._bits:
             self._rehash()
@@ -750,6 +751,14 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     |d| below the smallest stored residual magnitude preserves every
     stored and pending sign while pushing the offered point clear of the
     incidence band.  Verified by re-evaluation before committing.
+
+    The prediction reads at most two residuals.  r -> fl(fl(r + d) / (1 + d))
+    is monotone, so a step keeps every positive live residual above the
+    band exactly when it keeps the least positive one there, and every
+    negative one below it exactly when it keeps the greatest negative one.
+    The residual nearest zero bounds both and decides most steps alone;
+    the two are found only for a step it leaves open.  A zero or NaN live
+    residual fails every step.
     """
     eps = state.config.epsilon
     alpha = state._alpha_buf[j].copy()
@@ -759,18 +768,25 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     def live_residuals(a: np.ndarray) -> np.ndarray:
         return np.concatenate([state._sweep(m, a) for m in live_mats])
 
-    def keeps_signs(r: np.ndarray) -> bool:
-        return not (np.any(np.sign(r) != np.sign(live)) or np.any(np.abs(r) <= eps))
-
     live = live_residuals(alpha)
-    for step in _NUDGE_STEPS:
+    above, below = live > 0, live < 0
+    nearest = np.abs(live).min(initial=np.inf)  # NaN if a residual is NaN
+    ends = None  # the least positive and the greatest negative live residual
+    for step in _NUDGE_STEPS if nearest > 0 else ():
         d = step * eps
         factor = 1.0 + d
-        if not keeps_signs((live + d) / factor) or abs((r_p + d) / factor) <= eps:
+        if abs((r_p + d) / factor) <= eps:
             continue
+        if (nearest + d) / factor <= eps or (d - nearest) / factor >= -eps:
+            if ends is None:
+                ends = (live[above].min(initial=np.inf), live[below].max(initial=-np.inf))
+            if (ends[0] + d) / factor <= eps or (ends[1] + d) / factor >= -eps:
+                continue
         candidate = alpha / factor
-        # verify the analytic prediction on the real arithmetic path
-        if not keeps_signs(live_residuals(candidate)):
+        # verify the prediction on the real arithmetic path: every live
+        # residual, none of them zero or NaN, keeps its side out of the band
+        r = live_residuals(candidate)
+        if not (np.array_equal(r > eps, above) and np.array_equal(r < -eps, below)):
             continue
         new_rp = float(state._sweep(p[None, :], candidate)[0])
         if abs(new_rp) <= eps:
@@ -938,18 +954,25 @@ def _try_separating_plane(state, batch, starts, pend_mat):
     cfg = state.config
     eps = cfg.epsilon
     n = state.n
-    mids0 = np.stack([ch.midpoint_ab for ch in batch])
-    segs = np.stack([state.points[ch.anchor_id] - ch.members[0] for ch in batch])
-    seg_lens = [float(np.linalg.norm(s)) for s in segs]
-    delta_base = cfg.delta0 * (sum(seg_lens) / len(seg_lens))
-
     k = len(batch)
+    mids0 = np.stack([ch.midpoint_ab for ch in batch])
+    anchors = [ch.anchor_id for ch in batch]
+    firsts = starts[:k]
+    # segment directions, each anchor minus its first member, and their
+    # lengths are taken only where the span test or a shifted refit reads them
+    segs = None
+
     direction = None
     for attempt in range(cfg.max_retries + 1):
         if attempt == 0:
             mids = mids0
             delta = 0.0
         else:
+            if attempt == 1:
+                if segs is None:
+                    segs = state.points[anchors] - pend_mat[firsts]
+                seg_lens = [float(np.linalg.norm(s)) for s in segs]
+                delta_base = cfg.delta0 * (sum(seg_lens) / len(seg_lens))
             delta = delta_base * (2.0 ** (attempt - 1))
             if direction is None:
                 direction = state.rng.standard_normal(n)
@@ -960,20 +983,19 @@ def _try_separating_plane(state, batch, starts, pend_mat):
             if attempt == 0 and exc.rank is not None:
                 if exc.rank + 1 < k:
                     return exc.rank + 1
+                segs = state.points[anchors] - pend_mat[firsts]
                 if _segments_in_span(mids0, segs, exc.rank):
                     return k - 1
             direction = None
             continue
-        r_s = state._sweep(state.points, cand) if state.count else np.empty(0)
+        r_s = state._sweep(state.points, cand)
         r_pend = state._sweep(pend_mat, cand)
-        if np.any(np.abs(r_s) <= eps) or np.any(np.abs(r_pend) <= eps):
+        # fmin skips a NaN as the elementwise band test would
+        if (np.fmin.reduce(np.abs(r_s), initial=np.inf) <= eps
+                or np.fmin.reduce(np.abs(r_pend)) <= eps):
             direction = cand
             continue
-        separated = all(
-            (r_s[ch.anchor_id] > 0) != (r_pend[start] > 0)
-            for ch, start in zip(batch, starts)
-        )
-        if not separated:
+        if not np.all((r_s[anchors] > 0) != (r_pend[firsts] > 0)):
             direction = cand
             continue
         return cand, r_s, r_pend, attempt, delta

@@ -118,6 +118,23 @@ PRIMES5_COUNTERS = {
 }
 
 
+# 2,000 values below 10^6 at n=25, built, then 400 and 80 as batches and
+# 20 one call each: a capacity of 10^25 > 2^63, so values are registered
+# past int64 although each stored value fits in it
+WIDE25_BUILT_SHA256 = "da650ed1647a95c9dcd5de949323d58d3e69612990eca4684c6b3cdcd25e7854"
+WIDE25_SHA256 = "cc221bb505617b2de63e869ffda068a624dc7b2556f758031ed33504250cc9bd"
+WIDE25_PLANES_AND_ENTRIES_SHA256 = "e2b5517cbd071f99b628995c942f56accb0fdf7e8dfe31adc297a352bec7fcc0"
+WIDE25_COUNTERS = {
+    "multiplications": 3406291,
+    "additions": 3400245,
+    "sign_evals": 130217,
+    "bit_comparisons": 17238,
+    "ov_multiplications": 2153850,
+    "extension_multiplications": 1101575,
+    "solve_multiplications": 143291,
+}
+
+
 def saved_text(repo):
     buf = io.StringIO()
     save(repo, buf)
@@ -186,6 +203,27 @@ def test_fixed_seed_rank_deficient_build_is_unchanged():
     assert sha256(planes_and_entries(text)) == WIDE_PLANES_AND_ENTRIES_SHA256
     assert sha256(text) == WIDE_SHA256
     assert repo.counters.as_dict() == WIDE_COUNTERS
+
+
+def test_fixed_seed_wide_build_and_inserts_are_unchanged():
+    """Pinned before plane emission stopped taking segment lengths that
+    only shifted refits read and values began to be registered in int64:
+    neither may move a byte or a counter."""
+    values = [int(v) for v in np.random.default_rng(25).choice(10**6, 2_500, replace=False)]
+    repo = build(values[:2_000], 25, 0)
+    assert repo.q == 47
+    assert sha256(saved_text(repo)) == WIDE25_BUILT_SHA256
+    insert(repo, values[2_000:2_400])
+    insert(repo, values[2_400:2_480])
+    for v in values[2_480:]:
+        insert(repo, [v])
+    text = saved_text(repo)
+    assert (repo.q, repo.count) == (52, 2_500)
+    assert sorted(repo.values) == sorted(values)
+    assert sha256(planes_and_entries(text)) == WIDE25_PLANES_AND_ENTRIES_SHA256
+    assert sha256(text) == WIDE25_SHA256
+    assert repo.counters.as_dict() == WIDE25_COUNTERS
+    assert saved_text(load(io.StringIO(text))) == text
 
 
 def test_fixed_seed_build_past_64_planes_is_unchanged():

@@ -108,6 +108,11 @@ class TestDigitMapping:
             # at n=25, int64 digits for values below 2**63, up to their top digit
             (IntegerMapping(n=25), [0, 7, 10**18 + 3, 2**63 - 1]),
             (IntegerMapping(n=25), [10**24 + 7]),  # a lone value
+            # registration multiplies out the digit columns up to the last
+            # nonzero one: in int64 up to 18 of them, else in Python ints
+            (IntegerMapping(n=25), [5, 10**18 - 1]),
+            (IntegerMapping(n=25), [5, 10**19 - 1]),
+            (IntegerMapping(n=25), [0]),
             (IntegerMapping(n=18), [0, 10**18 - 1, 2**59 + 3]),
         ],
     )
@@ -202,6 +207,26 @@ class TestBuild:
         )
         assert verdict.ok
         assert repo.count == len(values)
+
+    def test_values_past_int64_beside_small_values(self):
+        """At n=25 a value of 2**63 or more is registered with Python ints
+        and a small one with int64; stored together, each must come back
+        exactly and be found."""
+        rng = np.random.default_rng(7)
+        small = [int(v) for v in rng.choice(10**6, 60, replace=False)]
+        big = [2**63, 2**63 + 1, 2**64 + 12345, 10**19, 10**25 - 1, 10**19 - 1, 2**63 - 1, 2**70]
+        repo = build(small[:40] + big[:3], 25, 0)
+        insert(repo, small[40:55] + big[3:5])
+        # 19 digit columns, whose values can pass 2**63 - 1 although this one's does not
+        insert(repo, big[5:7])
+        for v in small[55:] + big[7:]:
+            insert(repo, [v])
+        assert sorted(repo.values) == sorted(small + big)
+        assert all(type(v) is int for v in repo.values)
+        for v, point, _ in repo.entries():
+            assert point_to_integer(point, repo.mapping) == v
+        assert all(query(repo, v).found for v in small + big)
+        assert not any(query(repo, v).found for v in (2**63 + 2, 2**64, 10**25 - 2))
 
     def test_binary_base_build(self):
         repo = build(list(range(16)), 4, 1, base=2)
