@@ -158,8 +158,10 @@ def infer_dims(values: list[int], base: int) -> int:
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call ``write`` on a temporary sibling of ``path``, then rename it into
-    place with the mode of the file it replaces, or of a new file."""
+    """Call ``write`` on a temporary sibling of ``path``, flush it to disk,
+    then rename it into place with the mode of the file it replaces, or of
+    a new file: after a crash, ``path`` holds the old file or the whole new
+    one, never a part of it."""
     try:
         try:
             mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -171,6 +173,8 @@ def _write_atomic(path: str, write) -> None:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_VERIFY_BLOCK = 4096  # points whose residuals verify_separation computes together
+
 
 @dataclass
 class SieveTable:
@@ -52,10 +54,12 @@ def verify_separation(points, planes: np.ndarray, epsilon: float) -> Verdict:
     """Check that the planes, a (q, n) coefficient matrix, give every point a
     clear, unique sign vector.
 
-    Recomputes all residuals from scratch: a point within epsilon of any
-    plane is an incidence failure, and two points with identical sign rows
-    are a collision (any colliding pair shows up adjacently once rows are
-    sorted, so this reports the same failures as comparing all pairs).
+    Recomputes all residuals from scratch, ``_VERIFY_BLOCK`` points at a
+    time: a point within epsilon of any plane is an incidence failure, and
+    two points with identical sign rows are a collision.  Each block's
+    sign rows are kept packed into bits, and any colliding pair shows up
+    adjacently once the packed rows are sorted, so this reports the same
+    failures as comparing all pairs without holding the N x q residuals.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -69,15 +73,22 @@ def verify_separation(points, planes: np.ndarray, epsilon: float) -> Verdict:
             verdict.collisions = [(i, i + 1) for i in range(npts - 1)]
         return verdict
 
-    resid = 1.0 + pts @ mat.T
-    inc = np.nonzero(np.abs(resid) <= epsilon)
-    for i, j in zip(*inc):
-        verdict.ok = False
-        verdict.incidences.append((int(i), int(j)))
+    # each row's sign bits, first plane first, padded to whole big-endian
+    # words: rows of words sort as the rows of bits do
+    words = -(-mat.shape[0] // 64)
+    packed = np.zeros((npts, 8 * words), np.uint8)
+    for start in range(0, npts, _VERIFY_BLOCK):
+        resid = 1.0 + pts[start:start + _VERIFY_BLOCK] @ mat.T
+        for i, j in zip(*np.nonzero(np.abs(resid) <= epsilon)):
+            verdict.ok = False
+            verdict.incidences.append((start + int(i), int(j)))
+        bits = np.packbits(resid > 0, axis=1)
+        packed[start:start + len(bits), :bits.shape[1]] = bits
 
-    signs = resid > 0
-    order = np.lexsort(signs.T[::-1])
-    same = np.all(signs[order[1:]] == signs[order[:-1]], axis=1)
+    rows = packed.view(">u8")
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ranked = rows[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
     for k in np.nonzero(same)[0]:
         verdict.ok = False
         verdict.collisions.append((int(order[k]), int(order[k + 1])))

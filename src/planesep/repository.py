@@ -19,13 +19,14 @@ accumulator, so concurrent readers never contend.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 import operator
+from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,12 @@ def grow_dimension(repo: Repository, n_new: int) -> Repository:
 # ---------------------------------------------------------------------------
 
 def save(repo: Repository, sink) -> None:
-    """Write the repository; floats are repr-encoded so reload is bit-exact."""
+    """Write the repository; floats are repr-encoded so reload is bit-exact.
+
+    The entry lines are written by point id, one ``write`` for each block
+    of keys :meth:`separator.OvIndex.hex_blocks` converts, so the text of
+    all the entries is never held at once.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             save(repo, fh)
@@ -357,41 +363,109 @@ def save(repo: Repository, sink) -> None:
     for j in range(state.q):
         coeffs = " ".join(map(repr, state._alpha_buf[j].tolist()))
         w(f"plane {1 if state._saturated[j] else 0} {coeffs}\n")
-    for v, key in zip(repo.values, chain.from_iterable(state.index.hex_blocks())):
-        w(f"entry {v} {key}\n")
+    values = iter(repo.values)
+    for keys in state.index.hex_blocks():
+        # keys first: zip then stops before it takes a value past the block
+        w("".join([f"entry {v} {key}\n" for key, v in zip(keys, values)]))
     w("end\n")
 
 
-class _LineReader:
-    def __init__(self, fh):
+_CHUNK = 1 << 18  # characters, or bytes, read from the source at a time
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines ends a line
+
+
+def _text_chunks(fh):
+    """The text of a text stream, read a chunk at a time."""
+    try:
+        yield from iter(partial(fh.read, _CHUNK), "")
+    except UnicodeDecodeError as exc:
+        raise RepositoryFormatError(f"not UTF-8 text: {exc}") from exc
+
+
+def _utf8_chunks(fh):
+    """The UTF-8 text of a binary stream, decoded a chunk at a time.  Bytes
+    that are not UTF-8 raise with their position in the whole stream."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    while True:
+        raw = fh.read(_CHUNK)
         try:
-            self.lines = fh.read().splitlines()
+            text = decoder.decode(raw, final=not raw)
         except UnicodeDecodeError as exc:
-            raise RepositoryFormatError(f"not UTF-8 text: {exc}") from exc
-        self.pos = 0
+            # the decoder failed on the bytes it held back plus this chunk
+            at = read - len(decoder.getstate()[0]) + exc.start
+            bad = exc.object[exc.start:exc.end]
+            where = (f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
+                     else f"bytes in position {at}-{at + len(bad) - 1}")
+            raise RepositoryFormatError(
+                f"not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}"
+            ) from exc
+        if not raw:
+            return
+        read += len(raw)
+        if text:  # empty when a short read ends inside a character
+            yield text
+
+
+class _LineReader:
+    """The lines of a text, numbered as :meth:`str.splitlines` numbers them,
+    read from its chunks as they are taken, so the whole text is never held."""
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._lines: list[str] = []  # whole lines read and not yet taken, from _at on
+        self._at = 0
+        self._tail = ""  # the text after the last whole line read; None at the end
+        self.pos = 0  # the lines taken
+
+    def _read(self) -> None:
+        chunk = next(self._chunks, "")
+        text = self._tail + chunk
+        lines = text.splitlines()
+        if not chunk:
+            self._tail = None  # splitlines ended the last line, if it was open
+        elif text[-1] not in _BREAKS:
+            self._tail = lines.pop()
+        elif text[-1] == "\r":
+            self._tail = lines.pop() + "\r"  # a "\n" after it ends the same line
+        else:
+            self._tail = ""
+        self._lines = self._lines[self._at:] + lines
+        self._at = 0
+
+    def take(self, k: int) -> list[str]:
+        """The next k lines; fewer only at the end of the text."""
+        while len(self._lines) - self._at < k and self._tail is not None:
+            self._read()
+        lines = self._lines[self._at:self._at + k]
+        self._at += len(lines)
+        self.pos += len(lines)
+        return lines
 
     def next(self, expect: str | None = None, fields: int | None = 2) -> list[str]:
-        """The next line's fields, its tag checked against ``expect``.
-
-        ``fields`` is the number of fields :func:`save` writes on the line
-        (None when the caller counts them); a line with more is rejected.
-        """
-        if self.pos >= len(self.lines):
+        """The next line's fields, checked by :func:`_fields`."""
+        lines = self.take(1)
+        if not lines:
             raise RepositoryFormatError("unexpected end of file", line=self.pos + 1)
-        line = self.lines[self.pos]
-        self.pos += 1
-        parts = line.split()
-        if not parts:
-            raise RepositoryFormatError("blank line", line=self.pos)
-        if expect is not None and parts[0] != expect:
-            raise RepositoryFormatError(
-                f"expected {expect!r}, found {parts[0]!r}", line=self.pos
-            )
-        if fields is not None and len(parts) > fields:
-            raise RepositoryFormatError(
-                f"extra fields {parts[fields:]} on {parts[0]!r} line", line=self.pos
-            )
-        return parts
+        return _fields(lines[0], self.pos, expect, fields)
+
+
+def _fields(line: str, lineno: int, expect: str | None, fields: int | None) -> list[str]:
+    """The fields of line ``lineno``, its tag checked against ``expect``.
+
+    ``fields`` is the number of fields :func:`save` writes on the line
+    (None when the caller counts them); a line with more is rejected.
+    """
+    parts = line.split()
+    if not parts:
+        raise RepositoryFormatError("blank line", line=lineno)
+    if expect is not None and parts[0] != expect:
+        raise RepositoryFormatError(f"expected {expect!r}, found {parts[0]!r}", line=lineno)
+    if fields is not None and len(parts) > fields:
+        raise RepositoryFormatError(
+            f"extra fields {parts[fields:]} on {parts[0]!r} line", line=lineno
+        )
+    return parts
 
 
 def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
@@ -414,44 +488,72 @@ def _first_repeat(values: list[int]) -> int:
     return next(i for i, v in enumerate(values) if first.setdefault(v, i) != i)
 
 
-def _check_entry_line(rd: _LineReader, capacity: int, q: int) -> None:
-    """Read the entry line at ``rd.pos`` one field at a time, and raise for
-    its first fault with its line number; return when it has none."""
-    parts = rd.next("entry", 3)
-    v = _int_field(parts, 1, rd.pos)
+def _check_entry_line(line: str, lineno: int, capacity: int, q: int) -> None:
+    """Read entry line ``lineno`` one field at a time, and raise for its
+    first fault with its line number; return when it has none."""
+    parts = _fields(line, lineno, "entry", 3)
+    v = _int_field(parts, 1, lineno)
     if not 0 <= v < capacity:
-        raise RepositoryFormatError(f"value {v} out of range", line=rd.pos)
+        raise RepositoryFormatError(f"value {v} out of range", line=lineno)
     try:
         packed = int(parts[2], 16)
     except (ValueError, IndexError) as exc:
-        raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
+        raise RepositoryFormatError("bad packed sign vector", line=lineno) from exc
     if packed >= 1 << q:
-        raise RepositoryFormatError("sign vector wider than q", line=rd.pos)
+        raise RepositoryFormatError("sign vector wider than q", line=lineno)
     try:
         separator.hex_rows([parts[2]], q)
     except ValueError as exc:
         # int() also reads spellings save never writes, such as 0x1f
-        raise RepositoryFormatError("bad packed sign vector", line=rd.pos) from exc
+        raise RepositoryFormatError("bad packed sign vector", line=lineno) from exc
+
+
+def _entry_block(lines: list[str], capacity: int, q: int) -> tuple[list[int], np.ndarray] | None:
+    """The values and key rows of a block of entry lines, each line split
+    once, or None when a line is not ``entry <value> <key>`` with a value
+    in range and a key :func:`save` could write."""
+    values, keys = [], []
+    try:
+        # each line's fields are dropped as they are read: a block's lists
+        # held at once would keep the garbage collector busy
+        for tag, value, key in map(str.split, lines):
+            if tag != "entry":
+                return None
+            values.append(value)
+            keys.append(key)
+        values = list(map(int, values))
+        if min(values) < 0 or max(values) >= capacity:
+            return None
+        return values, separator.hex_rows(keys, q)
+    except ValueError:
+        return None
 
 
 def load(source) -> Repository:
-    """Read a repository written by :func:`save`.
+    """Read a repository written by :func:`save` from a path, bytes, or a
+    text or binary stream.
 
-    The entry lines are parsed in one pass, and their keys' hex becomes the
-    index's rows in another, a block of keys at a time; entry i is point
-    id i, and the entries may come in any order.  Every malformed line,
-    one with more fields than :func:`save` writes among them, raises
-    :class:`RepositoryFormatError` with its line number, and so does an
-    entry that repeats an earlier entry's sign vector or value, and input
-    that is not UTF-8 text, without one.
+    The text is read a chunk at a time and split into lines as
+    :meth:`str.splitlines` splits it.  The entry lines are taken a block
+    of ``separator._HEX_BLOCK`` at a time: each line is split once and
+    its tag and value are checked, and the block's keys' hex becomes the
+    index's rows in one :func:`separator.hex_rows` call; a block that
+    fails any check is read again one line at a time, and its first
+    faulty line raises.  Entry i is point id i, and the entries may come
+    in any order.  Every malformed line, one with more fields than
+    :func:`save` writes among them, raises :class:`RepositoryFormatError`
+    with its line number, and so does an entry that repeats an earlier
+    entry's sign vector or value, and input that is not UTF-8 text,
+    without one.  Nothing is allocated from the header's count before the
+    entries are read.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return load(fh)
     if isinstance(source, (bytes, bytearray)):
-        return load(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8"))
-
-    rd = _LineReader(source)
+        return load(io.BytesIO(source))
+    binary = isinstance(source, (io.RawIOBase, io.BufferedIOBase))
+    rd = _LineReader(_utf8_chunks(source) if binary else _text_chunks(source))
     head = rd.next()
     if head[0] != FORMAT_MAGIC:
         raise RepositoryFormatError(f"bad magic {head[0]!r}", line=1)
@@ -538,40 +640,31 @@ def load(source) -> Repository:
             raise RepositoryFormatError("non-finite plane coefficient", line=rd.pos)
         state._append_plane(np.array(alpha), parts[1] == "1")
 
-    # one pass over the entry lines, then one over their keys' hex; when
-    # either fails, the lines are read again in order, one at a time, and
-    # the first faulty one raises
     values: list[int] = []
+    words = array("Q")  # the index's key rows, filled a block at a time
     capacity = mapping.capacity
     first = rd.pos
-    lines = rd.lines[first:first + count]
-    rows = None
-    try:
-        for line in lines:
-            tag, value, _ = line.split()
-            v = int(value)
-            if tag != "entry" or not 0 <= v < capacity:
-                break
-            values.append(v)
-        if len(values) == count:
-            # each key is cut from its line as it is read, so the keys'
-            # text is never held whole
-            rows = separator.hex_rows((line.rsplit(None, 1)[1] for line in lines), q)
-    except ValueError:
-        pass
-    if rows is None:
-        for _ in range(count):
-            _check_entry_line(rd, capacity, q)
-        raise AssertionError("every entry line passed its check after the entries failed")
-    rd.pos = first + count
+    while len(values) < count:
+        want = min(separator._HEX_BLOCK, count - len(values))
+        lines = rd.take(want)
+        block = _entry_block(lines, capacity, q) if len(lines) == want else None
+        if block is None:
+            # read the block again one line at a time: its first faulty
+            # line raises, or else the end of the file
+            for lineno, line in enumerate(lines, rd.pos - len(lines) + 1):
+                _check_entry_line(line, lineno, capacity, q)
+            if len(lines) == want:
+                raise AssertionError("every entry line passed its check after its block failed")
+            raise RepositoryFormatError("unexpected end of file", line=rd.pos + 1)
+        values += block[0]
+        words.frombytes(block[1].ravel().view(np.uint8))
     rd.next("end", 1)
-    del rd, lines  # the lines are freed before the index builds its slots
     # point id i is entry i; an empty store keeps the default point
     # buffer, which later inserts grow by doubling
     if count:
         state._pts_buf = _digit_rows(values, mapping)
         state.count = count
-    state.index = separator.OvIndex.from_rows(rows, q)
+    state.index = separator.OvIndex.from_words(words, q)
     state.counters = counters
     # a repeated key or value would serve one of its entries and hide the other
     repeat = state.index.first_repeat()

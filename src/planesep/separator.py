@@ -22,8 +22,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, islice, repeat
-from typing import Iterable
+from itertools import accumulate, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .geometry import signs_from_residuals  # only for bench/spans.py, which tra
 
 _INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
-_HEX_BLOCK = 4096  # keys converted to or from hex together, which bounds the text held
+_HEX_BLOCK = 4096  # keys converted to or from hex together, and entry lines read together
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 _MIN_SLOTS = 8
 _FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
@@ -82,24 +82,21 @@ def _words(rows: np.ndarray) -> array:
     return words
 
 
-def hex_rows(keys: Iterable[str], q: int) -> np.ndarray:
+def hex_rows(keys: Sequence[str], q: int) -> np.ndarray:
     """q-bit keys in hex, as ``save`` writes them, as the index holds them: a
     (K, W) uint64 array of rows, W = :func:`_width` (q), plane j at bit
     63 - j % 64 of word j // 64.
 
     Raises ValueError when a key is not hex digits, has more than 16W of
-    them, or is 2**q or above.  The keys are read ``_HEX_BLOCK`` at a
-    time, so the text of keys from an iterator is never held whole.
+    them, or is 2**q or above.  The keys are converted in one pass, so a
+    caller that holds text a block at a time, as ``load`` does with
+    ``_HEX_BLOCK`` entry lines, passes one block per call.
     """
     width = _width(q)
-    blocks = [np.empty((0, width), np.uint64)]
-    keys = iter(keys)
-    while block := list(islice(keys, _HEX_BLOCK)):
-        raw = bytes.fromhex("".join(map(str.zfill, block, repeat(16 * width))))
-        if len(raw) != 8 * width * len(block):
-            raise ValueError("a key has more hex digits than its row holds")
-        blocks.append(np.frombuffer(raw, ">u8").reshape(-1, width))
-    right = np.concatenate(blocks, dtype=np.uint64)
+    raw = bytes.fromhex("".join(map(str.zfill, keys, repeat(16 * width))))
+    if len(raw) != 8 * width * len(keys):
+        raise ValueError("a key has more hex digits than its row holds")
+    right = np.frombuffer(raw, ">u8").reshape(-1, width).astype(np.uint64)
     pad = 64 * width - q
     if pad and np.count_nonzero(right[:, 0] >> np.uint64(64 - pad)):
         raise ValueError("a key is wider than q bits")
@@ -168,20 +165,27 @@ class OvIndex:
                  "_slots", "_next")
 
     def __init__(self):
-        self._hold(np.zeros((0, 1), np.uint64), 0)
+        self._hold(array("Q"), 0)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, q: int) -> "OvIndex":
         """Index over the rows of q-bit keys, row i belonging to point id i.
         The keys must be distinct: :meth:`first_repeat` tells."""
+        return cls.from_words(_words(rows), q)
+
+    @classmethod
+    def from_words(cls, words: array, q: int) -> "OvIndex":
+        """:meth:`from_rows` on the rows' words, held row-major in ``words``,
+        which the index keeps: a caller that fills it a block of rows at a
+        time never holds the rows twice."""
         index = cls()
-        index._hold(rows, q)
+        index._hold(words, q)
         return index
 
-    def _hold(self, rows: np.ndarray, q: int) -> None:
-        """Hold q-bit key rows, row i belonging to point id i."""
-        self._rows = _words(rows)
-        self._width = rows.shape[1]
+    def _hold(self, words: array, q: int) -> None:
+        """Hold the words of q-bit key rows, row i belonging to point id i."""
+        self._rows = words
+        self._width = _width(q)
         self._q = q
         self._rehash()
 
@@ -358,7 +362,7 @@ class OvIndex:
         if q != self._q:
             if len(self):
                 raise AssertionError(f"{q}-bit keys inserted among {self._q}-bit keys")
-            self._hold(np.zeros((0, _width(q)), np.uint64), q)
+            self._hold(array("Q"), q)
 
     def extend_all(self, bit_by_id: np.ndarray) -> None:
         """Append one bit to every key, bit_by_id[i] to point i's."""

@@ -363,6 +363,40 @@ class TestFileModes:
         assert mode_of(out) == 0o644
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("command", ["build", "insert"])
+    def test_the_whole_file_is_synced_before_it_is_renamed_into_place(
+            self, primes_repo_path, monkeypatch, command):
+        # without the fsync, a crash after the rename could leave the
+        # repository path naming a file whose data never reached the disk
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", st.st_ino, st.st_size, str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        out = primes_repo_path
+        if command == "build":
+            argv = ["build", "--source", "primes:200", "--out", str(out)]
+        else:
+            src = out.parent / "more.txt"
+            src.write_text("1\n4\n")
+            argv = ["insert", str(out), "--source", str(src)]
+        assert run_cli(*argv) == 0
+        written = out.stat()
+        assert calls == [("fsync", written.st_ino, written.st_size),
+                         ("replace", written.st_ino, written.st_size, str(out))]
+
+
 class TestExitCodes:
     """Every failure exits 2, 3 or 4 with one stderr line; none exits 1 ("absent")."""
 

@@ -73,6 +73,55 @@ class TestVerifySeparation:
         assert verdict.ok
 
 
+def one_shot_verdict(points, planes, epsilon):
+    """verify_separation as it was written before it worked in blocks: the
+    whole N x q residual matrix at once, its sign rows sorted as booleans."""
+    pts = np.asarray(points, dtype=np.float64)
+    mat = np.asarray(planes, dtype=np.float64)
+    verdict = oracle.Verdict(ok=True)
+    resid = 1.0 + pts @ mat.T
+    inc = np.nonzero(np.abs(resid) <= epsilon)
+    for i, j in zip(*inc):
+        verdict.ok = False
+        verdict.incidences.append((int(i), int(j)))
+    signs = resid > 0
+    order = np.lexsort(signs.T[::-1])
+    same = np.all(signs[order[1:]] == signs[order[:-1]], axis=1)
+    for k in np.nonzero(same)[0]:
+        verdict.ok = False
+        verdict.collisions.append((int(order[k]), int(order[k + 1])))
+    return verdict
+
+
+class TestVerifySeparationInBlocks:
+    """The verdict is the one-shot computation's, whatever the block size."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("q", [1, 5, 63, 64, 65, 130])
+    def test_blocks_give_the_one_shot_verdict(self, monkeypatch, block, q):
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", block)
+        rng = np.random.default_rng(q)
+        # 300 digit points in 3 dimensions: many repeat, some three times
+        pts = rng.integers(0, 10, size=(300, 3)).astype(float)
+        planes = rng.normal(size=(q, 3))
+        planes[0] = [-0.5, 0.0, 0.0]  # through every point with x = 2
+        got = oracle.verify_separation(pts, planes, 1e-9)
+        want = one_shot_verdict(pts, planes, 1e-9)
+        assert want.incidences and want.collisions
+        assert (got.ok, got.incidences, got.collisions) == (
+            want.ok, want.incidences, want.collisions)
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_a_separating_family_passes_in_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", block)
+        pts = np.array([[x, y] for x in range(10) for y in range(10)], dtype=float)
+        planes = oracle.coordinate_plane_separator(2)
+        got = oracle.verify_separation(pts, planes, 1e-9)
+        want = one_shot_verdict(pts, planes, 1e-9)
+        assert got.ok and want.ok
+        assert (got.incidences, got.collisions) == ([], [])
+
+
 class TestCoordinatePlanes:
     def test_nine_thresholds_separate_the_digits(self):
         planes = oracle.coordinate_plane_separator(1)

@@ -854,3 +854,133 @@ class TestPersistence:
         assert loaded.state.offers == repo.state.offers
         assert (loaded.state.counters.ov_multiplications
                 == repo.state.counters.ov_multiplications)
+
+
+@pytest.fixture(scope="module")
+def primes5_text():
+    """The primes below 10^5 at n = 5, seed 0, saved: q = 105 planes, and
+    9,592 entries on lines 119-9710, which load reads in three blocks of
+    4,096 lines; line 4315, in the second, holds value 70529."""
+    text = saved_text(build(primes_below(10**5), 5, 0))
+    lines = text.splitlines(keepends=True)
+    assert lines[3:5] == ["q 105\n", "count 9592\n"] and len(lines) == 9711
+    assert lines[118].startswith("entry ") and lines[9710] == "end\n"
+    assert lines[4314] == "entry 70529 1dce74f5ad553598e54a1e7bb7f\n"
+    assert separator._HEX_BLOCK == 4096
+    return text
+
+
+def load_messages(data, tmp_path):
+    """The message load raises for ``data`` read from bytes, from a path,
+    and, when it is UTF-8, from a text stream."""
+    raw = data if isinstance(data, bytes) else data.encode()
+    path = tmp_path / "repo.txt"
+    path.write_bytes(raw)
+    sources = [raw, path]
+    if not isinstance(data, bytes):
+        sources.append(io.StringIO(data, newline=""))
+    messages = []
+    for source in sources:
+        with pytest.raises(RepositoryFormatError) as err:
+            load(source)
+        messages.append(str(err.value))
+    return messages
+
+
+class TestBlockLoad:
+    """Rejections past load's first block of entry lines.  Each message and
+    line number is the one load gave when it read the whole file at once."""
+
+    @staticmethod
+    def edited(text, index, line):
+        lines = text.splitlines(keepends=True)
+        lines[index] = line
+        return "".join(lines)
+
+    @pytest.mark.parametrize("line, message", [
+        ("entry 70529 1dce74f5ad553598e54a1e7bb7fg\n", "bad packed sign vector"),
+        ("entry x70529 1dce74f5ad553598e54a1e7bb7f\n",
+         "bad integer field: ['entry', 'x70529', '1dce74f5ad553598e54a1e7bb7f']"),
+        ("entries 70529 1dce74f5ad553598e54a1e7bb7f\n", "expected 'entry', found 'entries'"),
+        ("entry 70529 1dce74f5ad553598e54a1e7bb7f 0\n",
+         "extra fields ['0'] on 'entry' line"),
+    ], ids=["non-hex-key", "non-integer-value", "wrong-tag", "extra-field"])
+    def test_malformed_entry_line_in_the_second_block(self, primes5_text, tmp_path,
+                                                      line, message):
+        text = self.edited(primes5_text, 4314, line)
+        assert load_messages(text, tmp_path) == [f"line 4315: {message}"] * 3
+
+    @pytest.mark.parametrize("keep, message", [
+        ("", "unexpected end of file"),
+        ("entry 705", "bad packed sign vector"),
+    ], ids=["before-a-line", "inside-a-line"])
+    def test_file_cut_inside_the_second_block(self, primes5_text, tmp_path, keep, message):
+        lines = primes5_text.splitlines(keepends=True)
+        text = "".join(lines[:4314]) + keep
+        assert load_messages(text, tmp_path) == [f"line 4315: {message}"] * 3
+
+    @pytest.mark.parametrize("brk", ["\f", "\r", " ", "\x1c", "\x85", "\v"])
+    def test_a_line_break_inside_an_entry_line(self, primes5_text, tmp_path, brk):
+        # str.splitlines breaks the line there, and so does load, though a
+        # file iterator would read each of these lines as one valid line
+        before_key = self.edited(primes5_text, 4314,
+                                 f"entry 70529{brk}1dce74f5ad553598e54a1e7bb7f\n")
+        assert load_messages(before_key, tmp_path) == [
+            "line 4315: bad packed sign vector"] * 3
+        in_key = self.edited(primes5_text, 4314,
+                             f"entry 70529 1dc{brk}e74f5ad553598e54a1e7bb7f\n")
+        assert load_messages(in_key, tmp_path) == [
+            "line 4316: expected 'entry', found 'e74f5ad553598e54a1e7bb7f'"] * 3
+
+    def test_a_count_past_the_entries_is_rejected_at_the_end_line(self, primes5_text,
+                                                                  tmp_path):
+        # nothing is allocated from the count: 10^12 entries would not fit
+        text = primes5_text.replace("count 9592\n", "count 1000000000000\n", 1)
+        assert load_messages(text, tmp_path) == ["line 9711: expected 'entry', found 'end'"] * 3
+
+    @pytest.mark.parametrize("index, bad, message", [
+        (4314, b"\xc3\x28",
+         "byte 0xc3 in position 178319: invalid continuation byte"),
+        (8317, b"\xff", "byte 0xff in position 337021: invalid start byte"),
+    ], ids=["second-block", "third-block"])
+    def test_invalid_utf8_after_the_first_block(self, primes5_text, tmp_path, index, bad,
+                                                message):
+        # the position counts bytes from the start of the file, as when
+        # the file was decoded whole
+        raw = primes5_text.encode()
+        at = raw.index(primes5_text.splitlines(keepends=True)[index].encode()) + 8
+        data = raw[:at] + bad + raw[at + len(bad):]
+        assert load_messages(data, tmp_path) == [
+            f"not UTF-8 text: 'utf-8' codec can't decode {message}"] * 2
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_lines_split_alike_at_any_chunk_size(self, monkeypatch, tmp_path, chunk):
+        # a chunk may end between the \r and \n of one line break
+        text = saved_text(build(primes_below(100), 2, 12)).replace("\n", "\r\n")
+        broken = text.replace("\r\nentry ", "\r\nentry\r", 1)
+        want = load_messages(broken, tmp_path)
+        monkeypatch.setattr("planesep.repository._CHUNK", chunk)
+        for source in (text.encode(), io.StringIO(text, newline="")):
+            assert saved_text(load(source)) == text.replace("\r\n", "\n")
+        assert load_messages(broken, tmp_path) == want
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 8])
+    def test_every_rejection_is_the_same_at_any_block_size(self, monkeypatch, block):
+        # entries are lines 19-27 of the primes below 24 (n = 2, q = 5)
+        lines = saved_text(build(primes_below(24), 2, 0)).splitlines(keepends=True)
+        edits = ["entry 17 2g\n", "entry 5 2\n", "entry 100 2\n", "entries 17 2\n", "\n"]
+        texts = ["".join(lines[:i] + [edit] + lines[i + 1:])
+                 for i in range(18, 27) for edit in edits]
+        texts += ["".join(lines[:i]) for i in range(18, 28)]
+
+        def messages():
+            out = []
+            for text in texts:
+                with pytest.raises(RepositoryFormatError) as err:
+                    load(io.StringIO(text))
+                out.append(str(err.value))
+            return out
+
+        want = messages()
+        monkeypatch.setattr(separator, "_HEX_BLOCK", block)
+        assert messages() == want
