@@ -105,14 +105,19 @@ def map_to_points(values, mapping: IntegerMapping) -> np.ndarray:
         raise DigitOverflowError(
             f"{v} does not fit in {mapping.n} base-{mapping.base} digits"
         )
-    return _digit_rows(vals, mapping)
+    return _digit_rows(_value_array(vals, mapping), mapping)
 
 
-def _digit_rows(vals: list[int], mapping: IntegerMapping) -> np.ndarray:
-    """The digit expansion of Python ints already known to lie in [0, capacity)."""
+def _value_array(vals: list[int], mapping: IntegerMapping) -> np.ndarray:
+    """Python ints already known to lie in [0, capacity) as an array: int64
+    when every one fits in it, else Python integers (an object array)."""
     wide = mapping.capacity > _INT64_MAX and max(vals, default=0) > _INT64_MAX
-    rem = np.array(vals, dtype=object if wide else np.int64)
-    out = np.zeros((len(vals), mapping.n))
+    return np.array(vals, dtype=object if wide else np.int64)
+
+
+def _digit_rows(rem: np.ndarray, mapping: IntegerMapping) -> np.ndarray:
+    """The digit expansion of a :func:`_value_array`, which is left as it is."""
+    out = np.zeros((len(rem), mapping.n))
     for i in range(mapping.n):
         if not rem.any():
             break  # every higher digit is 0
@@ -261,29 +266,36 @@ def insert(repo: Repository, values) -> InsertReport:
     :func:`operator.index`: a float raises TypeError, and a value out of
     range DigitOverflowError, before anything changes.
 
-    One value is one :func:`separator.offer` of its point, then
-    :func:`separator.finalize`, and its value is registered under the next
-    point id.  A store holds no pending chains between calls, so the lone
-    point cannot be recycled: it is stored at once, or parked and promoted
-    by ``finalize``, and takes that id, or it is dropped.  Several values
-    are streamed in an order the build seed fixes, with
-    :func:`separator.stream_points`.
+    One value is one :func:`separator.offer` of its point, with the
+    point's residuals computed here by :func:`kernels.residuals_block` on
+    its row, as a block's are, then :func:`separator.finalize`, and its
+    value is registered under the next point id.  A store holds no
+    pending chains between calls, so the lone point cannot be recycled:
+    it is stored at once, or parked and promoted by ``finalize``, and
+    takes that id, or it is dropped.  Its report comes straight from the
+    offer's outcome.  Several values are streamed in an order the build
+    seed fixes, with :func:`separator.stream_points`.
     """
     state = repo.state
     vals = [operator.index(v) for v in values]
     q_before, count = state.q, state.count
     if len(vals) == 1:
-        p = map_to_point(vals[0], repo.mapping)
+        v = vals[0]
+        p = map_to_point(v, repo.mapping)
         # deterministic resume: any new free plane coefficients depend only
         # on the build seed and the store shape; the generator is seeded
         # only if a plane is emitted
-        state.reseed([repo.seed, state.count, state.q, 1])
-        if separator.offer(state, p).kind is not separator.OfferKind.REPEATED:
-            separator.finalize(state)
-            if state.count != count + 1:
-                raise AssertionError("a lone value did not take the next id; this is a bug")
-            repo.values.append(vals[0])
-    elif vals:
+        state.reseed([repo.seed, count, q_before, 1])
+        r = kernels.residuals_block(p[None, :], state.plane_matrix)[0]
+        if separator.offer(state, p, r).kind is separator.OfferKind.REPEATED:
+            return InsertReport(added=0, skipped_duplicates=[v],
+                                planes_added=state.q - q_before)
+        separator.finalize(state)
+        if state.count != count + 1:
+            raise AssertionError("a lone value did not take the next id; this is a bug")
+        repo.values.append(v)
+        return InsertReport(added=1, skipped_duplicates=[], planes_added=state.q - q_before)
+    if vals:
         pts = map_to_points(vals, repo.mapping)
         # the stream order depends only on the build seed and the store shape
         state.reseed([repo.seed, state.count, state.q, len(vals)])
@@ -482,6 +494,15 @@ def _int_field(parts: list[str], idx: int, line: int, lo: int | None = None,
     return value
 
 
+def _has_repeat(held: np.ndarray) -> bool:
+    """Whether a :func:`_value_array` holds a value twice: equal int64
+    values are neighbours once sorted, and Python integers go to a set."""
+    if held.dtype == object:
+        return len(set(held)) < len(held)
+    ordered = np.sort(held)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def _first_repeat(values: list[int]) -> int:
     """The index of the first value that an earlier one repeats, which exists."""
     first: dict[int, int] = {}
@@ -661,8 +682,9 @@ def load(source) -> Repository:
     rd.next("end", 1)
     # point id i is entry i; an empty store keeps the default point
     # buffer, which later inserts grow by doubling
+    held = _value_array(values, mapping)
     if count:
-        state._pts_buf = _digit_rows(values, mapping)
+        state._pts_buf = _digit_rows(held, mapping)
         state.count = count
     state.index = separator.OvIndex.from_words(words, q)
     state.counters = counters
@@ -670,7 +692,7 @@ def load(source) -> Repository:
     repeat = state.index.first_repeat()
     if repeat >= 0:
         raise RepositoryFormatError("repeated packed sign vector", line=first + repeat + 1)
-    if len(set(values)) < count:
+    if _has_repeat(held):
         repeat = _first_repeat(values)
         raise RepositoryFormatError(f"repeated value {values[repeat]}", line=first + repeat + 1)
     return Repository(mapping, state, values, seed, dims_history)

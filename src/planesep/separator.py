@@ -17,7 +17,6 @@ safe for concurrent readers, since a read writes nothing.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
 _MIN_SLOTS = 8
 _FIB = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: multiplicative hashing (Knuth)
 _U64 = (1 << 64) - 1
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _width(q: int) -> int:
@@ -349,10 +347,9 @@ class OvIndex:
         slot = self._slot(packed, q)
         self._next.append(self._slots[slot])
         self._slots[slot] = pid
-        words = array("Q", (packed << (64 * self._width - q)).to_bytes(8 * self._width, "big"))
-        if _LITTLE_ENDIAN:
-            words.byteswap()  # the bytes are big-endian words
-        self._rows += words
+        x = packed << (64 * self._width - q)  # aligned as the rows hold it
+        for shift in range(64 * self._width - 64, -1, -64):
+            self._rows.append(x >> shift & _U64)
         if 2 * pid + 2 >= len(self._slots):
             self._rehash()
         return pid
@@ -902,20 +899,27 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult
 
     Called with a point alone, offer checks it and evaluates its
     residuals with one :func:`kernels.residuals_block` call on its row,
-    the arithmetic of a block.  :func:`stream_points` calls it for a
-    point with a residual in the incidence band, passing the point's
-    residuals ``r`` from its block.  Any plane the point lies on is nudged
-    off it, the point's int key is packed from its residuals, and the
-    point is placed by :func:`_place_one`, tallied as one sign-vector
+    the arithmetic of a block.  A caller that holds a checked float64
+    point and its residuals ``r`` at the current planes, computed that
+    way, passes both: :func:`stream_points` for a point with a residual in
+    the incidence band, from its block, and a one-value
+    :func:`planesep.repository.insert`, from the point's row.  ``r`` is
+    written to when a plane is nudged.  One reduction tells whether any
+    residual lies in the band; only then is each plane the point lies on
+    nudged off it.  The point's int key is packed from its residuals, and
+    the point is placed by :func:`_place_one`, tallied as one sign-vector
     evaluation, n*q multiply-adds.
     """
     if r is None:
         p = state._check_point(p)
         r = kernels.residuals_block(p[None, :], state.plane_matrix)[0]
     eps = state.config.epsilon
-    # a nudged residual leaves the band, so r > eps below reads its side
-    for j in np.nonzero(np.abs(r) <= eps)[0]:
-        r[j] = _nudge_plane(state, int(j), p, float(r[j]))
+    # fmin skips a NaN as the elementwise test does, and the initial value
+    # answers q = 0; a nudged residual leaves the band, so r > eps below
+    # reads its side
+    if np.fmin.reduce(abs(r), initial=np.inf) <= eps:
+        for j in np.flatnonzero(abs(r) <= eps).tolist():
+            r[j] = _nudge_plane(state, j, p, float(r[j]))
 
     count, repeats, recycled = state.count, state.repeat_events, []
     reports = _place_one(state, p, pack_sign_bits(r > eps), recycled)

@@ -475,6 +475,23 @@ def stream_one(repo, v):
     return InsertReport(added=1, skipped_duplicates=[], planes_added=state.q - q_before)
 
 
+def offer_alone(repo, v):
+    """A one-value insert through the generic path: ``offer`` checks the
+    value's point and evaluates it itself, and the report is read off the
+    values registered, as a batch's is."""
+    state = repo.state
+    q_before, count = state.q, state.count
+    state.reseed([repo.seed, state.count, state.q, 1])
+    res = separator.offer(state, map_to_point(v, repo.mapping))
+    if res.kind is not separator.OfferKind.REPEATED:
+        separator.finalize(state)
+        repo._register_new_points()
+    added = set(repo.values[count:])
+    return InsertReport(added=state.count - count,
+                        skipped_duplicates=[int(x) for x in [v] if x not in added],
+                        planes_added=state.q - q_before)
+
+
 class TestOneValueInsert:
     """A one-value insert is one offer of the value's point: it leaves the
     state, counters and report that streaming the point as a block of one
@@ -506,6 +523,57 @@ class TestOneValueInsert:
             emitted |= report.planes_added > 0
         assert emitted
         assert nudged == nudges
+
+    @staticmethod
+    def insert_each(repo, values):
+        """Insert each value alone, and check it against :func:`offer_alone`
+        on a twin: the same report, counters and saved text."""
+        twin = copy.deepcopy(repo)
+        reports = []
+        for v in values:
+            report = insert(repo, [v])
+            assert report == offer_alone(twin, v)
+            assert repo.counters == twin.counters
+            assert saved_text(repo) == saved_text(twin)
+            assert not repo.state.chains
+            reports.append(report)
+        return reports
+
+    def test_a_stored_value_is_skipped_and_reported(self):
+        repo = build(primes_below(100), 2, 2)
+        before = saved_text(repo)
+        offers = repo.state.offers
+        for report, v in zip(self.insert_each(repo, [2, 97, 53]), [2, 97, 53]):
+            assert report == InsertReport(added=0, skipped_duplicates=[v], planes_added=0)
+        # a dropped repeat is tallied as an offer and changes nothing else
+        assert repo.state.offers == offers + 3
+        assert [line for line in saved_text(repo).splitlines() if line.startswith("plane")] \
+            == [line for line in before.splitlines() if line.startswith("plane")]
+
+    def test_into_an_empty_store(self):
+        repo = build([], 3, 0)
+        [report] = self.insert_each(repo, [5])
+        assert report == InsertReport(added=1, skipped_duplicates=[], planes_added=0)
+        assert (repo.count, repo.q) == (1, 0) and query(repo, 5).found
+
+    @pytest.mark.parametrize("n, values", [(3, [5, 5, 7, 11]), (1, [5, 5, 7, 3])])
+    def test_into_a_one_point_store_at_q_0(self, n, values):
+        # the store holds one point and no plane; the second value's
+        # residuals are empty, the first value again is a repeat, and a
+        # fresh one shares the only quadrant and is split off by planes
+        repo = build([], n, 0)
+        reports = self.insert_each(repo, values)
+        assert [r.added for r in reports] == [1, 0, 1, 1]
+        assert reports[1].skipped_duplicates == [5] and reports[1].planes_added == 0
+        assert reports[2].planes_added > 0
+        assert [v for v in range(min(20, 10**n)) if query(repo, v).found] == sorted(set(values))
+
+    def test_a_numpy_integer_value(self):
+        repo = build(primes_below(1000), 3, 0)
+        reports = self.insert_each(repo, [np.int64(4), np.int64(7), np.int32(9), np.int64(7)])
+        assert [r.added for r in reports] == [1, 0, 1, 0]
+        assert all(type(v) is int for r in reports for v in r.skipped_duplicates)
+        assert type(repo.values[-1]) is int and repo.values[-1] == 9
 
     def test_a_store_holds_no_pending_chains_between_calls(self):
         repo = build(primes_below(1000), 3, 0)
@@ -791,6 +859,25 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError,
                            match="^" + re.escape(f"line {line}: {message}") + "$"):
             load(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("big", [2**63, 2**64 + 12345, 10**25 - 1])
+    def test_repeated_value_past_int64_rejected_with_its_line(self, big):
+        # a store holding values past int64 is checked for a repeated value
+        # in Python integers, not int64; a repeat of a value past int64 or
+        # of a small one names its later line
+        small = [int(v) for v in np.random.default_rng(7).choice(10**6, 30, replace=False)]
+        repo = build(small + [big, 10**20 + 7], 25, 0)
+        lines = saved_text(repo).splitlines(keepends=True)
+        first = 14 + repo.q  # the line of point id 0's entry
+        for repeat, later in ((big, repo.values.index(10**20 + 7)),
+                              (small[0], repo.values.index(small[1]))):
+            _, _, key = lines[first + later - 1].split()
+            edited = lines.copy()
+            edited[first + later - 1] = f"entry {repeat} {key}\n"
+            at = first + max(later, repo.values.index(repeat))
+            with pytest.raises(RepositoryFormatError,
+                               match=f"^line {at}: repeated value {repeat}$"):
+                load(io.StringIO("".join(edited)))
 
     def test_load_restores_the_saved_state(self):
         # a store built, inserted into and grown; load keeps its point ids
