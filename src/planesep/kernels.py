@@ -19,7 +19,9 @@ GAUSS_INCONSISTENT = 1
 
 def residuals_point(planes: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Residuals 1 + alpha_j . p of one point against q planes; shape (q,)."""
-    return 1.0 + planes @ p
+    r = planes.dot(p)
+    r += 1.0
+    return r
 
 
 def residuals_block(points: np.ndarray, planes: np.ndarray) -> np.ndarray:

@@ -147,7 +147,7 @@ class AbsenceReason(Enum):
     COORDINATE_MISMATCH = "coordinate_mismatch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     found: bool
     value: int
@@ -231,7 +231,10 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
 
     The sign-vector step costs exactly q*n multiplications and additions.
     A candidate inside the incidence band of any plane cannot be stored,
-    so it reports absent from a new quadrant.
+    so it reports absent from a new quadrant.  The band test counts two
+    sets: |r| <= eps exactly where r >= -eps and not r > eps, and a NaN
+    lies in neither, so some residual is in the band exactly when the
+    counts differ.  The positive side r > eps is then the sign vector.
     """
     if counters is None:
         counters = OpCounters()
@@ -245,15 +248,15 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
     counters.sign_evals += state.q
 
     eps = state.config.epsilon
-    if np.count_nonzero(np.abs(r) <= eps):
-        return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
-    # outside the band, r > eps is exactly the positive side
-    pid = state.index.lookup(pack_sign_bits(r > eps), state.q, counters)
+    positive = r > eps
+    if np.count_nonzero(r >= -eps) != np.count_nonzero(positive):
+        return QueryResult(False, v, AbsenceReason.NEW_QUADRANT)
+    pid = state.index.lookup(pack_sign_bits(positive), state.q, counters)
     if pid < 0:
-        return QueryResult(found=False, value=v, reason=AbsenceReason.NEW_QUADRANT)
+        return QueryResult(False, v, AbsenceReason.NEW_QUADRANT)
     if repo.values[pid] == v:
-        return QueryResult(found=True, value=v)
-    return QueryResult(found=False, value=v, reason=AbsenceReason.COORDINATE_MISMATCH)
+        return QueryResult(True, v)
+    return QueryResult(False, v, AbsenceReason.COORDINATE_MISMATCH)
 
 
 def insert(repo: Repository, values) -> InsertReport:

@@ -1,9 +1,12 @@
 """Numeric kernels: pivoted elimination and residual sweeps."""
 
+import random
+
 import numpy as np
 import pytest
 
-from planesep import kernels
+from planesep import kernels, oracle
+from planesep.repository import build
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -70,6 +73,26 @@ def test_gauss_full_rank_square_matches_numpy_solve():
 def test_residuals_point_empty_family():
     out = kernels.residuals_point(np.empty((0, 4)), np.zeros(4))
     assert out.shape == (0,)
+
+
+def seeded_wide_store():
+    """60 random 25-digit values, most of them past int64, at n = 25."""
+    rng = random.Random(25)
+    return build([rng.randrange(10**25) for _ in range(60)], 25, 0)
+
+
+@pytest.mark.parametrize("store", [
+    lambda: build(oracle.sieve(10**5).primes().tolist(), 5, 0),
+    seeded_wide_store,
+], ids=["primes-1e5", "wide25"])
+def test_residuals_point_is_the_plain_formula_bit_for_bit(store):
+    # the kernel adds the 1 in place after the product; on stored points
+    # that gives exactly the bits of 1.0 + planes @ p
+    state = store().state
+    planes = state.plane_matrix
+    assert state.q > 0
+    for p in state.points:
+        assert np.array_equal(kernels.residuals_point(planes, p), 1.0 + planes @ p)
 
 
 @pytest.mark.parametrize("n, q, count", [(1, 1, 1), (6, 160, 256), (25, 40, 7), (4, 0, 3)])

@@ -1,6 +1,7 @@
 """Digit mapping, the value store, incremental insert, growth, persistence."""
 
 import copy
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -104,6 +105,7 @@ class TestDigitMapping:
         [
             (IntegerMapping(n=6), [0, 7, 37, 1729, 80917, 999999, 100000]),
             (IntegerMapping(n=8, base=2), list(range(256))),
+            (IntegerMapping(n=5, base=36), [0, 35, 36**3 + 17, 36**5 - 1]),
             (IntegerMapping(n=25), [0, 2**63 - 1, 2**63, 2**64 + 12345, 10**25 - 1]),
             # at n=25, int64 digits for values below 2**63, up to their top digit
             (IntegerMapping(n=25), [0, 7, 10**18 + 3, 2**63 - 1]),
@@ -117,7 +119,9 @@ class TestDigitMapping:
         ],
     )
     def test_batched_expansion_matches_per_value(self, mapping, values):
-        expected = np.stack([map_to_point(v, mapping) for v in values])
+        points = [map_to_point(v, mapping) for v in values]
+        assert all(p.dtype == np.float64 and p.shape == (mapping.n,) for p in points)
+        expected = np.stack(points)
         got = map_to_points(values, mapping)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
@@ -298,6 +302,22 @@ def reference_query(repo, v, counters):
     return QueryResult(found=False, value=v, reason=AbsenceReason.COORDINATE_MISMATCH)
 
 
+class TestQueryResult:
+    def test_is_frozen(self):
+        res = QueryResult(True, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.found = False
+
+    def test_equal_results_compare_and_hash_alike(self):
+        a = QueryResult(False, 91, AbsenceReason.NEW_QUADRANT)
+        b = QueryResult(found=False, value=91, reason=AbsenceReason.NEW_QUADRANT)
+        assert a == b and hash(a) == hash(b)
+        assert a != QueryResult(False, 91, AbsenceReason.COORDINATE_MISMATCH)
+
+    def test_reason_defaults_to_none(self):
+        assert QueryResult(True, 7).reason is None
+
+
 class TestQueryAgainstReference:
     """``query`` answers and counts exactly as the reference formulation."""
 
@@ -336,6 +356,31 @@ class TestQueryAgainstReference:
         assert res.reason is AbsenceReason.NEW_QUADRANT
         assert c.multiplications == repo.q * 2
         assert c.bit_comparisons == 0
+
+
+@pytest.mark.parametrize("banded", [True, False])
+def test_a_nan_residual_does_not_hide_the_band(banded):
+    """A NaN residual lies on neither side and not in the band; a band
+    residual beside it still makes the candidate absent before any probe,
+    as the elementwise test of the reference does."""
+    repo = build(primes_below(100), 2, 0)
+    planes = repo.state.plane_matrix
+    assert repo.q >= 2
+    planes[0] = [np.inf, -np.inf]  # inf - inf in any order of summation, fused or not
+    if banded:
+        planes[1] = [-1.0 / 9.0, 0.0]  # 1 - 9 / 9 is within rounding of 0
+    got, want = OpCounters(), OpCounters()
+    with np.errstate(invalid="ignore"):  # the NaN is the point
+        r = 1.0 + planes @ map_to_point(99, repo.mapping)
+        res = query(repo, 99, got)
+        assert res == reference_query(repo, 99, want)
+    assert np.isnan(r[0])
+    assert (np.abs(r[1]) <= repo.state.config.epsilon) == banded
+    assert got == want
+    assert not res.found
+    if banded:
+        assert res.reason is AbsenceReason.NEW_QUADRANT
+        assert got.bit_comparisons == 0
 
 
 class TestInsert:
