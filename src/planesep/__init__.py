@@ -30,7 +30,7 @@ from .repository import (
     query,
     save,
 )
-from .separator import SeparationState, emit_plane, finalize, init, offer, run
+from .separator import SeparationState, emit_plane, finalize, offer, run
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "fit_plane_through",
     "shift_midpoints",
     "SeparationState",
-    "init",
     "offer",
     "emit_plane",
     "finalize",

@@ -81,7 +81,6 @@ def _run_report(state, scenario: str, seed: int, wall: float, base: int | None =
         "N_f": state.count,
         "n": state.n,
         "q_total": state.q,
-        "q_emitted": state.q_emitted,
         **c.as_dict(),
         "wall_time_s": round(wall, 6),
         "verified": verdict.ok,
@@ -249,9 +248,9 @@ def cmd_stats(args) -> int:
     n = state.n
     c = state.counters
     # (base-1)*n axis-threshold planes alone separate every digit point; q is
-    # compared with that plus q0, and with the quoted 10n, neither of which
-    # the algorithm promises to meet
-    baseline = (base - 1) * n + state.q0
+    # compared with that, and with the quoted 10n, neither of which the
+    # algorithm promises to meet
+    baseline = (base - 1) * n
     try:
         expected_nf = base**n / n
     except OverflowError:  # past the float range, the exact integer quotient
@@ -268,13 +267,11 @@ def cmd_stats(args) -> int:
         "base": base,
         "N_f": state.count,
         "q_total": state.q,
-        "q0": state.q0,
-        "q_emitted": state.q_emitted,
         "offers": state.offers,
         "recycle_events": state.recycle_events,
         **c.as_dict(),
         "quoted_q_10n": 10 * n,
-        "baseline_thresholds_plus_q0": baseline,
+        "baseline_thresholds": baseline,
         "expected_N_f": expected_nf,
         "ov_mult_floor": ov_floor,
         "ov_mult_floor_ok": c.multiplications >= ov_floor,

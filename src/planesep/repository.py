@@ -36,6 +36,7 @@ from .config import RunConfig
 from .counters import OpCounters
 from .errors import (
     DigitOverflowError,
+    DuplicatePointError,
     NotADigitPointError,
     RepositoryFormatError,
 )
@@ -216,13 +217,18 @@ class Repository:
 
 
 def build(values, n: int, seed: int, *, base: int = 10) -> Repository:
-    """Map values to base-``base`` digit points, separate them, and index the result."""
-    mapping = IntegerMapping(n=n, base=base)
-    # values map one-to-one to digit points, so run rejects a repeated
-    # value as a repeated point, with DuplicatePointError
-    state = separator.run(map_to_points(values, mapping), n, seed)
-    repo = Repository(mapping, state, [], seed, (n,))
-    repo._register_new_points()
+    """Insert values into the empty store of base-``base`` digits at width
+    n and build seed ``seed``, and rebuild its slots at all q bits for the
+    final N, the slots :func:`load` builds for the same keys.
+
+    A value given twice raises DuplicatePointError.
+    """
+    repo = Repository(IntegerMapping(n=n, base=base), separator.SeparationState(n, seed),
+                      [], seed, (n,))
+    skipped = insert(repo, values).skipped_duplicates
+    if skipped:
+        raise DuplicatePointError(f"{len(skipped)} input points repeat another point")
+    repo.state.index._rehash()
     return repo
 
 
@@ -260,7 +266,7 @@ def query(repo: Repository, v: int, counters: OpCounters | None = None) -> Query
 
 
 def insert(repo: Repository, values) -> InsertReport:
-    """Add values to a built repository without disturbing stored bits.
+    """Add values to a repository, empty or not, without disturbing stored bits.
 
     Existing sign vectors only ever gain trailing bits, so every old entry
     keeps its address prefix.  A value already stored or given earlier in
@@ -273,11 +279,11 @@ def insert(repo: Repository, values) -> InsertReport:
     point's residuals computed here by :func:`kernels.residuals_block` on
     its row, as a block's are, then :func:`separator.finalize`, and its
     value is registered under the next point id.  A store holds no
-    pending chains between calls, so the lone point cannot be recycled:
+    pending chains between calls, so the lone point meets no full chain:
     it is stored at once, or parked and promoted by ``finalize``, and
     takes that id, or it is dropped.  Its report comes straight from the
     offer's outcome.  Several values are streamed in an order the build
-    seed fixes, with :func:`separator.stream_points`.
+    seed and the store's shape fix, with :func:`separator.stream_points`.
     """
     state = repo.state
     vals = [operator.index(v) for v in values]
@@ -305,8 +311,10 @@ def insert(repo: Repository, values) -> InsertReport:
         separator.stream_points(state, pts[state.rng.permutation(len(vals))])
         separator.finalize(state)
         repo._register_new_points()
-    unclaimed = dict.fromkeys(repo.values[count:], True)  # its first copy is the one added
-    skipped = [v for v in vals if not unclaimed.pop(v, False)]
+    skipped = []
+    if state.count - count < len(vals):
+        unclaimed = dict.fromkeys(repo.values[count:], True)  # its first copy is the one added
+        skipped = [v for v in vals if not unclaimed.pop(v, False)]
     return InsertReport(
         added=state.count - count,
         skipped_duplicates=skipped,
@@ -370,7 +378,7 @@ def save(repo: Repository, sink) -> None:
     w(f"delta0 {state.config.delta0!r}\n")
     w(f"max-retries {state.config.max_retries}\n")
     w(f"dims-history {','.join(str(d) for d in repo.dims_history)}\n")
-    w(f"q0 {state.q0}\n")
+    w("q0 0\n")  # v1's count of seeding planes; a build has none
     # the middle field, the offers' sign-vector work, is the OV counter
     c = state.counters.as_dict()
     w(f"offers {state.offers} {c['ov_multiplications']} {state.recycle_events}\n")
@@ -617,7 +625,7 @@ def load(source) -> Repository:
             f"dims-history {list(dims_history)} is not increasing widths ending at n = {n}",
             line=rd.pos,
         )
-    q0 = _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)
+    _int_field(rd.next("q0"), 1, rd.pos, lo=0, hi=q)  # v1's seeding planes: checked, unused
     offers_parts = rd.next("offers", 4)
     offers = _int_field(offers_parts, 1, rd.pos, lo=0)
     offered_nq = _int_field(offers_parts, 2, rd.pos)
@@ -644,7 +652,6 @@ def load(source) -> Repository:
         )
 
     state = separator.SeparationState(n=n, seed=seed)
-    state.q0 = q0
     state.offers = offers
     state.recycle_events = recycles
 

@@ -4,11 +4,13 @@ Points are offered one at a time, in queue order, though the stream
 evaluates them in blocks and places each block's points in windows.  A
 point whose sign vector is new is stored immediately; one that lands in
 an occupied quadrant is dropped if it equals the occupant, else parked
-on the occupant's pending chain (up to three deep, further arrivals are
-recycled to the caller).  Whenever n chains are pending, one plane fitted through the n segment
-midpoints separates every anchor from its first neighbour at once, and
-every stored sign vector gains one trailing bit.  Existing bits are
-never rewritten, which is what makes later insertion resume-free.
+on the occupant's pending chain, up to three deep.  Whenever n chains
+are pending, one plane fitted through the n segment midpoints separates
+every anchor from its first neighbour at once, and every stored sign
+vector gains one trailing bit.  A point that meets a full chain forces
+one plane at once, through the fewer midpoints pending, and is then
+offered again at the new planes.  Existing bits are never rewritten,
+which is what makes later insertion resume-free.
 
 The state is single-owner and mutated sequentially; once finalized it is
 safe for concurrent readers, since a read writes nothing.
@@ -16,9 +18,7 @@ safe for concurrent readers, since a read writes nothing.
 
 from __future__ import annotations
 
-import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
@@ -39,7 +39,6 @@ from .errors import (
 from .geometry import fit_plane_through, pack_sign_bits, shift_midpoints
 from .geometry import signs_from_residuals  # only for bench/spans.py, which traces this name here
 
-_INIT_DRAW_BUDGET = 512
 _OFFER_BLOCK = 256  # points evaluated together by stream_points
 _HEX_BLOCK = 4096  # keys converted to or from hex together, and entry lines read together
 _NUDGE_STEPS = (3.0, -3.0, 9.0, -9.0, 27.0, -27.0, 81.0, -81.0)
@@ -338,9 +337,8 @@ class OvIndex:
         """Store one new q-bit int key for the next point id, and return the id.
 
         :meth:`insert` in Python ints, for the stores that hold their key
-        as an int: a window of one point, initial accretion and a plane's
-        promotions.  For a few keys numpy's calls would cost more than the
-        whole store.
+        as an int: a window of one point and a plane's promotions.  For a
+        few keys numpy's calls would cost more than the whole store.
         """
         self._take_width(q)
         pid = len(self._next)  # one link per stored key
@@ -467,7 +465,6 @@ class SeparationState:
         self._alpha_buf = np.empty((8, n))
         self._saturated: list[bool] = []
         self.q = 0
-        self.q0 = 0
 
         self._pts_buf = np.empty((16, n))
         self.count = 0
@@ -509,10 +506,6 @@ class SeparationState:
     @property
     def counter(self) -> int:
         return len(self.chains)
-
-    @property
-    def q_emitted(self) -> int:
-        return self.q - self.q0
 
     @property
     def packed(self) -> list[int]:
@@ -615,103 +608,6 @@ class SeparationState:
         return pts
 
 
-# ---------------------------------------------------------------------------
-# initial plane accretion
-# ---------------------------------------------------------------------------
-
-def _collision_groups(packed: list[int]) -> list[list[int]]:
-    seen: dict[int, list[int]] = {}
-    for i, key in enumerate(packed):
-        seen.setdefault(key, []).append(i)
-    return [ids for ids in seen.values() if len(ids) > 1]
-
-
-def _draw_split_plane(state: SeparationState, pts: np.ndarray, pair, attempt: int):
-    """One candidate plane through the data region; None if the draw degenerates.
-
-    Even attempts cut anywhere in the bounding box; odd attempts aim at a
-    specific colliding pair, passing near the pair's midpoint with a normal
-    close to the segment direction (jittered so coefficients stay generic).
-    """
-    rng = state.rng
-    n = state.n
-    if pair is not None and attempt % 2 == 1:
-        u, v = pts[pair[0]], pts[pair[1]]
-        seg = v - u
-        c = 0.5 * (u + v) + rng.uniform(-0.25, 0.25) * seg
-        normal = seg + 0.05 * np.linalg.norm(seg) * rng.standard_normal(n)
-    else:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = hi - lo
-        # pad the box so degenerate extents (single point, shared digit)
-        # cannot force the plane through a data point
-        pad = 0.25 * np.where(span > 0, span, 1.0)
-        c = rng.uniform(lo - pad, hi + pad)
-        normal = rng.standard_normal(n)
-    norm = np.linalg.norm(normal)
-    if norm < 1e-12:
-        return None
-    normal = normal / norm
-    denom = float(normal @ c)
-    if abs(denom) < 1e-9:
-        return None
-    return -normal / denom
-
-
-def _accrete_initial(state: SeparationState, points0: np.ndarray) -> None:
-    """Seed the state with random saturated planes giving all points distinct
-    sign vectors, with at least ceil(log2(max(N0, n+1))) planes; a point
-    equal to the other of the pair a draw would aim at is dropped."""
-    n0 = points0.shape[0]
-    if n0 == 0:
-        return
-    q_min = max(1, math.ceil(math.log2(max(n0, state.n + 1))))
-    packed = [0] * n0
-    eps = state.config.epsilon
-
-    rounds = 0
-    while True:
-        groups = _collision_groups(packed)
-        if not groups and state.q >= q_min:
-            break
-        pair = groups[0][:2] if groups else None
-        if pair and points0[pair[0]].tolist() == points0[pair[1]].tolist():
-            points0 = np.delete(points0, pair[1], axis=0)
-            del packed[pair[1]]
-            state.repeat_events += 1
-            continue
-        rounds += 1
-        if rounds > n0 + q_min + 8:
-            raise GeometryExhaustedError("initial plane accretion failed to converge")
-        for attempt in range(_INIT_DRAW_BUDGET):
-            alpha = _draw_split_plane(state, points0, pair, attempt)
-            if alpha is None:
-                continue
-            r = state._sweep(points0, alpha)
-            if np.any(np.abs(r) <= eps):
-                continue
-            bits = r > 0
-            if groups:
-                splits = any(
-                    len({bool(bits[i]) for i in g}) > 1 for g in groups
-                )
-                if not splits:
-                    continue
-            state._append_plane(alpha, saturated=True)
-            for i in range(len(packed)):
-                packed[i] = (packed[i] << 1) | int(bits[i])
-            break
-        else:
-            raise GeometryExhaustedError(
-                f"could not draw a splitting plane after {_INIT_DRAW_BUDGET} attempts"
-            )
-
-    state.q0 = state.q
-    for i in range(len(packed)):
-        state._add_point(points0[i], packed[i])
-
-
 def _check_points(points, n: int) -> np.ndarray:
     """Input as an (N, n) float array of finite rows; empty input is N=0."""
     pts = np.asarray(points, dtype=np.float64)
@@ -722,23 +618,6 @@ def _check_points(points, n: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     return pts
-
-
-def _require_no_repeats(state: SeparationState) -> None:
-    if state.repeat_events:  # tallied where each repeat met its twin
-        raise DuplicatePointError(f"{state.repeat_events} input points repeat another point")
-
-
-def init(points0, n: int, seed) -> SeparationState:
-    """Fresh state seeded with enough random planes to tell the first batch
-    apart; raises DuplicatePointError when two of its points are equal.
-
-    ``seed`` goes to :func:`numpy.random.default_rng`; a ``Generator`` is used as is.
-    """
-    state = SeparationState(n=n, seed=seed)
-    _accrete_initial(state, _check_points(points0, n))
-    _require_no_repeats(state)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -799,29 +678,30 @@ def _nudge_plane(state: SeparationState, j: int, p: np.ndarray, r_p: float) -> f
     )
 
 
-def _park(state: SeparationState, pid: int, p: np.ndarray, key: int,
-          recycled: list[np.ndarray]) -> None:
+def _park(state: SeparationState, pid: int, p: np.ndarray, key: int) -> bool:
     """Park p, whose int key ``key`` stored point ``pid`` holds, on pid's
-    pending chain, which it opens when there is none; when the chain is
-    full, p is recycled onto ``recycled``.  A p equal to pid's point, which
-    no plane can split from it, is dropped as a repeat and tallied."""
+    pending chain, which it opens when there is none.  A p equal to pid's
+    point, which no plane can split from it, is dropped as a repeat and
+    tallied.  Returns False, and leaves p unplaced, when the chain is full."""
     anchor = state._pts_buf[pid]
     if anchor.tolist() == p.tolist():
         state.repeat_events += 1
-        return
+        return True
     ch = state.chains.get(pid)
     if ch is None:
         state.chains[pid] = PendingChain(pid, key, state._midpoint(anchor, p), [p])
     elif len(ch.members) < 3:
         ch.members.append(p)
     else:
-        state.recycle_events += 1
-        recycled.append(p)
+        return False
+    return True
 
 
-def _close_window(state: SeparationState, placed: int) -> tuple[PlaneReport, ...]:
+def _close_window(state: SeparationState, placed: int, full: bool) -> tuple[PlaneReport, ...]:
     """Tally ``placed`` offers, each one sign-vector evaluation of n*q
-    multiply-adds, and emit planes until fewer than n chains are pending."""
+    multiply-adds, and emit planes until fewer than n chains are pending.
+    When the last offer met a full chain, one plane is forced first from
+    the chains pending, fewer than n, and tallied as a recycle event."""
     nq = state.n * state.q * placed
     counters = state.counters
     counters.multiplications += nq
@@ -830,39 +710,43 @@ def _close_window(state: SeparationState, placed: int) -> tuple[PlaneReport, ...
     counters.sign_evals += state.q * placed
     state.offers += placed
     reports = []
+    if full:
+        state.recycle_events += 1
+        reports.append(emit_plane(state))
     while len(state.chains) >= state.n:
         reports.append(emit_plane(state))
     return tuple(reports)
 
 
-def _place_one(state: SeparationState, p: np.ndarray, key: int,
-               recycled: list[np.ndarray]) -> tuple[PlaneReport, ...]:
+def _place_one(state: SeparationState, p: np.ndarray,
+               key: int) -> tuple[int, tuple[PlaneReport, ...]]:
     """Place one point, clear of the incidence band, with int key ``key``:
     :func:`_place` for a window of one, probed with :meth:`OvIndex.lookup`
     and stored with :meth:`OvIndex.append`, since for one point the numpy
     calls of the block forms cost more than the whole Python walk and
-    store.  Returns the emitted planes' reports."""
+    store."""
     pid = state.index.lookup(key, state.q, state.counters)
     if pid < 0:
         state._add_point(p, key)
-    else:
-        _park(state, pid, p, key, recycled)
-    return _close_window(state, 1)
+        return 1, _close_window(state, 1, False)
+    placed = _park(state, pid, p, key)
+    return int(placed), _close_window(state, 1, not placed)
 
 
-def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
-           recycled: list[np.ndarray]) -> tuple[int, tuple[PlaneReport, ...]]:
+def _place(state: SeparationState, block: np.ndarray,
+           keys: np.ndarray) -> tuple[int, tuple[PlaneReport, ...]]:
     """Place a window of points, in order, at the current planes.
 
     ``keys`` holds the points' keys as packed bytes (see
     :func:`_pack_keys`); none of the points has a residual in the
     incidence band.  A point whose key is new is stored; one whose
-    quadrant is occupied parks on the occupant's pending chain, or, when
-    that chain is full, is recycled onto ``recycled``.  The window is the
-    points :meth:`OvIndex.lookup_many` answers, which share no hash slot
-    and end at the store that rebuilds the slots; it also ends after the
-    first point that makes n chains pending, and planes are then emitted
-    until fewer are.
+    quadrant is occupied parks on the occupant's pending chain.  The
+    window is the points :meth:`OvIndex.lookup_many` answers, which share
+    no hash slot and end at the store that rebuilds the slots.  It also
+    ends after the first point that makes n chains pending, and planes
+    are then emitted until fewer are; or at the first point that meets a
+    full chain, which forces one plane from the chains pending and is
+    left unplaced, to be offered again at the new planes.
 
     The window is probed with one :meth:`OvIndex.lookup_many` and its
     new points go to the index in one :meth:`OvIndex.insert`; only the
@@ -870,32 +754,34 @@ def _place(state: SeparationState, block: np.ndarray, keys: np.ndarray,
     point goes to :func:`_place_one` on its int key instead: this is the
     one choice made on the window's size.  Either way a point's probe is
     tallied as it would be offered alone, and so are the window's
-    evaluations.
+    evaluations, an unplaced point's among them.
 
     Returns the number of points placed and the emitted planes' reports.
     """
     q = state.q
     if len(block) == 1:
-        return 1, _place_one(state, block[0], _key_int(keys, q), recycled)
+        return _place_one(state, block[0], _key_int(keys, q))
     rows = keys.view(">u8").astype(np.uint64)
     pids, bits = state.index.lookup_many(rows, q)
-    placed = len(pids)
+    offered, full = len(pids), False
     at = np.flatnonzero(pids >= 0)
     for i, pid in zip(at.tolist(), pids[at].tolist()):
         # the occupant is stored: a window's points share no slot
-        _park(state, pid, block[i], _key_int(keys[i], q), recycled)
-        if len(state.chains) >= state.n:
-            placed = i + 1
+        full = not _park(state, pid, block[i], _key_int(keys[i], q))
+        if full or len(state.chains) >= state.n:
+            offered = i + 1
             break
-    state.counters.bit_comparisons += int(bits[:placed].sum())
-    missed = np.flatnonzero(pids[:placed] < 0)
+    state.counters.bit_comparisons += int(bits[:offered].sum())
+    missed = np.flatnonzero(pids[:offered] < 0)
     if len(missed):
         state._add_points(block[missed], rows[missed])
-    return placed, _close_window(state, placed)
+    return offered - full, _close_window(state, offered, full)
 
 
 def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult:
-    """Place one point: accept, park on a chain, recycle, or drop as a repeat.
+    """Place one point: accept, park on a chain, or drop as a repeat; or,
+    when it meets a full chain, force a plane and report it RECYCLED, with
+    the plane's report, for the caller to offer it again.
 
     Called with a point alone, offer checks it and evaluates its
     residuals with one :func:`kernels.residuals_block` call on its row,
@@ -921,12 +807,12 @@ def offer(state: SeparationState, p, r: np.ndarray | None = None) -> OfferResult
         for j in np.flatnonzero(abs(r) <= eps).tolist():
             r[j] = _nudge_plane(state, j, p, float(r[j]))
 
-    count, repeats, recycled = state.count, state.repeat_events, []
-    reports = _place_one(state, p, pack_sign_bits(r > eps), recycled)
+    count, repeats = state.count, state.repeat_events
+    placed, reports = _place_one(state, p, pack_sign_bits(r > eps))
+    if not placed:
+        return OfferResult(OfferKind.RECYCLED, reports=reports)
     if reports:
         return OfferResult(OfferKind.PLANE_EMITTED, reports=reports)
-    if recycled:
-        return OfferResult(OfferKind.RECYCLED)
     if state.repeat_events > repeats:
         return OfferResult(OfferKind.REPEATED)
     return OfferResult(OfferKind.ACCEPTED if state.count > count else OfferKind.PENDING)
@@ -1039,8 +925,8 @@ def emit_plane(state: SeparationState) -> PlaneReport:
 
     Chains are keyed by anchor and anchors hold distinct sign vectors, so
     no two chains share a quadrant: nothing is merged before the fit, and
-    every pending point ends up stored or still pending, never recycled;
-    one equal to the point it joins is dropped as a repeat.
+    every pending point ends up stored or still pending; one equal to the
+    point it joins is dropped as a repeat.
     """
     if not state.chains:
         raise ValueError("no pending chains to separate")
@@ -1125,7 +1011,7 @@ def finalize(state: SeparationState) -> SeparationState:
 
 
 def stream_points(state: SeparationState, pts) -> None:
-    """Offer points in order, recycling and forcing emissions as needed.
+    """Offer points in order, forcing emissions as needed.
 
     ``pts`` is an (N, n) array or a sequence of points.  The queue is
     evaluated in blocks of up to ``_OFFER_BLOCK`` points: one matmul gives
@@ -1135,57 +1021,32 @@ def stream_points(state: SeparationState, pts) -> None:
     emitted; a point in the band goes to :func:`offer`, which nudges the
     plane off it.  After an emission or a nudge the block's remaining
     points are evaluated again at the new planes, so every point meets
-    exactly the planes it would meet offered alone.
-
-    Recycled points rejoin the queue after the next plane emission; if the
-    queue drains while recycled points wait, one plane is forced through
-    the pending midpoints to open fresh quadrants.  Pending chains may
+    exactly the planes it would meet offered alone.  A point that met a
+    full chain is not placed, and is the first of the remaining points:
+    the plane it forced opens fresh quadrants for it.  Pending chains may
     remain afterwards; call :func:`finalize` to flush them.
     """
     pts = state._check_block(pts)
-    start = 0
-    requeued: deque[np.ndarray] = deque()  # recycled points, behind the rest of pts
-    bucket: list[np.ndarray] = []
-    while True:
-        if start < len(pts):
-            block = pts[start:start + _OFFER_BLOCK]
-            start += len(block)
-        elif requeued:
-            block = np.stack([requeued.popleft()
-                              for _ in range(min(len(requeued), _OFFER_BLOCK))])
-        elif bucket:
-            # only recycled points remain; force a plane to open new quadrants
-            # (a point is recycled only onto a full, hence pending, chain)
-            emit_plane(state)
-            requeued.extend(bucket)
-            bucket.clear()
-            continue
-        else:
-            return
+    for start in range(0, len(pts), _OFFER_BLOCK):
+        block = pts[start:start + _OFFER_BLOCK]
         while len(block):
             r, keys, clear = state._evaluate(block)
             placed, reports = 0, ()
             while placed < clear and not reports:
                 # a window that ends at a shared slot or a slot rebuild is
                 # followed by the next at the same planes, its points stored
-                k, reports = _place(state, block[placed:clear], keys[placed:clear], bucket)
+                k, reports = _place(state, block[placed:clear], keys[placed:clear])
                 placed += k
             if not reports and placed < len(block):
                 # the windows stopped at a point in the incidence band
-                p = block[placed]
-                res = offer(state, p, r[placed])
-                if res.kind is OfferKind.RECYCLED:
-                    bucket.append(p)
-                reports = res.reports
-                placed += 1
-            if reports:
-                requeued.extend(bucket)
-                bucket.clear()
+                if offer(state, block[placed], r[placed]).kind is not OfferKind.RECYCLED:
+                    placed += 1
             block = block[placed:]
 
 
 def run(points, n: int, seed) -> SeparationState:
-    """Shuffle, seed, stream every point, and flush: the full build driver.
+    """Shuffle, stream every point into an empty state, and flush: the
+    build of a point set.
 
     Returns a state in which every input point is stored under a unique
     sign vector, with the ids the stream gave the points.  Its slots are
@@ -1196,14 +1057,11 @@ def run(points, n: int, seed) -> SeparationState:
     """
     pts = _check_points(points, n)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(pts.shape[0])
-    n0 = min(pts.shape[0], n + 1)
-
     state = SeparationState(n=n, seed=rng)
-    _accrete_initial(state, pts[order[:n0]])
-    stream_points(state, pts[order[n0:]])
+    stream_points(state, pts[rng.permutation(pts.shape[0])])
     finalize(state)
-    _require_no_repeats(state)
+    if state.repeat_events:  # tallied where each repeat met its twin
+        raise DuplicatePointError(f"{state.repeat_events} input points repeat another point")
     if state.count != pts.shape[0]:
         raise AssertionError("driver lost points; this is a bug")
     state.index._rehash()

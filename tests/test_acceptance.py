@@ -5,14 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the reports.
 
 import io
 import xml.etree.ElementTree as ET
-from collections import deque
 
 import numpy as np
 import pytest
 
 from planesep import oracle, repository, svgplot
 from planesep.counters import OpCounters
-from planesep.separator import OfferKind, emit_plane, finalize, init, offer, run
+from planesep.separator import OfferKind, SeparationState, finalize, offer, run
 
 EPS = 1e-9
 
@@ -159,32 +158,22 @@ def test_c06_operation_count_exactness():
             "one offer must cost n*q"
         )
 
-    # manual drive with an independent per-offer tally
+    # manual drive from the empty state with an independent per-offer
+    # tally; a point that meets a full chain forces a plane and is offered
+    # again, and each of its offers is tallied
     n = 6
     pts = rng.random((400, n)) * 9
     pts = np.unique(pts, axis=0)
-    state = init(pts[: n + 1], n, seed=11)
-    after_init = state.counters.snapshot()
+    state = SeparationState(n=n, seed=11)
+    before = state.counters.snapshot()
     expected = 0
-    queue = deque(pts[n + 1:])
-    stash = []
-    while queue or stash:
-        if not queue:
-            if state.chains:
-                emit_plane(state)
-            queue.extend(stash)
-            stash.clear()
-            continue
-        p = queue.popleft()
+    for p in pts:
         expected += n * state.q
-        res = offer(state, p)
-        if res.kind is OfferKind.RECYCLED:
-            stash.append(p)
-        elif res.kind is OfferKind.PLANE_EMITTED:
-            queue.extend(stash)
-            stash.clear()
+        while offer(state, p).kind is OfferKind.RECYCLED:
+            expected += n * state.q
     finalize(state)
-    delta = state.counters.delta(after_init)
+    delta = state.counters.delta(before)
+    assert state.recycle_events > 0
     assert delta.ov_multiplications == expected, "build OV work must equal sum n*q"
     assert state.count == pts.shape[0]
     report(

@@ -94,6 +94,17 @@ class TestBuild:
         counters = repository.load(out).counters.as_dict()
         assert {k: payload[k] for k in counters} == counters
 
+    def test_insert_into_a_store_built_from_an_empty_file(self, tmp_path):
+        # the same bytes as a build of the values at the same width and seed
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        grown, built = tmp_path / "grown.txt", tmp_path / "built.txt"
+        assert run_cli("build", "--source", str(empty), "--dims", "4", "--out", str(grown)) == 0
+        assert run_cli("insert", str(grown), "--source", "primes:10000") == 0
+        assert run_cli("build", "--source", "primes:10000", "--dims", "4",
+                       "--out", str(built)) == 0
+        assert grown.read_bytes() == built.read_bytes()
+
     def test_deterministic_repository_bytes(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -111,10 +122,14 @@ class TestQuery:
         assert "multiplications" in out
 
     def test_absent_exit_1(self, primes_repo_path, capsys):
-        assert run_cli("query", str(primes_repo_path), "91") == 1
+        # a value that shares a prime's quadrant, found in the store
+        repo = repository.load(primes_repo_path)
+        v = next(v for v in range(100) if repository.query(repo, v).reason
+                 is repository.AbsenceReason.COORDINATE_MISMATCH)
+        assert run_cli("query", str(primes_repo_path), str(v)) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "found NO" in lines
-        assert "reason coordinate_mismatch" in lines  # 91 shares a prime's quadrant
+        assert "reason coordinate_mismatch" in lines
 
     def test_malformed_repo_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -168,6 +183,13 @@ class TestStats:
     def test_load_failure_exit_2(self, tmp_path):
         assert run_cli("stats", str(tmp_path / "none.txt")) == 2
 
+    def test_fields(self, primes_repo_path, capsys):
+        assert run_cli("--format", "jsonl", "stats", str(primes_repo_path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "q0" not in payload and "q_emitted" not in payload
+        assert payload["baseline_thresholds"] == 9 * 2
+        assert payload["q_total"] == repository.load(primes_repo_path).q
+
     def test_counters_self_consistent(self, primes_repo_path):
         repo = repository.load(primes_repo_path)
         floor = repo.count * repo.dims_history[0] * repo.q
@@ -179,8 +201,9 @@ class TestStats:
         capsys.readouterr()
         assert run_cli("stats", str(out)) == 0
         text = capsys.readouterr().out
-        assert "q_total 105" in text
-        assert "baseline_thresholds_plus_q0 49\n" in text
+        q = repository.load(out).q
+        assert f"q_total {q}\n" in text and q > 45
+        assert "baseline_thresholds 45\n" in text
         assert "ov_mult_floor_ok yes\n" in text
         # 9,592 points in R^5 need at least 18 planes: 17 make 9,402 cells
         assert "q_lower_bound 18\n" in text

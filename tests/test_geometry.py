@@ -336,7 +336,7 @@ def test_package_exports_exactly_the_public_api():
         "IncidentPointError", "InconsistentSystemError", "GeometryExhaustedError",
         "DigitOverflowError", "NotADigitPointError", "RepositoryFormatError",
         "OrientationVector", "fit_plane_through", "shift_midpoints",
-        "SeparationState", "init", "offer", "emit_plane", "finalize", "run",
+        "SeparationState", "offer", "emit_plane", "finalize", "run",
         "IntegerMapping", "Repository", "map_to_point", "point_to_integer",
         "build", "query", "insert", "grow_dimension", "save", "load", "__version__",
     }

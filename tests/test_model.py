@@ -11,6 +11,8 @@ keep the paper's invariants:
 - a value is found exactly when it is stored;
 - a stored value's address only ever gains trailing bits;
 - a query costs exactly n*q multiplications;
+- a build saves the same bytes as the same values inserted into the
+  empty store of its width and seed;
 - ``load(save(s))`` saves the same bytes again and gives the same query
   counters as ``s``.  ``load`` builds the index's hash slots on all q bits
   for the stored count, and so does ``build``; an insert keeps the slots
@@ -26,7 +28,7 @@ import random
 
 import pytest
 
-from planesep import DuplicatePointError, OpCounters
+from planesep import DuplicatePointError, OpCounters, oracle
 from planesep.repository import build, grow_dimension, insert, load, query, save
 
 SEQUENCES = 200
@@ -98,12 +100,16 @@ class Sequence:
         repeated = repeated and bool(values)
         if repeated:
             values.insert(rnd.randrange(len(values) + 1), rnd.choice(values))
-        self.log.append(f"build({values}, n={n})")
+        seed = rnd.randrange(1000)
+        self.log.append(f"build({values}, n={n}, seed={seed})")
         if repeated:
             with pytest.raises(DuplicatePointError):
-                build(values, n, rnd.randrange(1000))
+                build(values, n, seed)
             return
-        self.repo = build(values, n, rnd.randrange(1000))
+        self.repo = build(values, n, seed)
+        empty = build([], n, seed)
+        insert(empty, values)
+        assert saved_text(empty) == saved_text(self.repo)
         self.model = set(values)
         self.addresses = addresses(self.repo)
         self.slots_rebuilt = True  # the index's slots are those load builds
@@ -173,3 +179,14 @@ def test_random_sequences_agree_with_a_set(block):
                 seq.check()
         except Exception as exc:
             raise AssertionError("\n".join(seq.log)) from exc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_batch_insert_into_the_empty_store_meets_few_full_chains(seed):
+    """At q = 0 every point shares the one quadrant, so the first ones fill
+    a chain.  A point that meets a full chain forces one plane at once, so
+    such events stay few: a deterministic bound on the work of a build."""
+    primes = [int(p) for p in oracle.sieve(10**4).primes()]
+    repo = build([], 4, seed)
+    assert insert(repo, primes).added == len(primes)
+    assert repo.state.recycle_events <= 16

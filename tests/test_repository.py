@@ -47,6 +47,16 @@ def saved_text(repo):
     return buf.getvalue()
 
 
+def banded_value(repo, candidates):
+    """The first candidate whose digit point lies inside the incidence band
+    of a stored plane; no stored point does."""
+    planes, eps = repo.state.plane_matrix, repo.state.config.epsilon
+    for v in candidates:
+        if np.abs(1.0 + planes @ map_to_point(v, repo.mapping)).min() <= eps:
+            return v
+    raise AssertionError("no candidate lies inside the band")
+
+
 class TestDigitMapping:
     M2 = IntegerMapping(n=2)
     M4 = IntegerMapping(n=4)
@@ -191,15 +201,25 @@ class TestBuild:
         with pytest.raises(DuplicatePointError):
             build([3, 5, 3], 2, 0)
 
-    def test_a_value_repeated_past_the_initial_batch_is_rejected(self):
+    def test_each_repeated_value_is_counted(self):
+        # each copy is dropped where it meets its twin, and counted
         values = primes_below(1000)
-        # build streams its values in the order its seed draws; the first
-        # n+1 = 4 of them are the initial batch
-        order = np.random.default_rng(0).permutation(len(values) + 1).tolist()
-        twin = next(i for i in order[4:] if i < len(values))
-        assert len(values) in order[4:]
-        with pytest.raises(DuplicatePointError, match="^1 input points repeat"):
-            build(values + [values[twin]], 3, 0)
+        with pytest.raises(DuplicatePointError, match="^1 input points repeat another point$"):
+            build(values + [values[100]], 3, 0)
+        with pytest.raises(DuplicatePointError, match="^2 input points repeat another point$"):
+            build(values + [values[100], values[7]], 3, 0)
+
+    @pytest.mark.parametrize("values", [[], [7], [7, 11], primes_below(1000)],
+                             ids=["none", "one", "two", "primes-below-1000"])
+    def test_a_build_is_an_insert_into_the_empty_store(self, values):
+        # the same bytes, and the slots load builds for the same keys
+        repo = build(values, 3, 5)
+        empty = build([], 3, 5)
+        insert(empty, values)
+        assert saved_text(empty) == saved_text(repo)
+        loaded = load(io.StringIO(saved_text(repo)))
+        assert repo.state.index._slots == loaded.state.index._slots
+        assert repo.state.index._next == loaded.state.index._next
 
     @pytest.mark.parametrize("seed", range(3))
     def test_arbitrary_integer_sets_separate(self, seed):
@@ -346,12 +366,10 @@ class TestQueryAgainstReference:
         assert None in outcomes and AbsenceReason.NEW_QUADRANT in outcomes
 
     def test_plane_incident_value_is_absent_without_a_search(self):
-        # with this seed the digit point of 98 lies exactly on a stored plane
         repo = build(primes_below(100), 2, 2)
-        r = 1.0 + repo.state.plane_matrix @ map_to_point(98, repo.mapping)
-        assert np.abs(r).min() <= repo.state.config.epsilon
+        v = banded_value(repo, range(100))
         c = OpCounters()
-        res = query(repo, 98, c)
+        res = query(repo, v, c)
         assert not res.found
         assert res.reason is AbsenceReason.NEW_QUADRANT
         assert c.multiplications == repo.q * 2
@@ -443,14 +461,12 @@ class TestInsert:
         assert query(repo, v).found
 
     def test_insert_of_plane_incident_value_nudges_and_places(self):
-        # with this seed the digit point of 98 lies exactly on a stored plane
         repo = build(primes_below(100), 2, 2)
-        r = 1.0 + repo.state.plane_matrix @ map_to_point(98, repo.mapping)
-        assert np.abs(r).min() <= 1e-9
+        v = banded_value(repo, range(100))
         old_packed = list(repo.state.packed)
-        report = insert(repo, [98])
+        report = insert(repo, [v])
         assert report.added == 1
-        assert query(repo, 98).found
+        assert query(repo, v).found
         for pid in range(len(old_packed)):
             assert repo.state.packed[pid] >> report.planes_added == old_packed[pid]
         verdict = oracle.verify_separation(
@@ -774,7 +790,10 @@ class TestPersistence:
         repo = load(path)
         prime = oracle.sieve(100).is_prime
         assert [query(repo, v).found for v in range(100)] == prime[:100].tolist()
-        assert saved_text(repo) == text
+        # its q0 line, the planes of a seeding that builds no longer make,
+        # is checked on load and then unused: save writes q0 0
+        assert "q0 2\n" in text
+        assert saved_text(repo) == text.replace("q0 2\n", "q0 0\n", 1)
 
     def test_offers_line_disagreeing_with_counters_rejected(self):
         text = saved_text(build(primes_below(100), 2, 13))
@@ -867,40 +886,45 @@ class TestPersistence:
         with pytest.raises(RepositoryFormatError, match="^line 14: "):
             load(io.StringIO("".join(lines)))
 
-    @pytest.mark.parametrize("line, text, message", [
-        (22, "", "blank line"),
-        (22, "entries 17 2", "expected 'entry', found 'entries'"),
-        (22, "entry 17", "bad packed sign vector"),
-        (22, "entry 17 2 junk", "extra fields ['junk'] on 'entry' line"),
-        (22, "entry 17.0 2", "bad integer field: ['entry', '17.0', '2']"),
-        (22, "entry 17 2g", "bad packed sign vector"),
-        (22, "entry 17 0x2", "bad packed sign vector"),
-        (22, "entry 17 " + "0" * 16 + "2", "bad packed sign vector"),
-        (22, "entry 100 2", "value 100 out of range"),
-        (22, "entry -5 2", "value -5 out of range"),
-        (22, "entry 17 20", "sign vector wider than q"),
-        (22, "entry 17 7", "repeated packed sign vector"),
-        (22, "entry 5 2", "repeated value 5"),
-        (23, None, "unexpected end of file"),
-        (28, "end junk", "extra fields ['junk'] on 'end' line"),
+    @pytest.mark.parametrize("at, edit, message", [
+        (0, "", "blank line"),
+        (0, "entries {v} {key}", "expected 'entry', found 'entries'"),
+        (0, "entry {v}", "bad packed sign vector"),
+        (0, "entry {v} {key} junk", "extra fields ['junk'] on 'entry' line"),
+        (0, "entry {v}.0 {key}", "bad integer field: ['entry', '{v}.0', '{key}']"),
+        (0, "entry {v} {key}g", "bad packed sign vector"),
+        (0, "entry {v} 0x{key}", "bad packed sign vector"),
+        (0, "entry {v} 0000000000000000{key}", "bad packed sign vector"),
+        (0, "entry 100 {key}", "value 100 out of range"),
+        (0, "entry -5 {key}", "value -5 out of range"),
+        (0, "entry {v} {wide}", "sign vector wider than q"),
+        (0, "entry {v} {prev_key}", "repeated packed sign vector"),
+        (0, "entry {prev_v} {key}", "repeated value {prev_v}"),
+        (1, None, "unexpected end of file"),
+        (-1, "end junk", "extra fields ['junk'] on 'end' line"),
     ], ids=["blank", "wrong-tag", "missing-key", "extra-field", "non-integer-value",
             "non-hex-key", "key-spelled-0x", "key-of-more-digits-than-a-row",
             "value-at-capacity", "negative-value", "key-of-q-plus-one-bits",
             "repeated-key", "repeated-value", "cut-inside-entries", "extra-field-on-end"])
-    def test_malformed_entry_line_rejected_with_its_line(self, line, text, message):
-        # entries are lines 19-27 (q = 5 planes) by point id, so line 22
-        # holds the fourth point, value 17 at key 2, after value 5 at key 7;
-        # a repeat is named on its later line.  None cuts the file after
-        # line 22.  A repeated value loaded before: the store counted it
-        # twice, answered the value it hid absent, and took it again on insert
+    def test_malformed_entry_line_rejected_with_its_line(self, at, edit, message):
+        # the edits are made to the fourth entry line, value v at key, which
+        # follows value prev_v at prev_key; a repeat is named on its later
+        # line.  at = 1 cuts the file after the fourth entry line, and
+        # at = -1 edits the end line.  A repeated value loaded before: the
+        # store counted it twice, answered the value it hid absent, and
+        # took it again on insert
         repo = build(primes_below(24), 2, 0)
         lines = saved_text(repo).splitlines(keepends=True)
-        assert repo.q == 5 and lines[20:22] == ["entry 5 7\n", "entry 17 2\n"]
-        assert lines[27] == "end\n"
-        if text is None:
+        fourth = 13 + repo.q + 3  # its index: 13 header and q plane lines come first
+        (_, prev_v, prev_key), (_, v, key) = map(str.split, lines[fourth - 1:fourth + 1])
+        assert lines[fourth - 4].startswith("plane ") and lines[-1] == "end\n"
+        fields = dict(v=v, key=key, prev_v=prev_v, prev_key=prev_key, wide=f"{1 << repo.q:x}")
+        line = len(lines) if at < 0 else fourth + 1 + at
+        if edit is None:
             del lines[line - 1:]
         else:
-            lines[line - 1] = text + "\n"
+            lines[line - 1] = edit.format(**fields) + "\n"
+        message = message.format(**fields)
         with pytest.raises(RepositoryFormatError,
                            match="^" + re.escape(f"line {line}: {message}") + "$"):
             load(io.StringIO("".join(lines)))
@@ -939,7 +963,7 @@ class TestPersistence:
         assert list(loaded.state.index.items()) == list(repo.state.index.items())
         assert saved_text(loaded) == text
         for a, b in ((repo, loaded), (loaded, again)):
-            assert b.q == a.q and b.state.q0 == a.state.q0 and b.count == a.count
+            assert b.q == a.q and b.count == a.count
             assert b.state._saturated == a.state._saturated
             assert np.array_equal(b.state.plane_matrix, a.state.plane_matrix)
             assert b.counters.as_dict() == a.counters.as_dict()
@@ -973,6 +997,15 @@ class TestPersistence:
                 insert(r, [p])
         assert saved_text(repo) == saved_text(loaded)
 
+    def test_q0_is_written_as_0_whatever_the_store(self):
+        # a v1 field kept for the format; load checks 0 <= q0 <= q
+        repo = build(primes_below(1000), 3, 0)
+        insert(repo, [4, 6, 8])
+        grow_dimension(repo, 4)
+        insert(repo, [1009])
+        lines = saved_text(repo).splitlines()
+        assert repo.q > 0 and lines[10] == "q0 0"
+
     def test_save_to_path(self, tmp_path):
         repo = build([2, 3, 5], 1, 0)
         path = tmp_path / "repo.txt"
@@ -990,16 +1023,27 @@ class TestPersistence:
 
 @pytest.fixture(scope="module")
 def primes5_text():
-    """The primes below 10^5 at n = 5, seed 0, saved: q = 105 planes, and
-    9,592 entries on lines 119-9710, which load reads in three blocks of
-    4,096 lines; line 4315, in the second, holds value 70529."""
-    text = saved_text(build(primes_below(10**5), 5, 0))
+    """The primes below 10^5 at n = 5, seed 0, saved: more than 64 planes,
+    and 9,592 entry lines, which load reads in three blocks of 4,096."""
+    repo = build(primes_below(10**5), 5, 0)
+    text = saved_text(repo)
     lines = text.splitlines(keepends=True)
-    assert lines[3:5] == ["q 105\n", "count 9592\n"] and len(lines) == 9711
-    assert lines[118].startswith("entry ") and lines[9710] == "end\n"
-    assert lines[4314] == "entry 70529 1dce74f5ad553598e54a1e7bb7f\n"
+    assert repo.q > 64 and lines[4] == "count 9592\n"
+    assert lines[13 + repo.q].startswith("entry ") and lines[-1] == "end\n"
+    assert len(lines) == 13 + repo.q + 9592 + 1
     assert separator._HEX_BLOCK == 4096
     return text
+
+
+SECOND_BLOCK, THIRD_BLOCK = 4196, 8199  # point ids whose entries load reads in those blocks
+
+
+def entry_line(text, pid):
+    """The index of point ``pid``'s entry line in ``text``, and its value and key."""
+    lines = text.splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("entry ")) + pid
+    _, value, key = lines[index].split()
+    return index, value, key
 
 
 def load_messages(data, tmp_path):
@@ -1030,60 +1074,63 @@ class TestBlockLoad:
         return "".join(lines)
 
     @pytest.mark.parametrize("line, message", [
-        ("entry 70529 1dce74f5ad553598e54a1e7bb7fg\n", "bad packed sign vector"),
-        ("entry x70529 1dce74f5ad553598e54a1e7bb7f\n",
-         "bad integer field: ['entry', 'x70529', '1dce74f5ad553598e54a1e7bb7f']"),
-        ("entries 70529 1dce74f5ad553598e54a1e7bb7f\n", "expected 'entry', found 'entries'"),
-        ("entry 70529 1dce74f5ad553598e54a1e7bb7f 0\n",
-         "extra fields ['0'] on 'entry' line"),
+        ("entry {value} {key}g\n", "bad packed sign vector"),
+        ("entry x{value} {key}\n", "bad integer field: ['entry', 'x{value}', '{key}']"),
+        ("entries {value} {key}\n", "expected 'entry', found 'entries'"),
+        ("entry {value} {key} 0\n", "extra fields ['0'] on 'entry' line"),
     ], ids=["non-hex-key", "non-integer-value", "wrong-tag", "extra-field"])
     def test_malformed_entry_line_in_the_second_block(self, primes5_text, tmp_path,
                                                       line, message):
-        text = self.edited(primes5_text, 4314, line)
-        assert load_messages(text, tmp_path) == [f"line 4315: {message}"] * 3
+        index, value, key = entry_line(primes5_text, SECOND_BLOCK)
+        text = self.edited(primes5_text, index, line.format(value=value, key=key))
+        message = message.format(value=value, key=key)
+        assert load_messages(text, tmp_path) == [f"line {index + 1}: {message}"] * 3
 
     @pytest.mark.parametrize("keep, message", [
-        ("", "unexpected end of file"),
-        ("entry 705", "bad packed sign vector"),
+        (0, "unexpected end of file"),
+        (9, "bad packed sign vector"),
     ], ids=["before-a-line", "inside-a-line"])
     def test_file_cut_inside_the_second_block(self, primes5_text, tmp_path, keep, message):
+        index, _, _ = entry_line(primes5_text, SECOND_BLOCK)
         lines = primes5_text.splitlines(keepends=True)
-        text = "".join(lines[:4314]) + keep
-        assert load_messages(text, tmp_path) == [f"line 4315: {message}"] * 3
+        text = "".join(lines[:index]) + lines[index][:keep]
+        assert load_messages(text, tmp_path) == [f"line {index + 1}: {message}"] * 3
 
     @pytest.mark.parametrize("brk", ["\f", "\r", " ", "\x1c", "\x85", "\v"])
     def test_a_line_break_inside_an_entry_line(self, primes5_text, tmp_path, brk):
         # str.splitlines breaks the line there, and so does load, though a
         # file iterator would read each of these lines as one valid line
-        before_key = self.edited(primes5_text, 4314,
-                                 f"entry 70529{brk}1dce74f5ad553598e54a1e7bb7f\n")
+        index, value, key = entry_line(primes5_text, SECOND_BLOCK)
+        assert len(key) > 3
+        before_key = self.edited(primes5_text, index, f"entry {value}{brk}{key}\n")
         assert load_messages(before_key, tmp_path) == [
-            "line 4315: bad packed sign vector"] * 3
-        in_key = self.edited(primes5_text, 4314,
-                             f"entry 70529 1dc{brk}e74f5ad553598e54a1e7bb7f\n")
+            f"line {index + 1}: bad packed sign vector"] * 3
+        in_key = self.edited(primes5_text, index, f"entry {value} {key[:3]}{brk}{key[3:]}\n")
         assert load_messages(in_key, tmp_path) == [
-            "line 4316: expected 'entry', found 'e74f5ad553598e54a1e7bb7f'"] * 3
+            f"line {index + 2}: expected 'entry', found '{key[3:]}'"] * 3
 
     def test_a_count_past_the_entries_is_rejected_at_the_end_line(self, primes5_text,
                                                                   tmp_path):
         # nothing is allocated from the count: 10^12 entries would not fit
         text = primes5_text.replace("count 9592\n", "count 1000000000000\n", 1)
-        assert load_messages(text, tmp_path) == ["line 9711: expected 'entry', found 'end'"] * 3
+        end = len(text.splitlines())
+        assert load_messages(text, tmp_path) == [
+            f"line {end}: expected 'entry', found 'end'"] * 3
 
-    @pytest.mark.parametrize("index, bad, message", [
-        (4314, b"\xc3\x28",
-         "byte 0xc3 in position 178319: invalid continuation byte"),
-        (8317, b"\xff", "byte 0xff in position 337021: invalid start byte"),
+    @pytest.mark.parametrize("pid, bad, reason", [
+        (SECOND_BLOCK, b"\xc3\x28", "byte 0xc3 in position {at}: invalid continuation byte"),
+        (THIRD_BLOCK, b"\xff", "byte 0xff in position {at}: invalid start byte"),
     ], ids=["second-block", "third-block"])
-    def test_invalid_utf8_after_the_first_block(self, primes5_text, tmp_path, index, bad,
-                                                message):
+    def test_invalid_utf8_after_the_first_block(self, primes5_text, tmp_path, pid, bad,
+                                                reason):
         # the position counts bytes from the start of the file, as when
         # the file was decoded whole
         raw = primes5_text.encode()
+        index, _, _ = entry_line(primes5_text, pid)
         at = raw.index(primes5_text.splitlines(keepends=True)[index].encode()) + 8
         data = raw[:at] + bad + raw[at + len(bad):]
         assert load_messages(data, tmp_path) == [
-            f"not UTF-8 text: 'utf-8' codec can't decode {message}"] * 2
+            f"not UTF-8 text: 'utf-8' codec can't decode {reason.format(at=at)}"] * 2
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_lines_split_alike_at_any_chunk_size(self, monkeypatch, tmp_path, chunk):

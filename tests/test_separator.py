@@ -2,7 +2,6 @@
 
 import copy
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from planesep.separator import (
     SeparationState,
     emit_plane,
     finalize,
-    init,
     offer,
     run,
     stream_points,
@@ -58,6 +56,15 @@ def find_same_quadrant_points(state, anchor_id, count, lo=0.0, hi=9.0):
             if len(found) == count:
                 return found
     raise AssertionError("could not find enough same-quadrant candidates")
+
+
+def stored(pts, n, seed):
+    """The points streamed into the empty state of (n, seed) and flushed:
+    each one stored under its own sign vector, with no chain pending."""
+    state = SeparationState(n, seed)
+    stream_points(state, pts)
+    finalize(state)
+    return state
 
 
 def assert_state_separated(state):
@@ -514,55 +521,21 @@ class TestAlignedIndexAgainstTwoLists:
             assert list(new.items()) == ref.items()
 
 
-class TestInit:
-    def test_first_primes_as_two_digit_points(self):
-        pts = np.array([[2, 0], [3, 0], [5, 0], [7, 0], [1, 1]], dtype=float)
-        state = init(pts, 2, seed=0)
-        assert state.q >= 3  # ceil(log2(5)) with 5 starting points
-        assert state.count == 5
-        assert len(set(state.packed)) == 5
-        assert_state_separated(state)
-        assert all(state._saturated)
-
-    def test_duplicate_points_rejected(self):
-        pts = [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]
-        with pytest.raises(DuplicatePointError, match="^1 input points repeat"):
-            init(np.array(pts), 2, seed=0)
-        # each copy is dropped and counted
-        with pytest.raises(DuplicatePointError, match="^2 input points repeat"):
-            init(np.array(pts + [[5.0, 0.0], [1.0, 2.0]]), 2, seed=0)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_plane_floor_holds(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        n0 = n + 1
-        pts = rng.random((n0, n)) * 9
-        state = init(pts, n, seed=seed)
-        assert state.q >= int(np.ceil(np.log2(max(n0, n + 1))))
-        assert len(set(state.packed)) == n0
-
-    def test_empty_input_gives_empty_state(self):
-        state = init(np.empty((0, 3)), 3, seed=0)
-        assert state.q == 0
-        assert state.count == 0
-
-
 class TestOffer:
     def make_state(self, seed=0):
         pts = np.array([[0, 0], [9, 0], [0, 9], [9, 9]], dtype=float)
-        return init(pts, 2, seed=seed)
+        return stored(pts, 2, seed=seed)
 
     def test_fresh_quadrant_accepted(self):
         # three points under at least two planes leave a quadrant free
-        state = init(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
+        state = stored(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
         before = state.count
         rng = np.random.default_rng(7)
-        stored = set(state.packed)
+        taken = set(state.packed)
         for _ in range(5000):
             cand = rng.uniform(0, 9, size=2)
             r = 1.0 + state.plane_matrix @ cand
-            if np.all(np.abs(r) > EPS) and pack_sign_bits(r > 0) not in stored:
+            if np.all(np.abs(r) > EPS) and pack_sign_bits(r > 0) not in taken:
                 break
         else:
             raise AssertionError("no fresh quadrant found in scan")
@@ -570,7 +543,7 @@ class TestOffer:
         assert res.kind is OfferKind.ACCEPTED
         assert state.count == before + 1
 
-    def test_chain_fills_then_recycles(self):
+    def test_a_full_chain_forces_a_plane_and_the_point_is_offered_again(self):
         state = self.make_state()
         anchor = 0
         b, c, d, e = find_same_quadrant_points(state, anchor, 4)
@@ -581,9 +554,24 @@ class TestOffer:
         assert offer(state, c).kind is OfferKind.PENDING
         assert offer(state, d).kind is OfferKind.PENDING
         assert [pt.tolist() for pt in chain.members] == [b.tolist(), c.tolist(), d.tolist()]
+        q, count, offers = state.q, state.count, state.offers
         res = offer(state, e)
+        # e is tallied as an offer and left unplaced; the plane it forces
+        # is fitted through the one pending midpoint, fewer than n, and
+        # stores b
         assert res.kind is OfferKind.RECYCLED
-        assert state.counter == 1  # the full chain still counts once
+        assert res.reports[0].constraint_count == 1 < state.n
+        assert res.reports[0].promoted_ids[0] == count
+        assert state.points[count].tolist() == b.tolist()
+        assert (state.q, state.recycle_events) == (q + len(res.reports), 1)
+        assert (state.count, state.offers) == (count + sum(
+            len(r.promoted_ids) for r in res.reports), offers + 1)
+        assert all(len(ch.members) < 3 for ch in state.chains.values())
+        # offered again, at the new planes, e is placed
+        assert offer(state, e).kind is not OfferKind.RECYCLED
+        finalize(state)
+        assert state.count == count + 4
+        assert_state_separated(state)
 
     def test_nth_chain_completion_emits_plane(self):
         state = self.make_state(seed=3)
@@ -667,7 +655,7 @@ class TestEmitPlane:
     def build_two_chain_state(self, n=2, seed=5):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 9, size=(n + 1, n))
-        state = init(pts, n, seed=seed)
+        state = stored(pts, n, seed=seed)
         got = 0
         for anchor in range(state.count):
             try:
@@ -718,7 +706,7 @@ class TestEmitPlane:
         assert_state_separated(state)
 
     def test_requires_pending_chains(self):
-        state = init(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
+        state = stored(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
         with pytest.raises(ValueError):
             emit_plane(state)
 
@@ -730,7 +718,7 @@ class TestLeftoverChains:
         # batch away from their anchor; each such member is stored outright
         values = np.random.default_rng(5).choice(10**6, 200, replace=False)
         pts = map_to_points([int(v) for v in values], IntegerMapping(25))
-        state = init(pts[:26], 25, seed=0)
+        state = stored(pts[:26], 25, seed=0)
         emit = separator.emit_plane
 
         def checked_emit(state):
@@ -753,7 +741,7 @@ class TestLeftoverChains:
 
 class TestFinalize:
     def test_counter_zero_is_noop(self):
-        state = init(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
+        state = stored(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]), 2, seed=0)
         q = state.q
         finalize(state)
         assert state.q == q
@@ -761,7 +749,7 @@ class TestFinalize:
     def test_partial_batch_flush_in_5d(self):
         rng = np.random.default_rng(21)
         pts = rng.uniform(0, 9, size=(6, 5))
-        state = init(pts, 5, seed=21)
+        state = stored(pts, 5, seed=21)
         staged = 0
         for anchor in range(state.count):
             try:
@@ -786,25 +774,16 @@ class TestFinalize:
 
 
 def offer_one_at_a_time(state, pts):
-    """The stream driven by hand, one offer(state, p) per point, as in c06;
-    returns the report of every plane emitted."""
-    queue = deque(pts)
-    stash = []
+    """The stream driven by hand, one offer(state, p) per point, as in c06,
+    and again while it reports the point RECYCLED; returns the report of
+    every plane emitted."""
     reports = []
-    while queue or stash:
-        if not queue:
-            reports.append(separator.emit_plane(state))
-            queue.extend(stash)
-            stash.clear()
-            continue
-        p = queue.popleft()
-        res = offer(state, p)
-        reports.extend(res.reports)
-        if res.kind is OfferKind.RECYCLED:
-            stash.append(p)
-        elif res.kind is OfferKind.PLANE_EMITTED:
-            queue.extend(stash)
-            stash.clear()
+    for p in pts:
+        while True:
+            res = offer(state, p)
+            reports.extend(res.reports)
+            if res.kind is not OfferKind.RECYCLED:
+                break
     return reports
 
 
@@ -830,12 +809,11 @@ class TestSaturatedRecord:
         # primes below 1000 at n=3 emit planes through 3 midpoints and through fewer
         n = 3
         pts = map_to_points(oracle.sieve(1000).primes(), IntegerMapping(n))
-        state = init(pts[: n + 1], n, seed=2)
-        reports = offer_one_at_a_time(state, pts[n + 1:])
+        state = SeparationState(n, seed=2)
+        reports = offer_one_at_a_time(state, pts)
         while state.chains:
             reports.append(emit_plane(state))
-        assert state.q0 > 0 and all(state._saturated[: state.q0])
-        assert [r.plane_index for r in reports] == list(range(state.q0, state.q))
+        assert [r.plane_index for r in reports] == list(range(state.q))
         full = [r.constraint_count == n for r in reports]
         assert [state._saturated[r.plane_index] for r in reports] == full
         assert set(full) == {True, False}
@@ -846,43 +824,29 @@ class TestStreamInBlocks:
     where offering the same points one at a time ends."""
 
     def test_block_stream_equals_offers_one_at_a_time(self, monkeypatch):
-        # primes below 1000 at n=3, shuffled with seed 2: all 164 streamed
-        # points fit in one block, whose windows emit planes, nudge planes
-        # off offered points and recycle points
+        # primes below 1000 at n=3, shuffled with seed 2, into the empty
+        # state: all 168 points fit in one block, whose windows emit planes,
+        # nudge planes off offered points and force planes at full chains
         lattice = np.array([[(v // 10**i) % 10 for i in range(3)] for v in range(1000)],
                            dtype=float)
         pts = lattice[oracle.sieve(1000).primes()]
         pts = pts[np.random.default_rng(2).permutation(len(pts))]
-        first_block = len(pts) - 4
-        assert first_block <= separator._OFFER_BLOCK
+        assert len(pts) <= separator._OFFER_BLOCK
 
-        scalar = init(pts[:4], 3, seed=2)
-        offer_one_at_a_time(scalar, pts[4:])
+        scalar = SeparationState(3, seed=2)
+        offer_one_at_a_time(scalar, pts)
 
-        windows, nudged_at = [], []
-        # every window ends in _close_window, a nudged offer's window of one too
-        real_close, real_nudge = separator._close_window, separator._nudge_plane
-
-        def traced_close(state, *args):
-            res = real_close(state, *args)
-            windows.append((state.offers, state.q, state.recycle_events))
-            return res
+        nudged_at = []
+        real_nudge = separator._nudge_plane
 
         def traced_nudge(state, *args):
             nudged_at.append(state.offers)  # the offers placed before the one under way
             return real_nudge(state, *args)
 
-        monkeypatch.setattr(separator, "_close_window", traced_close)
         monkeypatch.setattr(separator, "_nudge_plane", traced_nudge)
-        blocked = init(pts[:4], 3, seed=2)
-        q0 = blocked.q
-        stream_points(blocked, pts[4:])
-        # the window that places the first block's last point; only an
-        # emission adds a plane
-        _, q, recycled = next(w for w in windows if w[0] == first_block)
-        assert q > q0 and recycled > 0
-        assert nudged_at and nudged_at[0] < first_block
-        assert scalar.recycle_events > 0
+        blocked = SeparationState(3, seed=2)
+        stream_points(blocked, pts)
+        assert nudged_at and blocked.recycle_events > 0
         assert_same_state(blocked, scalar)
 
         # two unstored lattice points on one plane, in one block: the first
@@ -897,20 +861,22 @@ class TestStreamInBlocks:
         assert len(nudged_at) > nudges
         assert_same_state(blocked, scalar)
 
-    @pytest.mark.parametrize("seed, recycles", [(0, False), (5, True)])
+    @pytest.mark.parametrize("seed, recycles", [(1, False), (0, True)])
     def test_many_blocks_and_windows_equal_offers_one_at_a_time(self, seed, recycles):
-        # primes below 10^4 at n=4: five blocks, each placed in many
-        # windows, ended by some 60 plane emissions
+        # primes below 10^4 at n=4, streamed into a store of the first n+1:
+        # five blocks, each placed in many windows, ended by some 60 plane
+        # emissions, with and without a plane forced at a full chain
         n = 4
         pts = map_to_points(oracle.sieve(10**4).primes(), IntegerMapping(n))
         pts = pts[np.random.default_rng(seed).permutation(len(pts))]
         assert len(pts) - (n + 1) > 4 * separator._OFFER_BLOCK
-        scalar = init(pts[: n + 1], n, seed=seed)
+        scalar = stored(pts[: n + 1], n, seed=seed)
+        q, recycled = scalar.q, scalar.recycle_events
         offer_one_at_a_time(scalar, pts[n + 1:])
-        blocked = init(pts[: n + 1], n, seed=seed)
+        blocked = stored(pts[: n + 1], n, seed=seed)
         stream_points(blocked, pts[n + 1:])
-        assert blocked.q - blocked.q0 > 50
-        assert (blocked.recycle_events > 0) == recycles
+        assert blocked.q - q > 50
+        assert (blocked.recycle_events > recycled) == recycles
         assert_same_state(blocked, scalar)
 
     @pytest.mark.parametrize("bad, error", [
@@ -920,7 +886,7 @@ class TestStreamInBlocks:
     ])
     def test_bad_point_in_a_block_raises_what_offer_raises(self, bad, error):
         def fresh():
-            return init(np.array([[0, 0], [9, 0], [0, 9], [9, 9]], dtype=float), 2, seed=0)
+            return stored(np.array([[0, 0], [9, 0], [0, 9], [9, 9]], dtype=float), 2, seed=0)
 
         with pytest.raises(error) as from_offer:
             offer(fresh(), bad)
@@ -929,7 +895,7 @@ class TestStreamInBlocks:
         assert str(from_block.value) == str(from_offer.value)
 
     def test_block_of_the_wrong_width_is_a_dimension_mismatch(self):
-        state = init(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
+        state = stored(np.array([[0, 0], [9, 0], [0, 9]], dtype=float), 2, seed=0)
         with pytest.raises(DimensionMismatchError):
             stream_points(state, np.ones((5, 3)))
 
@@ -1121,7 +1087,8 @@ class TestRankAwareNarrowing:
         segment either side, and try one plane through the three."""
         anchors = np.array([m + d / 2 for m, d in zip(self.MIDS, segs)])
         members = np.array([m - d / 2 for m, d in zip(self.MIDS, segs)])
-        state = init(anchors, 4, 0)
+        state = stored(anchors, 4, 0)
+        assert state.points.tolist() == anchors.tolist()  # point id i is anchor i
         batch = [PendingChain(i, state.packed[i], m, [b])
                  for i, (m, b) in enumerate(zip(self.MIDS, members))]
         fits = []
